@@ -9,15 +9,13 @@ use wmp_plan::{Catalog, ResourceVector};
 use wmp_serve::QueryTicket;
 use wmp_workloads::QueryRecord;
 
-use crate::stats::{median, Accuracy, Rates};
+use crate::stats::{Accuracy, Rates};
 use crate::trace::{Span, Tracer};
 
 /// The paper's workload size `s`.
 pub const WINDOW: usize = 10;
 /// PlanKMeans templates: one per TPC-H query template.
 pub const K_TEMPLATES: usize = 22;
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 3;
 
 /// One invocation's settings.
 #[derive(Debug, Clone, Copy)]
@@ -25,20 +23,9 @@ pub struct RunConfig {
     pub seed: u64,
     pub seconds: f64,
     pub trace: bool,
-    /// Small inputs and a short run, for checking that the benchmark works.
-    pub smoke: bool,
 }
 
 impl RunConfig {
-    /// Picks the full-size or the smoke-size value.
-    pub fn size(&self, full: usize, smoke: usize) -> usize {
-        if self.smoke {
-            smoke
-        } else {
-            full
-        }
-    }
-
     /// Seconds of the untraced phase: the whole run, or a third of it in a
     /// traced run (whose untraced phase is only the base for the overhead).
     pub fn untraced_seconds(&self) -> f64 {
@@ -86,7 +73,9 @@ impl Tally {
 /// What one workload run produced.
 pub struct Outcome {
     pub tally: Tally,
+    /// Median set-up time, probe-scaled and as measured (s).
     pub setup_s: f64,
+    pub setup_raw_s: f64,
     pub rates: Rates,
     pub accuracy: Accuracy,
     /// Workload-specific end-to-end figures (printed, and kept in the
@@ -97,20 +86,6 @@ pub struct Outcome {
     pub layer: Vec<Metric>,
     /// The traced phase, when the run is traced.
     pub traced: Option<(Tracer, Rates)>,
-}
-
-/// Runs `setup` `SETUP_REPS` times, keeping the last result, and returns it
-/// with the median wall time in seconds.
-pub fn repeat_setup<T>(mut setup: impl FnMut() -> T) -> (T, f64) {
-    let mut times = Vec::with_capacity(SETUP_REPS);
-    let mut kept = None;
-    for _ in 0..SETUP_REPS {
-        drop(kept.take());
-        let t0 = Instant::now();
-        kept = Some(setup());
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    (kept.expect("SETUP_REPS >= 1"), median(&times))
 }
 
 /// Fits the paper's pipeline (PlanKMeans k = 22, s = 10, the library's
@@ -257,8 +232,24 @@ impl<'t> Probe<'t> {
 /// snapshot pin, per-query template assignment (IN3), histogram (IN4),
 /// head 0 and all heads (IN5), and the whole `predict_resources`. Returns
 /// `(snapshot_ns, predict_ns, consistent)`; `consistent` is whether the
-/// staged result equals the whole call bit for bit.
+/// staged result equals the whole call bit for bit. The time it takes is
+/// left out of the traced phase's time (see [`Tracer::add_retimed`]).
 pub fn retime_stages(
+    probe: &mut Probe<'_>,
+    model: &LearnedWmp,
+    handle: Option<&PredictorHandle>,
+    window: &[&QueryRecord],
+    parent: u64,
+) -> (u64, u64, bool) {
+    let t0 = Instant::now();
+    let out = retime(probe, model, handle, window, parent);
+    if let Some(tracer) = probe.tracer.as_deref_mut() {
+        tracer.add_retimed(t0.elapsed().as_nanos() as u64);
+    }
+    out
+}
+
+fn retime(
     probe: &mut Probe<'_>,
     model: &LearnedWmp,
     handle: Option<&PredictorHandle>,

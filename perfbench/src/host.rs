@@ -58,9 +58,8 @@ impl Host {
 
     /// The run identity results are compared within, shaped
     /// `{workload}_sd{seed}_{host}`.
-    pub fn identity(&self, workload: &str, seed: u64, smoke: bool) -> String {
-        let smoke = if smoke { "_smoke" } else { "" };
-        format!("{workload}_sd{seed}{smoke}_{}", self.key())
+    pub fn identity(&self, workload: &str, seed: u64) -> String {
+        format!("{workload}_sd{seed}_{}", self.key())
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload record_serve --seed 7 --seconds 15 --trace 0
+//!     --workload record_serve --seed 7 --seconds 20 --trace 0
 //! ```
 //!
 //! An untraced run (`--trace 0`) prints the end-to-end metrics; a traced
@@ -38,7 +38,7 @@ const WORKLOADS: [&str; 4] = ["sql_ingest", "record_serve", "sched_replay", "ser
 
 const USAGE: &str =
     "usage: perfbench --workload <sql_ingest|record_serve|sched_replay|serve_retrain> \
---seed <n> --seconds <s> --trace <0|1> [--out-dir <dir>] [--smoke]";
+--seed <n> --seconds <s> --trace <0|1> [--out-dir <dir>]";
 
 struct Args {
     workload: String,
@@ -50,12 +50,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, None);
     let mut out_dir = PathBuf::from("perfbench").join("out");
-    let mut smoke = false;
     while let Some(flag) = args.next() {
-        if flag == "--smoke" {
-            smoke = true;
-            continue;
-        }
         let value = args.next().ok_or(format!("{flag} needs a value"))?;
         let bad = |what: &str| format!("{flag}: {what}, got {value:?}");
         match flag.as_str() {
@@ -86,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
             seed: seed.ok_or("--seed is required")?,
             seconds: seconds.ok_or("--seconds is required")?,
             trace: trace.ok_or("--trace is required")?,
-            smoke,
         },
         out_dir,
     })
@@ -172,7 +166,9 @@ fn per_layer(o: &Outcome, tracer: &Tracer, traced: &stats::Rates) -> Vec<Metric>
         Metric::new("mlkit.observe_ns", ns(Span::MlkitObserve), "ns"),
         Metric::new("obs.observe_ns", ns(Span::ObsObserve), "ns"),
     ]);
-    let wall_ns = traced.wall_s * 1e9;
+    // Re-timing repeats work the workload already did: its spans are not in
+    // the layer busy times and its time is not in the phase's.
+    let wall_ns = traced.wall_s * 1e9 - tracer.retimed_ns() as f64;
     let mut covered = 0.0;
     for layer in Layer::ALL {
         let busy = tracer.layer_busy_ns(layer) as f64;
@@ -244,7 +240,7 @@ fn main() -> ExitCode {
     };
     let cfg = args.cfg;
     let host = Host::detect(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")));
-    let identity = host.identity(&args.workload, cfg.seed, cfg.smoke);
+    let identity = host.identity(&args.workload, cfg.seed);
     println!(
         "perfbench {} seed={} seconds={} trace={} identity={identity}",
         args.workload,
@@ -279,9 +275,10 @@ fn main() -> ExitCode {
     shown.push(Metric::new("error_rate", error_rate, "fraction"));
     let r = &outcome.rates;
     shown.extend([
-        Metric::new("qps_unscaled", r.raw_qps, "queries/s"),
-        Metric::new("decision_p50_unscaled_us", r.raw_p50_us, "us"),
-        Metric::new("decision_p99_unscaled_us", r.raw_p99_us, "us"),
+        Metric::new("setup_raw_s", outcome.setup_raw_s, "s"),
+        Metric::new("qps_raw", r.raw_qps, "queries/s"),
+        Metric::new("decision_p50_raw_us", r.raw_p50_us, "us"),
+        Metric::new("decision_p99_raw_us", r.raw_p99_us, "us"),
         Metric::new("host_probe_us", r.probe_us, "us"),
     ]);
     shown.push(Metric::new("decision_samples", outcome.rates.samples as f64, "count"));
@@ -309,7 +306,6 @@ fn main() -> ExitCode {
         ("seed".into(), JsonValue::Number(cfg.seed as f64)),
         ("seconds".into(), JsonValue::Number(cfg.seconds)),
         ("trace".into(), JsonValue::Bool(cfg.trace)),
-        ("smoke".into(), JsonValue::Bool(cfg.smoke)),
         (
             "host".into(),
             JsonValue::Object(vec![

@@ -24,11 +24,14 @@ use wmp_sim::Cluster;
 use wmp_workloads::{ArrivalProcess, QueryLog, QueryRecord};
 
 use crate::common::{
-    fit, repeat_setup, retime_stages, truth, Metric, Outcome, Pooled, Probe, RunConfig, Tally,
-    WINDOW,
+    fit, retime_stages, truth, Metric, Outcome, Pooled, Probe, RunConfig, Tally, WINDOW,
 };
-use crate::stats::{Meter, Rates};
+use crate::stats::{Meter, Rates, SetupTimes};
 use crate::trace::{Regime, Span, Tracer};
+
+/// Queries the Ridge model is trained on, and the held-out log replayed.
+const N_TRAIN: usize = 4_000;
+const N_HELDOUT: usize = 20_000;
 
 struct Setup {
     log: QueryLog,
@@ -122,15 +125,13 @@ fn drive(
 }
 
 fn setup(cfg: &RunConfig) -> Setup {
-    let n_train = cfg.size(4_000, 500);
-    let n_heldout = cfg.size(20_000, 1_000);
-    let full = wmp_workloads::tpch::generate(n_train + n_heldout, cfg.seed)
+    let full = wmp_workloads::tpch::generate(N_TRAIN + N_HELDOUT, cfg.seed)
         .expect("TPC-H generation never fails");
-    let (model, fit_ms) = fit(ModelKind::Ridge, &full.records[..n_train], &full.catalog);
+    let (model, fit_ms) = fit(ModelKind::Ridge, &full.records[..N_TRAIN], &full.catalog);
     let log = QueryLog {
         benchmark: full.benchmark,
         catalog: full.catalog,
-        records: full.records[n_train..].to_vec(),
+        records: full.records[N_TRAIN..].to_vec(),
     };
     // As in the scheduler example: reserve three mean windows when nothing
     // is predicted.
@@ -236,7 +237,8 @@ fn phase(s: &Setup, seconds: f64, mut probe: Probe<'_>, tally: &mut Tally) -> Ra
 }
 
 pub fn run(cfg: &RunConfig) -> Outcome {
-    let (s, setup_s) = repeat_setup(|| setup(cfg));
+    let mut setup_times = SetupTimes::default();
+    let s = setup_times.time(|| setup(cfg));
     let mut tally = Tally::default();
     let rates = phase(&s, cfg.untraced_seconds(), Probe::new(None), &mut tally);
     let traced = cfg.trace.then(|| {
@@ -258,12 +260,14 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     let mut pooled = Pooled::default();
     pooled.add(&s.decisions, &s.truths);
     pooled.add_draws(cfg, |draw| {
-        let d = setup(draw);
+        let d = setup_times.time(|| setup(draw));
         (d.decisions, d.truths)
     });
+    let (setup_s, setup_raw_s) = setup_times.medians();
     Outcome {
         tally,
         setup_s,
+        setup_raw_s,
         rates,
         accuracy: pooled.accuracy(),
         extra: vec![

@@ -23,15 +23,19 @@ use wmp_workloads::tpch::{instantiate, roundtrip_through_sql};
 use wmp_workloads::QueryRecord;
 
 use crate::common::{
-    check_window, fit, repeat_setup, same_bits, truth, Metric, Outcome, Pooled, Probe, RunConfig,
-    Tally, K_TEMPLATES, WINDOW,
+    check_window, fit, same_bits, truth, Metric, Outcome, Pooled, Probe, RunConfig, Tally,
+    K_TEMPLATES, WINDOW,
 };
-use crate::stats::{Meter, Rates};
+use crate::stats::{Meter, Rates, SetupTimes};
 use crate::trace::{Span, Tracer};
 
 /// Templates of the mix before and after the shift (out of TPC-H's 22).
 const BEFORE: std::ops::Range<usize> = 0..14;
 const AFTER: std::ops::Range<usize> = 8..22;
+
+/// Queries the initial model is trained on, and the stream served after.
+const N_TRAIN: usize = 4_000;
+const N_STREAM: usize = 10_000;
 
 /// Decisions per measurement slice.
 const SLICE_WINDOWS: usize = 100;
@@ -47,11 +51,9 @@ struct Setup {
 }
 
 fn setup(cfg: &RunConfig) -> Setup {
-    let n_train = cfg.size(4_000, 500);
-    let n_stream = cfg.size(10_000, 1_000);
     let cat = wmp_workloads::tpch::catalog();
-    let shift_at = n_train + n_stream / 2;
-    let specs = (0..n_train + n_stream)
+    let shift_at = N_TRAIN + N_STREAM / 2;
+    let specs = (0..N_TRAIN + N_STREAM)
         .map(|i| {
             let mix = if i < shift_at { BEFORE } else { AFTER };
             let template = mix.start + i % mix.len();
@@ -63,7 +65,7 @@ fn setup(cfg: &RunConfig) -> Setup {
         .collect();
     let log = wmp_workloads::build_log("tpch-shift", cat, specs)
         .expect("the TPC-H catalog plans every query");
-    let (train, stream) = log.records.split_at(n_train);
+    let (train, stream) = log.records.split_at(N_TRAIN);
     let (initial, fit_ms) = fit(ModelKind::Xgb, train, &log.catalog);
     let train_refs: Vec<&QueryRecord> = train.iter().collect();
     let drift_reference =
@@ -74,11 +76,7 @@ fn setup(cfg: &RunConfig) -> Setup {
         catalog: log.catalog,
         initial: Arc::new(initial),
         drift_reference,
-        policy: OnlinePolicy {
-            retrain_every: cfg.size(2_000, 250),
-            window: cfg.size(4_000, 500),
-            k_templates: K_TEMPLATES,
-        },
+        policy: OnlinePolicy { retrain_every: 2_000, window: 4_000, k_templates: K_TEMPLATES },
         fit_ms,
     }
 }
@@ -198,7 +196,8 @@ fn phase(
 }
 
 pub fn run(cfg: &RunConfig) -> Outcome {
-    let (s, setup_s) = repeat_setup(|| setup(cfg));
+    let mut setup_times = SetupTimes::default();
+    let s = setup_times.time(|| setup(cfg));
     let mut tally = Tally::default();
     let mut found = Findings::default();
     let rates = phase(&s, cfg.untraced_seconds(), Probe::new(None), &mut tally, &mut found);
@@ -211,7 +210,7 @@ pub fn run(cfg: &RunConfig) -> Outcome {
     let mut pooled = Pooled::default();
     pooled.add(&found.first_pass, &s.truths);
     pooled.add_draws(cfg, |draw| {
-        let d = setup(draw);
+        let d = setup_times.time(|| setup(draw));
         let mut draw_found = Findings::default();
         pass(
             &d,
@@ -223,9 +222,11 @@ pub fn run(cfg: &RunConfig) -> Outcome {
         );
         (draw_found.first_pass, d.truths)
     });
+    let (setup_s, setup_raw_s) = setup_times.medians();
     Outcome {
         tally,
         setup_s,
+        setup_raw_s,
         rates,
         accuracy: pooled.accuracy(),
         extra: Vec::new(),

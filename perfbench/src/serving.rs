@@ -22,21 +22,20 @@ use wmp_sql::Ansi;
 use wmp_workloads::{QueryLog, QueryRecord, NO_TEMPLATE_HINT};
 
 use crate::common::{
-    check_window, fit, repeat_setup, retime_stages, truth, Metric, Outcome, Pooled, Probe,
-    RunConfig, Tally, WINDOW,
+    check_window, fit, retime_stages, truth, Metric, Outcome, Pooled, Probe, RunConfig, Tally,
+    WINDOW,
 };
-use crate::stats::{Meter, Rates};
+use crate::stats::{Meter, Rates, SetupTimes};
 use crate::trace::{Span, Tracer};
+
+/// Queries the model is trained on, and the held-out suffix the timed
+/// loop serves, pass after pass.
+const N_TRAIN: usize = 8_000;
+const N_HELDOUT: usize = 4_000;
 
 /// Decisions per measurement slice, about 50 ms of work each.
 const RECORD_SLICE_WINDOWS: usize = 2_000;
 const SQL_SLICE_WINDOWS: usize = 250;
-
-/// Held-out queries the timed loop cycles through. A small hot set keeps
-/// the loop's data in the core's own caches, so the shared last-level
-/// cache of a busy host moves the figures less; accuracy is still taken
-/// over the whole held-out stream.
-const HOT_QUERIES: usize = 500;
 
 /// The trained model, the held-out stream, and the expected decision of
 /// every held-out window.
@@ -55,11 +54,9 @@ struct Setup {
 }
 
 fn setup(cfg: &RunConfig, with_sql: bool) -> Setup {
-    let n_train = cfg.size(8_000, 1_000);
-    let n_heldout = cfg.size(4_000, 400);
-    let log = wmp_workloads::tpch::generate(n_train + n_heldout, cfg.seed)
+    let log = wmp_workloads::tpch::generate(N_TRAIN + N_HELDOUT, cfg.seed)
         .expect("TPC-H generation never fails");
-    let (train, heldout) = log.records.split_at(n_train);
+    let (train, heldout) = log.records.split_at(N_TRAIN);
     let (model, fit_ms) = fit(ModelKind::Xgb, train, &log.catalog);
     let mut heldout = heldout.to_vec();
     let mut sql = Vec::new();
@@ -176,9 +173,7 @@ fn record_phase(
     let mut tickets = Vec::with_capacity(WINDOW);
     let mut wid = 0u64;
     loop {
-        for (w, window) in
-            s.heldout[..HOT_QUERIES.min(s.heldout.len())].chunks_exact(WINDOW).enumerate()
-        {
+        for (w, window) in s.heldout.chunks_exact(WINDOW).enumerate() {
             let t0 = Instant::now();
             let mut submit_ns = 0;
             for (i, record) in window.iter().enumerate() {
@@ -249,7 +244,7 @@ fn sql_phase(
         // as `QueryLog::from_sql_lines` did for the reference.
         let engine =
             engine(s).with_sql_frontend(SqlFrontend::new(s.catalog.clone(), Box::new(Ansi)));
-        for (w, window) in s.sql[..HOT_QUERIES.min(s.sql.len())].chunks_exact(WINDOW).enumerate() {
+        for (w, window) in s.sql.chunks_exact(WINDOW).enumerate() {
             let t0 = Instant::now();
             let mut submit_ns = 0;
             for (i, sql) in window.iter().enumerate() {
@@ -294,7 +289,8 @@ fn sql_phase(
 }
 
 fn run(cfg: &RunConfig, with_sql: bool) -> Outcome {
-    let (s, setup_s) = repeat_setup(|| setup(cfg, with_sql));
+    let mut setup_times = SetupTimes::default();
+    let s = setup_times.time(|| setup(cfg, with_sql));
     let mut tally = Tally::default();
     // A reference that could not be built is a failed output.
     tally.record(s.rejected, s.rejected);
@@ -336,11 +332,21 @@ fn run(cfg: &RunConfig, with_sql: bool) -> Outcome {
     let mut pooled = Pooled::default();
     pooled.add(&s.reference, &s.truths);
     pooled.add_draws(cfg, |draw| {
-        let d = setup(draw, with_sql);
+        let d = setup_times.time(|| setup(draw, with_sql));
         tally.record(d.rejected, d.rejected);
         (d.reference, d.truths)
     });
-    Outcome { tally, setup_s, rates, accuracy: pooled.accuracy(), extra: Vec::new(), layer, traced }
+    let (setup_s, setup_raw_s) = setup_times.medians();
+    Outcome {
+        tally,
+        setup_s,
+        setup_raw_s,
+        rates,
+        accuracy: pooled.accuracy(),
+        extra: Vec::new(),
+        layer,
+        traced,
+    }
 }
 
 pub fn run_record_serve(cfg: &RunConfig) -> Outcome {

@@ -1,5 +1,5 @@
-//! Order statistics, per-window accuracy, and the slice meter that turns a
-//! timed phase into medians of per-slice throughput and latency.
+//! Order statistics, per-window accuracy, the host probe, and the slice
+//! meter that turns a timed phase into throughput and decision latency.
 
 use std::time::{Duration, Instant};
 
@@ -63,15 +63,57 @@ impl Accuracy {
     }
 }
 
-/// The host probe: a dependent walk of `PROBE_STEPS` steps over a table
-/// of `PROBE_WORDS` words (1 MB), run after every slice. Its time tracks
-/// how much busy neighbours on a shared host slow this core's caches.
-const PROBE_WORDS: usize = 1 << 17;
-const PROBE_STEPS: usize = 20_000;
-/// The probe time every slice is scaled to (µs): a slice's durations are
-/// multiplied by `PROBE_REF_US / probe time`, so a slice run while
-/// neighbours slowed the probe twofold counts at half its length.
-pub const PROBE_REF_US: f64 = 1_500.0;
+const PROBE_BYTES: usize = 8_192;
+const PROBE_PASSES: usize = 40;
+/// The probe time measurements are scaled to (µs): about the probe's time
+/// on a quiet host of the baseline's kind. A duration is multiplied by
+/// `PROBE_REF_US / probe time`, so one taken while a neighbour slowed the
+/// probe by a third counts at three quarters of its length, and one taken
+/// on a quiet host counts about as measured.
+pub const PROBE_REF_US: f64 = 320.0;
+
+/// The host probe: `PROBE_PASSES` passes of a branchy byte-classifying
+/// loop over a `PROBE_BYTES` table, behind one untimed warm-up pass. The
+/// table stays in the L1 cache and the warm-up refills it and retrains the
+/// branch predictor, so the probe's time does not depend on what the
+/// workload left in the caches; it does slow, as the workloads do, when a
+/// neighbour shares the core. It runs right after each measured stretch.
+pub struct HostProbe {
+    table: Vec<u8>,
+}
+
+impl HostProbe {
+    pub fn new() -> HostProbe {
+        let table =
+            (0..PROBE_BYTES as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        HostProbe { table }
+    }
+
+    /// One pass of the probe loop; the branches follow the table's bytes.
+    fn pass(&self, mut h: u64) -> u64 {
+        for &c in &self.table {
+            h = if c < 64 {
+                h.wrapping_mul(31).wrapping_add(u64::from(c))
+            } else if c < 160 {
+                h ^ (u64::from(c) << 3)
+            } else {
+                h.rotate_left(5)
+            };
+        }
+        std::hint::black_box(h)
+    }
+
+    /// Times `PROBE_PASSES` passes of the probe loop, after a warm-up pass.
+    pub fn time_us(&self) -> f64 {
+        let mut h = self.pass(0);
+        let t0 = Instant::now();
+        for _ in 0..PROBE_PASSES {
+            h = self.pass(h);
+        }
+        std::hint::black_box(h);
+        t0.elapsed().as_secs_f64() * 1e6
+    }
+}
 
 /// Latency histogram with buckets 0.2% wide from 1 ns to about 30 s, so a
 /// phase of any length keeps the same memory.
@@ -115,7 +157,7 @@ impl Histogram {
 /// A shared host swings between quiet and contended stretches lasting
 /// seconds, and slows this workload about as much as it slows the probe;
 /// the scaled figures move far less with the share of a run that was
-/// contended. The unscaled figures are kept beside them.
+/// contended. The raw figures are kept beside them.
 pub struct Meter {
     deadline: Instant,
     slice_windows: usize,
@@ -129,7 +171,7 @@ pub struct Meter {
     scaled_secs: f64,
     raw_secs: f64,
     probes_us: Vec<f64>,
-    probe: Vec<u64>,
+    probe: HostProbe,
 }
 
 /// What a timed phase measured.
@@ -139,7 +181,7 @@ pub struct Rates {
     pub qps: f64,
     pub p50_us: f64,
     pub p99_us: f64,
-    /// The same figures unscaled.
+    /// The same figures as measured.
     pub raw_qps: f64,
     pub raw_p50_us: f64,
     pub raw_p99_us: f64,
@@ -154,8 +196,7 @@ pub struct Rates {
 
 impl Meter {
     pub fn new(seconds: f64, slice_windows: usize) -> Meter {
-        let probe =
-            (0..PROBE_WORDS as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let probe = HostProbe::new();
         let now = Instant::now();
         Meter {
             deadline: now + Duration::from_secs_f64(seconds),
@@ -195,22 +236,10 @@ impl Meter {
         }
     }
 
-    /// Times one walk of the probe table.
-    fn probe_us(&mut self) -> f64 {
-        let t0 = Instant::now();
-        let mut at = 0usize;
-        for _ in 0..PROBE_STEPS {
-            at = (self.probe[at] as usize) % PROBE_WORDS;
-            self.probe[at] ^= 1;
-        }
-        std::hint::black_box(at);
-        t0.elapsed().as_secs_f64() * 1e6
-    }
-
     fn close_slice(&mut self) {
         let secs = self.slice_start.elapsed().as_secs_f64();
         if self.slice_queries > 0 && secs > 0.0 {
-            let probe = self.probe_us();
+            let probe = self.probe.time_us();
             let scale = PROBE_REF_US / probe.max(1e-3);
             self.probes_us.push(probe);
             self.queries += self.slice_queries;
@@ -242,5 +271,32 @@ impl Meter {
             slices: self.probes_us.len(),
             wall_s: self.raw_secs,
         }
+    }
+}
+
+/// Set-up times of one run. A run sets up once for its own inputs and once
+/// per accuracy draw; each set-up's time is kept as measured and scaled by
+/// a host probe timed right after it.
+#[derive(Default)]
+pub struct SetupTimes {
+    scaled: Vec<f64>,
+    raw: Vec<f64>,
+}
+
+impl SetupTimes {
+    /// Runs `setup` and records its time.
+    pub fn time<T>(&mut self, setup: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = setup();
+        let secs = t0.elapsed().as_secs_f64();
+        let probe = HostProbe::new().time_us();
+        self.raw.push(secs);
+        self.scaled.push(secs * PROBE_REF_US / probe.max(1e-3));
+        out
+    }
+
+    /// The median scaled and the median raw set-up time (s).
+    pub fn medians(&self) -> (f64, f64) {
+        (median(&self.scaled), median(&self.raw))
     }
 }

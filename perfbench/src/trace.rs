@@ -7,6 +7,11 @@
 //! per-window figures (engine self time) subtract spans of one window from
 //! each other. Aggregates are kept for every span; the first `LOG_CAP`
 //! spans are also kept verbatim and written out when the run ends.
+//!
+//! Re-timing spans (the stages of a prediction, called again on a window
+//! the workload already scored) repeat work the workload did inside another
+//! call. They give the per-stage means, but are left out of the layer busy
+//! times, and the time spent re-timing is left out of the phase's time.
 
 use std::io::Write;
 use std::path::Path;
@@ -121,6 +126,20 @@ impl Span {
             Span::MlkitRetrain => "mlkit.retrain".into(),
             Span::ObsObserve => "obs.observe".into(),
         }
+    }
+
+    /// Whether the span re-times a prediction stage the workload already
+    /// ran inside another call.
+    pub fn is_retime(self) -> bool {
+        matches!(
+            self,
+            Span::CoreSnapshot
+                | Span::CoreAssign
+                | Span::CoreHistogram
+                | Span::CoreHead0
+                | Span::CoreHeads
+                | Span::CorePredict
+        )
     }
 
     /// The layer (crate) the timed call belongs to.
@@ -238,6 +257,8 @@ pub struct Tracer {
     /// Cost of an empty span, subtracted from every span.
     overhead_ns: u64,
     aggs: [Agg; N_SPANS],
+    /// Time spent re-timing prediction stages (ns).
+    retimed_ns: u64,
     log: Vec<Record>,
 }
 
@@ -250,6 +271,7 @@ impl Tracer {
             origin: Instant::now(),
             overhead_ns: 0,
             aggs: [Agg::default(); N_SPANS],
+            retimed_ns: 0,
             log: Vec::with_capacity(LOG_CAP),
         };
         let mut empty: Vec<u64> = (0..2_001)
@@ -291,9 +313,22 @@ impl Tracer {
         self.aggs[span.index()]
     }
 
-    /// Busy time of one layer: the sum of its spans' self times.
+    /// Busy time of one layer: the sum of its spans' self times, without
+    /// re-timing spans.
     pub fn layer_busy_ns(&self, layer: Layer) -> u64 {
-        all_spans().filter(|s| s.layer() == layer).map(|s| self.agg(s).busy_ns).sum()
+        all_spans()
+            .filter(|s| s.layer() == layer && !s.is_retime())
+            .map(|s| self.agg(s).busy_ns)
+            .sum()
+    }
+
+    /// Adds time spent re-timing prediction stages.
+    pub fn add_retimed(&mut self, ns: u64) {
+        self.retimed_ns += ns;
+    }
+
+    pub fn retimed_ns(&self) -> u64 {
+        self.retimed_ns
     }
 
     pub fn overhead_ns(&self) -> u64 {
