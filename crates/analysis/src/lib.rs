@@ -2,14 +2,14 @@
 //! source tree.
 //!
 //! The stack hand-rolls its own lock-free concurrency (`PredictorHandle`
-//! snapshot swaps, `EngineStats`, the `wmp_obs` registry) and carries a
-//! growing contract surface (metric catalog, codec tag spaces, bench JSON
-//! schema) that the compiler cannot check. This crate checks it: a
-//! lightweight lexer ([`source`]) walks every workspace `.rs` file and a
-//! set of project lints ([`rules`]) verifies the seams where production
-//! incidents actually start — a panic on the serving path, an unjustified
-//! atomic ordering, a dashboard metric that silently drifted out of the
-//! docs.
+//! snapshot swaps, the serving engine's stats fences, the `wmp_obs`
+//! registry) and carries a growing contract surface (metric catalog, codec
+//! tag spaces, bench JSON schema) that the compiler cannot check. This
+//! crate checks it: a lightweight lexer ([`source`]) walks every workspace
+//! `.rs` file and a set of project lints ([`rules`]) verifies the seams
+//! where production incidents actually start — a panic on the serving
+//! path, an unjustified atomic ordering, a dashboard metric that silently
+//! drifted out of the docs.
 //!
 //! Run it via the `wmp-lint` binary:
 //!

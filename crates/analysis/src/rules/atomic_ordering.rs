@@ -7,11 +7,12 @@ use crate::workspace::Workspace;
 /// Audits `std::sync::atomic::Ordering` uses in hot-path library code.
 ///
 /// Hand-rolled lock-free structures (`PredictorHandle`'s snapshot swap,
-/// `EngineStats`, the `wmp_obs` registry) are exactly where a silently
-/// wrong ordering produces a torn metric or a stale model version — so
-/// every `Ordering::Relaxed` / `Acquire` / `Release` / `AcqRel` site must
-/// carry an `// ordering:` comment (same line, or in the comment block
-/// immediately above) explaining why that ordering is sufficient.
+/// the serving engine's stats fences, the `wmp_obs` registry) are exactly
+/// where a silently wrong ordering produces a torn metric or a stale model
+/// version — so every `Ordering::Relaxed` / `Acquire` / `Release` /
+/// `AcqRel` site must carry an `// ordering:` comment (same line, or in the
+/// comment block immediately above) explaining why that ordering is
+/// sufficient.
 ///
 /// `Ordering::SeqCst` is flagged unconditionally: in this codebase it is
 /// always a default nobody reasoned about. Replace it with the weakest

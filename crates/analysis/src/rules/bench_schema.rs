@@ -13,8 +13,9 @@ use crate::workspace::Workspace;
 /// - `schema_version` is `1`;
 /// - `bench` matches the file name (`BENCH_<bench>.json`);
 /// - `config` values are numbers or strings;
-/// - every `results` entry has a string `name`, numeric `qps` and
-///   `ns_per_query`, and nothing but numbers otherwise.
+/// - `results` is non-empty;
+/// - every `results` entry has a string `name`, a finite positive `qps`,
+///   a numeric `ns_per_query`, and nothing but numbers otherwise.
 ///
 /// The trajectory files are a contract: later PRs diff them across
 /// commits, so a silently drifted key means a broken baseline comparison.
@@ -131,9 +132,15 @@ impl BenchSchema {
                 }
             }
         }
-        if let Some(results) = members.get("results").and_then(Value::as_array) {
-            for entry in results {
-                self.check_result(file, entry, out);
+        if let Some(results) = members.get("results") {
+            match results.as_array() {
+                Some([]) => out.push(self.diag(file, results, "`results` is empty".to_string())),
+                Some(entries) => {
+                    for entry in entries {
+                        self.check_result(file, entry, out);
+                    }
+                }
+                None => {}
             }
         }
     }
@@ -151,6 +158,15 @@ impl BenchSchema {
                 format!("result `name` must be a string, found {}", v.kind_name()),
             )),
             None => out.push(self.diag(file, entry, "result entry missing `name`".to_string())),
+        }
+        if let Some(v) = members.get("qps") {
+            if let Some(qps) = v.as_f64().filter(|q| !q.is_finite() || *q <= 0.0) {
+                out.push(self.diag(
+                    file,
+                    v,
+                    format!("result `qps` must be finite and positive, got {qps}"),
+                ));
+            }
         }
         for required in ["qps", "ns_per_query"] {
             match members.get(required) {

@@ -211,7 +211,7 @@ fn bench_schema_fixture_spans() {
             .unwrap_or_else(|| panic!("no diagnostic matching {needle:?} in {diags:#?}"))
     };
 
-    assert_eq!(diags.len(), 7, "diagnostics: {diags:#?}");
+    assert_eq!(diags.len(), 9, "diagnostics: {diags:#?}");
     let version = by_message("unsupported schema_version");
     assert_eq!((version.line, version.col), span_of(&text, "2,", 1));
     let name = by_message("but the file is named");
@@ -220,11 +220,15 @@ fn bench_schema_fixture_spans() {
     assert_eq!((config.line, config.col), span_of(&text, "[1]", 1));
     let qps = by_message("result `qps` must be a number");
     assert_eq!((qps.line, qps.col), span_of(&text, "\"fast\"", 1));
+    let zero = by_message("must be finite and positive, got 0");
+    assert_eq!((zero.line, zero.col), span_of(&text, "0,", 1));
+    let infinite = by_message("must be finite and positive, got inf");
+    assert_eq!((infinite.line, infinite.col), span_of(&text, "1e999", 1));
     assert!(by_message("missing required key `test_mode`").file == "BENCH_bad_bench.json");
     let _ = by_message("unknown top-level key `extra`");
     // `ns_per_query` is also absent — accounted inside the same entry diag?
     // No: missing `ns_per_query` is its own diagnostic only when the entry
-    // parses; here it is one of the seven.
+    // parses; here it is one of the nine.
     let _ = by_message("missing `ns_per_query`");
 }
 
@@ -249,6 +253,7 @@ fn bench_schema_diags_exactly() {
                 ("but the file is named", "name_mismatch"),
                 ("config entry `threads`", "bad_config"),
                 ("result `qps` must be a number", "bad_qps"),
+                ("result `qps` must be finite and positive", "qps_out_of_range"),
                 ("missing `ns_per_query`", "missing_nspq"),
             ]
             .iter()
@@ -258,10 +263,10 @@ fn bench_schema_diags_exactly() {
         })
         .collect::<Vec<_>>();
     kinds.sort_unstable();
-    // bad_qps and missing_nspq are both present: 7 total. (qps exists but
-    // is a string; ns_per_query is absent.) The string-typed qps must NOT
-    // also trip the generic "must be numeric" sweep — that would be a
-    // double report.
+    // bad_qps and missing_nspq are both present. (qps exists but is a
+    // string; ns_per_query is absent.) The string-typed qps must NOT also
+    // trip the generic "must be numeric" sweep — that would be a double
+    // report. The zero and the overflowing qps are one report each.
     assert_eq!(
         kinds,
         [
@@ -271,9 +276,27 @@ fn bench_schema_diags_exactly() {
             "missing_nspq",
             "missing_test_mode",
             "name_mismatch",
+            "qps_out_of_range",
+            "qps_out_of_range",
             "unknown_extra",
         ],
     );
+}
+
+#[test]
+fn bench_schema_rejects_empty_results() {
+    let text = r#"{"schema_version": 1, "bench": "empty", "git": "g", "test_mode": false,
+ "config": {}, "results": []}"#;
+    let ws = ws_full(
+        "crates/serve/src/lib.rs",
+        String::new(),
+        None,
+        vec![("BENCH_empty.json".to_string(), text.to_string())],
+    );
+    let diags = run_rule(&BenchSchema, &ws);
+    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
+    assert_eq!(diags[0].message, "`results` is empty");
+    assert_eq!((diags[0].line, diags[0].col), span_of(text, "[]", 1));
 }
 
 #[test]

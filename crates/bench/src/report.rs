@@ -161,48 +161,6 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Validates one persisted bench report against the schema (used by the
-/// `validate_bench` binary and tests).
-///
-/// # Errors
-/// Returns a description of the first violation found.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let value = JsonValue::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let version = value
-        .get("schema_version")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing numeric schema_version")?;
-    if version != SCHEMA_VERSION {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    value.get("bench").and_then(JsonValue::as_str).ok_or("missing string bench")?;
-    value.get("git").and_then(JsonValue::as_str).ok_or("missing string git")?;
-    value.get("config").ok_or("missing config object")?;
-    let results =
-        value.get("results").and_then(JsonValue::as_array).ok_or("missing results array")?;
-    if results.is_empty() {
-        return Err("results array is empty".to_string());
-    }
-    for (i, entry) in results.iter().enumerate() {
-        entry
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or(format!("results[{i}]: missing name"))?;
-        let qps = entry
-            .get("qps")
-            .and_then(JsonValue::as_f64)
-            .ok_or(format!("results[{i}]: missing numeric qps"))?;
-        if !qps.is_finite() || qps <= 0.0 {
-            return Err(format!("results[{i}]: qps must be finite and positive, got {qps}"));
-        }
-        entry
-            .get("ns_per_query")
-            .and_then(JsonValue::as_f64)
-            .ok_or(format!("results[{i}]: missing numeric ns_per_query"))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +178,16 @@ mod tests {
             .result("fast_path", 125_000.0, Some(&latency))
             .result("slow_path", 2_500.0, None);
         let text = report.to_json().render();
-        validate_report(&text).expect("fresh report validates");
+        // The `bench_schema` lint is the schema's one validator.
+        let ws = wmp_analysis::Workspace {
+            root: PathBuf::new(),
+            files: Vec::new(),
+            readme: None,
+            bench_reports: vec![("BENCH_unit_test.json".to_string(), text.clone())],
+        };
+        let mut diags = Vec::new();
+        wmp_analysis::Rule::check(&wmp_analysis::rules::BenchSchema, &ws, &mut diags);
+        assert!(diags.is_empty(), "fresh report validates: {diags:?}");
         let value = JsonValue::parse(&text).unwrap();
         assert_eq!(value.get("bench").and_then(JsonValue::as_str), Some("unit_test"));
         let results = value.get("results").and_then(JsonValue::as_array).unwrap();
@@ -230,25 +197,6 @@ mod tests {
         let ns = fast.get("ns_per_query").and_then(JsonValue::as_f64).unwrap();
         assert!((ns - 8_000.0).abs() < 1.0, "1e9/125k = 8000, got {ns}");
         assert!(results[1].get("p50_us").is_none(), "no latency histogram, no quantiles");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_reports() {
-        assert!(validate_report("not json").is_err());
-        assert!(validate_report("{}").is_err());
-        assert!(validate_report(
-            r#"{"schema_version": 1, "bench": "x", "git": "g", "config": {}, "results": []}"#
-        )
-        .is_err());
-        assert!(validate_report(
-            r#"{"schema_version": 1, "bench": "x", "git": "g", "config": {},
-                "results": [{"name": "a", "qps": 0, "ns_per_query": 0}]}"#
-        )
-        .is_err());
-        assert!(validate_report(
-            r#"{"schema_version": 2, "bench": "x", "git": "g", "config": {}, "results": []}"#
-        )
-        .is_err());
     }
 
     #[test]

@@ -98,7 +98,6 @@ struct HandleState {
     /// Version the *next* swap will publish (reads of the current version go
     /// through the snapshot so version and model can never tear).
     next_version: AtomicU64,
-    swaps: AtomicU64,
 }
 
 /// A cheaply-clonable, thread-safe handle to the "current" model.
@@ -129,7 +128,6 @@ impl PredictorHandle {
                     installed_at: Instant::now(),
                 }),
                 next_version: AtomicU64::new(1),
-                swaps: AtomicU64::new(0),
             }),
         }
     }
@@ -173,9 +171,6 @@ impl PredictorHandle {
             ModelSnapshot { model, version, installed_at: Instant::now() },
         );
         drop(slot);
-        // ordering: Relaxed — monotonic statistic; readers tolerate a
-        // momentarily stale count and never derive invariants from it.
-        self.state.swaps.fetch_add(1, Ordering::Relaxed);
         wmp_obs::event!(
             Level::Info,
             target: "wmp_core::handle",
@@ -187,16 +182,11 @@ impl PredictorHandle {
         SwapOutcome { previous, version }
     }
 
-    /// Version of the model a snapshot taken *now* would pin (0 until the
-    /// first swap).
+    /// Version of the model a snapshot taken *now* would pin: 0 until the
+    /// first swap, then the number of swaps installed through this handle
+    /// (all clones included), since each swap publishes the next version.
     pub fn version(&self) -> u64 {
         self.read().version
-    }
-
-    /// Number of swaps installed through this handle (all clones included).
-    pub fn swap_count(&self) -> u64 {
-        // ordering: Relaxed — advisory statistic, no synchronization implied.
-        self.state.swaps.load(Ordering::Relaxed)
     }
 }
 
@@ -206,7 +196,6 @@ impl std::fmt::Debug for PredictorHandle {
         f.debug_struct("PredictorHandle")
             .field("model", &snap.model.name())
             .field("version", &snap.version)
-            .field("swaps", &self.swap_count())
             .finish()
     }
 }
@@ -285,7 +274,6 @@ mod tests {
         assert_eq!(outcome.previous.version(), 0);
         assert_eq!(outcome.version, 1);
         assert_eq!(handle.version(), 1);
-        assert_eq!(handle.swap_count(), 1);
         // The old snapshot still answers from the old model, bit-exactly.
         assert_eq!(pinned.predict_workload(&probe).unwrap().to_bits(), expect_a.to_bits());
         // A fresh snapshot sees the replacement.
@@ -298,7 +286,6 @@ mod tests {
         let clone = handle.clone();
         handle.swap(SingleWmpDbms);
         assert_eq!(clone.version(), 1);
-        assert_eq!(clone.swap_count(), 1);
         assert_eq!(clone.name(), "SingleWMP-DBMS");
     }
 

@@ -21,6 +21,8 @@ pub enum MlError {
     EmptyInput(&'static str),
     /// `predict` was called before `fit`.
     NotFitted(&'static str),
+    /// A bounded wait ran out before its result arrived; names the wait.
+    Timeout(&'static str),
     /// A linear system could not be solved (matrix not positive definite /
     /// singular to working precision).
     SingularMatrix,
@@ -41,6 +43,7 @@ impl fmt::Display for MlError {
             }
             MlError::EmptyInput(what) => write!(f, "empty input: {what}"),
             MlError::NotFitted(what) => write!(f, "estimator not fitted: {what}"),
+            MlError::Timeout(what) => write!(f, "timed out waiting for {what}"),
             MlError::SingularMatrix => write!(f, "matrix is singular or not positive definite"),
             MlError::InvalidHyperparameter(msg) => write!(f, "invalid hyperparameter: {msg}"),
             MlError::NumericalFailure(msg) => write!(f, "numerical failure: {msg}"),
@@ -69,6 +72,7 @@ mod tests {
         assert!(e.to_string().contains("expected x.rows == 3"));
         assert!(MlError::SingularMatrix.to_string().contains("singular"));
         assert!(MlError::NotFitted("ridge").to_string().contains("ridge"));
+        assert!(MlError::Timeout("ticket").to_string().contains("timed out waiting for ticket"));
         assert!(MlError::EmptyInput("x").to_string().contains("x"));
         assert!(MlError::InvalidHyperparameter("k = 0".into()).to_string().contains("k = 0"));
         assert!(MlError::NumericalFailure("nan loss".into()).to_string().contains("nan"));

@@ -95,10 +95,7 @@ const HISTOGRAM_BUCKETS: usize = 64;
 /// Bucket `i` covers `[2^(i-1), 2^i)` (bucket 0 holds zeros), so any
 /// quantile is known to within its bucket. [`Histogram::quantile`]
 /// interpolates linearly *within* the bucket — on unimodal data this lands
-/// within a few percent of the true value — while
-/// [`Histogram::quantile_upper_bound`] keeps the historical conservative
-/// behavior of reporting the bucket's inclusive upper bound (which can
-/// overstate by up to 2×, but never understates).
+/// within a few percent of the true value.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -198,27 +195,6 @@ impl Histogram {
             seen += c;
         }
         bucket_range(HISTOGRAM_BUCKETS - 1).1
-    }
-
-    /// The historical conservative quantile: the **inclusive upper bound**
-    /// of the bucket containing the `q`-quantile sample (never understates;
-    /// may overstate by up to 2×). Kept for dashboards that must never
-    /// report a latency below the true value.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        let counts = self.counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_inclusive(i);
-            }
-        }
-        bucket_upper_inclusive(HISTOGRAM_BUCKETS - 1)
     }
 
     /// Materializes the histogram's non-empty buckets and headline
@@ -326,19 +302,8 @@ impl Registry {
     /// The process-wide default registry (used by library-level
     /// instrumentation that has no registry handle threaded through).
     pub fn global() -> &'static Registry {
-        Self::global_shared_slot()
-    }
-
-    /// The process-wide default registry as a shareable `Arc` — for APIs
-    /// (like an engine's observability config) that hold registries by
-    /// `Arc<Registry>` regardless of whether they are private or global.
-    pub fn global_shared() -> Arc<Registry> {
-        Arc::clone(Self::global_shared_slot())
-    }
-
-    fn global_shared_slot() -> &'static Arc<Registry> {
-        static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(Registry::new()))
+        static GLOBAL: OnceLock<Registry> = OnceLock::new();
+        GLOBAL.get_or_init(Registry::new)
     }
 
     fn register<T>(
@@ -700,45 +665,34 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantile_upper_bound_keeps_the_legacy_behavior() {
-        // Regression test for the historical conservative quantile: the
-        // power-of-two bucket's inclusive upper bound, which can overstate
-        // by up to 2× but never understates.
-        let h = Histogram::default();
-        for _ in 0..99 {
-            h.record(100);
-        }
-        h.record(50_000);
-        assert_eq!(h.quantile_upper_bound(0.50), 127);
-        assert_eq!(h.quantile_upper_bound(0.99), 127);
-        assert!(h.quantile_upper_bound(1.0) >= 50_000 - 1);
-        // The interpolated quantile is strictly tighter and never exceeds
-        // the conservative bound.
-        assert!(h.quantile(0.50) <= 127.0 + f64::EPSILON);
-        assert!(h.quantile(0.50) < 127.0);
-    }
-
-    #[test]
     fn empty_histogram_reports_zero() {
         let h = Histogram::default();
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.quantile_upper_bound(0.99), 0);
+        assert_eq!(h.quantile(0.99), 0.0);
         assert_eq!(h.count(), 0);
+        assert!(h.snapshot().buckets.is_empty());
     }
 
     #[test]
     fn zero_samples_hit_the_zero_bucket() {
         let h = Histogram::default();
         h.record(0);
-        assert_eq!(h.quantile_upper_bound(1.0), 0);
+        assert_eq!(h.snapshot().buckets, vec![(0, 1)]);
         assert!(h.quantile(1.0) <= 1.0);
+    }
+
+    #[test]
+    fn sub_microsecond_records_hit_bucket_zero() {
+        let h = Histogram::default();
+        h.record_duration(Duration::from_nanos(10));
+        assert_eq!(h.snapshot().buckets, vec![(0, 1)]);
     }
 
     #[test]
     fn extreme_values_clamp_to_the_last_bucket() {
         let h = Histogram::default();
         h.record(u64::MAX);
-        assert_eq!(h.quantile_upper_bound(1.0), u64::MAX);
+        assert_eq!(h.snapshot().buckets, vec![(u64::MAX, 1)]);
         assert!(h.quantile(1.0).is_finite());
     }
 

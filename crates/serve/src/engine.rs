@@ -1,8 +1,37 @@
 //! The [`Engine`] facade: an always-on serving loop that turns an unbounded
 //! query stream into fixed-size workload windows, scores each window through
 //! a hot-swappable [`PredictorHandle`], and retrains in the background.
+//!
+//! # Stats coherence
+//!
+//! Each serving fact is counted once, in the engine's registry (see
+//! [`crate::obs`]), and [`Engine::stats`] reads its [`StatsSnapshot`] from
+//! those counters. Submitters, the scoring path and the background
+//! retrainer update them concurrently, so a snapshot is not one atomic cut
+//! of all fields, but every snapshot satisfies
+//!
+//! ```text
+//! submitted >= served + failed + pending
+//! ```
+//!
+//! because of the order of updates and reads:
+//!
+//! 1. A submission counts `submitted` **before** its query enters the
+//!    pending window, and the scoring path takes a window out of pending
+//!    **before** counting `served`/`failed`.
+//! 2. The scoring path issues a `Release` fence before adding to
+//!    `served`/`failed`; [`Engine::stats`] loads them **first** and then
+//!    issues an `Acquire` fence, so every submission behind a counted
+//!    resolution is visible before `submitted` is read.
+//! 3. [`Engine::stats`] reads `pending` under the lock the scoring path
+//!    holds to take a window, then loads `submitted` **last**, so no query
+//!    counts as both resolved and pending, and every pending query's
+//!    submission is visible.
+//!
+//! [`Engine::stats`] asserts the invariant in debug builds, and a
+//! concurrent stress test checks it from racing threads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -16,8 +45,51 @@ use wmp_workloads::QueryRecord;
 
 use crate::obs::{EngineObs, ObsConfig};
 use crate::sqlfront::SqlFrontend;
-use crate::stats::{EngineStats, StatsSnapshot};
 use crate::ticket::{QueryTicket, TicketState, WorkloadDecision};
+
+/// Point-in-time engine telemetry, read from the engine's registry (all
+/// counters cumulative since startup, except `pending`, which is a live
+/// level). See the [module docs](self) for what holds between the fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StatsSnapshot {
+    /// Queries submitted via `Engine::submit` (and accepted `submit_sql`).
+    pub submitted: u64,
+    /// Tickets resolved with a successful prediction.
+    pub served: u64,
+    /// Tickets resolved with an error.
+    pub failed: u64,
+    /// Queries waiting for their window to close at snapshot time (level,
+    /// not cumulative).
+    pub pending: u64,
+    /// Workload windows scored (each resolves `window_len` tickets).
+    pub windows: u64,
+    /// Models the engine installed into its handle (reloads + published
+    /// retrains).
+    pub swaps: u64,
+    /// Executed queries passed to `Engine::observe`.
+    pub observed: u64,
+    /// Background retraining passes that published a new model.
+    pub retrains: u64,
+    /// Background retraining passes that failed (model kept serving).
+    pub retrain_failures: u64,
+    /// SQL statements accepted by `Engine::submit_sql`.
+    pub sql_parse_ok: u64,
+    /// SQL statements rejected by `Engine::submit_sql`.
+    pub sql_parse_errors: u64,
+    /// Median window-scoring latency (µs, interpolated within its
+    /// log bucket; 0 before the first window).
+    pub p50_latency_us: f64,
+    /// 99th-percentile window-scoring latency (µs, interpolated).
+    pub p99_latency_us: f64,
+}
+
+impl StatsSnapshot {
+    /// Tickets resolved either way; equals `submitted` once every window is
+    /// flushed — the reconciliation invariant the stress test asserts.
+    pub fn resolved(&self) -> u64 {
+        self.served + self.failed
+    }
+}
 
 /// How the engine slices the submission stream into workloads (the paper's
 /// §II workload definition, applied at serving time).
@@ -89,8 +161,7 @@ pub struct Engine {
     pending: Mutex<Pending>,
     window_seq: AtomicU64,
     query_seq: AtomicU64,
-    stats: Arc<EngineStats>,
-    obs: Option<Arc<EngineObs>>,
+    obs: Arc<EngineObs>,
     sql: Option<SqlFrontend>,
     retrainer: Option<Retrainer>,
 }
@@ -105,8 +176,7 @@ impl Engine {
             pending: Mutex::new(Pending::new()),
             window_seq: AtomicU64::new(0),
             query_seq: AtomicU64::new(0),
-            stats: Arc::new(EngineStats::default()),
-            obs: None,
+            obs: Arc::new(EngineObs::new()),
             sql: None,
             retrainer: None,
         }
@@ -119,17 +189,14 @@ impl Engine {
         self
     }
 
-    /// Attaches registry-backed observability (see [`ObsConfig`]): serving
-    /// counters, the window-scoring latency histogram, model version/age
-    /// gauges, rolling prediction quality, and (when a drift reference is
-    /// configured) the template-drift score all publish into
-    /// `config.registry` from this call on.
-    ///
-    /// Call this **before** [`Engine::with_retraining`] — the retraining
-    /// thread captures the observability handles when it starts, so a later
-    /// attachment is invisible to it.
-    pub fn with_observability(mut self, config: ObsConfig) -> Self {
-        self.obs = Some(Arc::new(EngineObs::new(config)));
+    /// Applies `config` to the engine's always-on telemetry: a drift
+    /// reference starts publishing `wmp_template_drift_score` from
+    /// [`Engine::observe`]d queries (the first reference an engine receives
+    /// is kept). Order relative to the other builders does not matter.
+    pub fn with_observability(self, config: ObsConfig) -> Self {
+        if let Some(reference) = config.drift_reference {
+            self.obs.set_drift_reference(reference);
+        }
         self
     }
 
@@ -142,8 +209,7 @@ impl Engine {
     pub fn with_retraining(mut self, online: OnlineWmp, catalog: Catalog) -> Self {
         let (tx, rx) = mpsc::channel::<QueryRecord>();
         let handle = self.handle.clone();
-        let stats = Arc::clone(&self.stats);
-        let obs = self.obs.clone();
+        let obs = Arc::clone(&self.obs);
         let join = std::thread::spawn(move || {
             let mut online = online;
             while let Ok(record) = rx.recv() {
@@ -160,16 +226,8 @@ impl Engine {
                         match published {
                             Ok(model) => {
                                 let outcome = handle.swap(model);
-                                // ordering: Relaxed — advisory counters; the
-                                // model swap itself synchronizes via the
-                                // handle's lock.
-                                stats.swaps.fetch_add(1, Ordering::Relaxed);
-                                // ordering: Relaxed — advisory counter.
-                                stats.retrains.fetch_add(1, Ordering::Relaxed);
-                                if let Some(obs) = &obs {
-                                    obs.swaps.inc();
-                                    obs.retrains.inc();
-                                }
+                                obs.swaps.inc();
+                                obs.retrains.inc();
                                 wmp_obs::event!(
                                     Level::Info,
                                     target: "wmp_serve::engine",
@@ -179,11 +237,7 @@ impl Engine {
                                 );
                             }
                             Err(e) => {
-                                // ordering: Relaxed — advisory failure count.
-                                stats.retrain_failures.fetch_add(1, Ordering::Relaxed);
-                                if let Some(obs) = &obs {
-                                    obs.retrain_failures.inc();
-                                }
+                                obs.retrain_failures.inc();
                                 wmp_obs::event!(
                                     Level::Warn,
                                     target: "wmp_serve::engine",
@@ -195,11 +249,7 @@ impl Engine {
                     }
                     Ok(_) => {}
                     Err(e) => {
-                        // ordering: Relaxed — advisory failure count.
-                        stats.retrain_failures.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &obs {
-                            obs.retrain_failures.inc();
-                        }
+                        obs.retrain_failures.inc();
                         wmp_obs::event!(
                             Level::Warn,
                             target: "wmp_serve::engine",
@@ -222,15 +272,9 @@ impl Engine {
         // ordering: Relaxed — ticket sequence numbers only need uniqueness,
         // not ordering against any other memory.
         let seq = self.query_seq.fetch_add(1, Ordering::Relaxed);
-        // `submitted` increments before the query enters the pending window
-        // — rule 1 of the stats coherence contract (see `crate::stats`).
-        // ordering: Relaxed — the Acquire snapshot reads pair with the
-        // Release resolution counters; `submitted` only has to be counted
-        // before the pending-lock release orders it for window scorers.
-        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.submitted.inc();
-        }
+        // Counted before the query enters the pending window (rule 1 of the
+        // module docs); the pending lock orders it for window scorers.
+        self.obs.submitted.inc();
         let state = TicketState::new();
         let ticket = QueryTicket { seq, state: Arc::clone(&state) };
 
@@ -246,9 +290,7 @@ impl Engine {
                 _ => (None, pending.records.len()),
             }
         };
-        if let Some(obs) = &self.obs {
-            obs.pending.set(pending_len as f64);
-        }
+        self.obs.pending.set(pending_len as f64);
         if let Some(window) = closed {
             self.score_window(window);
         }
@@ -264,9 +306,8 @@ impl Engine {
     /// rejected (malformed, unsupported construct, unknown identifier), or
     /// a zero-span `Unsupported` error when no front-end is attached (see
     /// [`Engine::with_sql_frontend`]). Rejected statements never panic and
-    /// never enter a window; parse outcomes are counted on the front-end
-    /// and, when observability is attached, as `wmp_sql_parse_ok_total` /
-    /// `wmp_sql_parse_errors_total`.
+    /// never enter a window; parse outcomes are counted as
+    /// `wmp_sql_parse_ok_total` / `wmp_sql_parse_errors_total`.
     pub fn submit_sql(&self, sql: &str) -> Result<QueryTicket, wmp_sql::ParseError> {
         let Some(frontend) = &self.sql else {
             return Err(wmp_sql::ParseError::Unsupported {
@@ -285,15 +326,11 @@ impl Engine {
         drop(span);
         match record {
             Ok(record) => {
-                if let Some(obs) = &self.obs {
-                    obs.sql_parse_ok.inc();
-                }
+                self.obs.sql_parse_ok.inc();
                 Ok(self.submit(record))
             }
             Err(e) => {
-                if let Some(obs) = &self.obs {
-                    obs.sql_parse_errors.inc();
-                }
+                self.obs.sql_parse_errors.inc();
                 wmp_obs::event!(
                     Level::Warn,
                     target: "wmp_serve::sql",
@@ -306,8 +343,8 @@ impl Engine {
         }
     }
 
-    /// The attached SQL front-end (for its parse counters), or `None` when
-    /// the engine only accepts pre-built records.
+    /// The attached SQL front-end, or `None` when the engine only accepts
+    /// pre-built records.
     pub fn sql_frontend(&self) -> Option<&SqlFrontend> {
         self.sql.as_ref()
     }
@@ -317,9 +354,7 @@ impl Engine {
     /// was pending).
     pub fn drain(&self) -> usize {
         let window = self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-        if let Some(obs) = &self.obs {
-            obs.pending.set(0.0);
-        }
+        self.obs.pending.set(0.0);
         let n = window.records.len();
         if n > 0 {
             self.score_window(window);
@@ -347,29 +382,18 @@ impl Engine {
         let snapshot = self.handle.snapshot();
         let refs: Vec<&QueryRecord> = window.records.iter().collect();
         let result = snapshot.predict_resources(&refs);
-        let elapsed = t0.elapsed();
-        self.stats.latency.record_duration(elapsed);
-        // ordering: Relaxed — advisory window count.
-        self.stats.windows.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.score_latency.record_duration(elapsed);
-            obs.windows.inc();
-            obs.model_version.set(snapshot.version() as f64);
-            obs.model_age_seconds.set(snapshot.age().as_secs_f64());
-        }
+        self.obs.score_latency.record_duration(t0.elapsed());
+        self.obs.windows.inc();
+        self.obs.model_version.set(snapshot.version() as f64);
+        self.obs.model_age_seconds.set(snapshot.age().as_secs_f64());
         let n = window.tickets.len() as u64;
-        // `Release` on the resolution counters pairs with the snapshot's
-        // `Acquire` loads — rule 2 of the stats coherence contract: the
-        // window left `pending` (the caller took it under the lock) before
-        // these increments become visible.
+        // ordering: Release — pairs with the Acquire fence in `stats` (rule
+        // 2 of the module docs): the window left `pending` (the caller took
+        // it under the lock) before the Relaxed adds below become visible.
+        fence(Ordering::Release);
         let resolution = match result {
             Ok(predicted) => {
-                // ordering: Release — pairs with EngineStats::snapshot's
-                // Acquire loads (rule 2, see the comment block above).
-                self.stats.served.fetch_add(n, Ordering::Release);
-                if let Some(obs) = &self.obs {
-                    obs.served.add(n);
-                }
+                self.obs.served.add(n);
                 Ok(WorkloadDecision {
                     window_id,
                     predicted,
@@ -378,11 +402,7 @@ impl Engine {
                 })
             }
             Err(e) => {
-                // ordering: Release — same pairing as `served` above.
-                self.stats.failed.fetch_add(n, Ordering::Release);
-                if let Some(obs) = &self.obs {
-                    obs.failed.add(n);
-                }
+                self.obs.failed.add(n);
                 wmp_obs::event!(
                     Level::Warn,
                     target: "wmp_serve::engine",
@@ -399,29 +419,19 @@ impl Engine {
         drop(span);
     }
 
-    /// Streams one executed query (with its measured memory) to the
-    /// background retrainer, and feeds the observability monitors
-    /// (prediction quality, template drift) when attached. Returns `false`
-    /// — and drops the record for retraining purposes — when no retrainer
-    /// is attached or its thread has stopped; quality/drift accounting
-    /// still happens in that case, so monitoring works on engines that
-    /// retrain by explicit [`Engine::reload`]/[`Engine::install`] instead.
+    /// Feeds one executed query (with its measured resources) to the
+    /// telemetry monitors (prediction quality, template drift) and streams
+    /// it to the background retrainer. Returns `false` — and drops the
+    /// record for retraining purposes — when no retrainer is attached or
+    /// its thread has stopped; the query is still counted and monitored, so
+    /// monitoring works on engines that retrain by explicit
+    /// [`Engine::reload`]/[`Engine::install`] instead.
     pub fn observe(&self, record: QueryRecord) -> bool {
         // Account before forwarding: the record is moved into the channel.
-        if let Some(obs) = &self.obs {
-            obs.observed.inc();
-            obs.account_observation(self.handle.snapshot().model(), &record);
-        }
-        let Some(retrainer) = &self.retrainer else { return false };
-        let Some(tx) = &retrainer.tx else { return false };
-        if tx.send(record).is_ok() {
-            // ordering: Relaxed — advisory count; the channel send is the
-            // synchronizing operation.
-            self.stats.observed.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        self.obs.observed.inc();
+        self.obs.account_observation(self.handle.snapshot().model(), &record);
+        let Some(tx) = self.retrainer.as_ref().and_then(|r| r.tx.as_ref()) else { return false };
+        tx.send(record).is_ok()
     }
 
     /// Loads a persisted model artifact (see [`LearnedWmp::load_from`]) and
@@ -442,12 +452,7 @@ impl Engine {
     /// swaps concurrently).
     pub fn install(&self, model: impl WorkloadPredictor + 'static) -> u64 {
         let outcome = self.handle.swap(model);
-        // ordering: Relaxed — advisory counter; the swap's lock publishes
-        // the model itself.
-        self.stats.swaps.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.swaps.inc();
-        }
+        self.obs.swaps.inc();
         wmp_obs::event!(
             Level::Info,
             target: "wmp_serve::engine",
@@ -478,12 +483,37 @@ impl Engine {
         self.handle.snapshot().model().predict_resources(queries)
     }
 
-    /// Point-in-time serving telemetry. The snapshot satisfies
+    /// Point-in-time serving telemetry, read from the same instruments
+    /// [`Engine::obs_registry`] exports. The snapshot satisfies
     /// `submitted >= served + failed + pending` even while submissions and
-    /// scoring race with this call — see the coherence contract in
-    /// [`crate::stats`].
+    /// scoring race with this call — see the [module docs](self).
     pub fn stats(&self) -> StatsSnapshot {
-        let snap = self.stats.snapshot_with_pending(|| self.pending_len() as u64);
+        let obs = &self.obs;
+        // Rules 2 and 3 of the module docs fix the order of these reads.
+        let served = obs.served.get();
+        let failed = obs.failed.get();
+        // ordering: Acquire — pairs with the Release fence in
+        // `score_window`: every submission behind the resolutions read
+        // above is visible before `pending` and `submitted` are read.
+        fence(Ordering::Acquire);
+        let pending = self.pending_len() as u64;
+        let latency = obs.score_latency.snapshot();
+        let submitted = obs.submitted.get();
+        let snap = StatsSnapshot {
+            submitted,
+            served,
+            failed,
+            pending,
+            windows: obs.windows.get(),
+            swaps: obs.swaps.get(),
+            observed: obs.observed.get(),
+            retrains: obs.retrains.get(),
+            retrain_failures: obs.retrain_failures.get(),
+            sql_parse_ok: obs.sql_parse_ok.get(),
+            sql_parse_errors: obs.sql_parse_errors.get(),
+            p50_latency_us: latency.p50,
+            p99_latency_us: latency.p99,
+        };
         debug_assert!(
             snap.submitted >= snap.resolved() + snap.pending,
             "stats coherence violated: submitted {} < resolved {} + pending {}",
@@ -494,12 +524,11 @@ impl Engine {
         snap
     }
 
-    /// The observability registry attached via [`Engine::with_observability`]
-    /// (`None` when observability is not attached) — the handle to render
+    /// The engine's private metrics registry — the handle to render
     /// [`wmp_obs::Snapshot::to_prometheus`] /
     /// [`wmp_obs::Snapshot::to_json`] expositions from.
-    pub fn obs_registry(&self) -> Option<&Arc<wmp_obs::Registry>> {
-        self.obs.as_ref().map(|obs| &obs.registry)
+    pub fn obs_registry(&self) -> &wmp_obs::Registry {
+        &self.obs.registry
     }
 }
 

@@ -14,13 +14,14 @@
 //! - [`PredictorHandle`] (from `learnedwmp_core`) — the shared,
 //!   hot-swappable model handle: N request threads read coherent snapshots
 //!   while a writer installs a replacement without blocking them.
-//! - [`EngineStats`] — lock-free serving telemetry (counters plus p50/p99
-//!   window-scoring latency).
-//! - [`ObsConfig`] / [`Engine::with_observability`] — registry-backed
-//!   observability: the same counters published as exportable `wmp_*`
-//!   metrics (Prometheus/JSON via [`wmp_obs`]), plus rolling prediction
-//!   quality (MAE, within-one-bucket accuracy) and a template-distribution
-//!   drift score fed by [`Engine::observe`].
+//! - Always-on telemetry — every engine counts its traffic in a private
+//!   [`wmp_obs`] registry of `wmp_*` metrics ([`Engine::obs_registry`],
+//!   Prometheus/JSON), with rolling prediction quality (MAE,
+//!   within-one-bucket accuracy) fed by [`Engine::observe`].
+//!   [`Engine::stats`] reads a [`StatsSnapshot`] (counters plus p50/p99
+//!   window-scoring latency) from the same instruments, and
+//!   [`ObsConfig`] / [`Engine::with_observability`] add a
+//!   template-distribution drift score.
 //! - [`SqlFrontend`] / [`Engine::submit_sql`] — SQL text ingestion: parse
 //!   under a [`wmp_sql::Dialect`], lower against the catalog, price, and
 //!   enqueue — with typed, span-carrying rejections and
@@ -81,14 +82,12 @@
 pub mod engine;
 pub mod obs;
 pub mod sqlfront;
-pub mod stats;
 pub mod ticket;
 
-pub use engine::{Engine, WindowPolicy};
+pub use engine::{Engine, StatsSnapshot, WindowPolicy};
 pub use learnedwmp_core::handle::{ModelSnapshot, PredictorHandle};
 pub use obs::ObsConfig;
 pub use sqlfront::SqlFrontend;
-pub use stats::{EngineStats, StatsSnapshot};
 pub use ticket::{QueryTicket, WorkloadDecision};
 
 #[cfg(test)]
@@ -255,7 +254,7 @@ mod tests {
         let model = trained_on(&log, ModelKind::Ridge, 8);
         let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
         assert!(!engine.observe(log.records[0].clone()));
-        assert_eq!(engine.stats().observed, 0);
+        assert_eq!(engine.stats().observed, 1, "counted though no retrainer took it");
     }
 
     #[test]
@@ -275,10 +274,8 @@ mod tests {
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let reference = model.template_distribution(&refs).unwrap();
 
-        let config = ObsConfig::default().with_drift_reference(reference);
-        let registry = std::sync::Arc::clone(&config.registry);
         let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10))
-            .with_observability(config);
+            .with_observability(ObsConfig::default().with_drift_reference(reference));
 
         for r in &log.records[..40] {
             let _ = engine.submit(r.clone());
@@ -288,7 +285,7 @@ mod tests {
             assert!(!engine.observe(r.clone()));
         }
 
-        let snap = registry.snapshot();
+        let snap = engine.obs_registry().snapshot();
         let get = |name: &str| snap.get(name, &[]).cloned().unwrap_or_else(|| panic!("{name}"));
         assert!(matches!(get("wmp_queries_submitted_total"), wmp_obs::MetricValue::Counter(40)));
         assert!(matches!(get("wmp_queries_served_total"), wmp_obs::MetricValue::Counter(40)));
@@ -296,7 +293,7 @@ mod tests {
         assert!(matches!(get("wmp_queries_observed_total"), wmp_obs::MetricValue::Counter(40)));
         assert!(
             matches!(get("wmp_quality_windows_total"), wmp_obs::MetricValue::Counter(4)),
-            "40 observations / quality_batch 10"
+            "40 observations in evaluation batches of 10"
         );
         match get("wmp_window_score_latency_us") {
             wmp_obs::MetricValue::Histogram(h) => assert_eq!(h.count, 4),
@@ -354,6 +351,72 @@ mod tests {
     }
 
     #[test]
+    fn stats_read_the_counters_the_registry_exports() {
+        // No `with_observability`: every engine counts into its registry.
+        let log = wmp_workloads::tpch::generate(220, 21).unwrap();
+        let model = trained_on(&log, ModelKind::Ridge, 21);
+        let engine =
+            Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10)).with_sql_frontend(
+                SqlFrontend::new(wmp_workloads::tpch::catalog(), Box::new(wmp_sql::Ansi)),
+            );
+
+        // Two count windows, then a drained partial window of 5.
+        for r in &log.records[..25] {
+            let _ = engine.submit(r.clone());
+        }
+        assert_eq!(engine.drain(), 5);
+        // A failed window: the features are one column wider than the model's.
+        for r in &log.records[..10] {
+            let mut wide = r.clone();
+            wide.features.push(1.0);
+            let _ = engine.submit(wide);
+        }
+        assert!(engine.submit_sql("DELETE FROM lineitem").is_err());
+        let _ = engine.submit_sql(&log.records[0].sql()).expect("generated SQL re-parses");
+        engine.install(trained_on(&log, ModelKind::Ridge, 22));
+        assert!(!engine.observe(log.records[1].clone()));
+
+        let stats = engine.stats();
+        let snap = engine.obs_registry().snapshot();
+        let counter = |name: &str| {
+            snap.get(name, &[]).and_then(wmp_obs::MetricValue::as_counter).expect(name)
+        };
+        let latency = snap
+            .get("wmp_window_score_latency_us", &[])
+            .and_then(wmp_obs::MetricValue::as_histogram)
+            .expect("latency histogram");
+        let pending = snap
+            .get("wmp_pending_queries", &[])
+            .and_then(wmp_obs::MetricValue::as_gauge)
+            .expect("pending gauge");
+        let exported = StatsSnapshot {
+            submitted: counter("wmp_queries_submitted_total"),
+            served: counter("wmp_queries_served_total"),
+            failed: counter("wmp_queries_failed_total"),
+            pending: pending as u64,
+            windows: counter("wmp_windows_scored_total"),
+            swaps: counter("wmp_model_swaps_total"),
+            observed: counter("wmp_queries_observed_total"),
+            retrains: counter("wmp_retrains_total"),
+            retrain_failures: counter("wmp_retrain_failures_total"),
+            sql_parse_ok: counter("wmp_sql_parse_ok_total"),
+            sql_parse_errors: counter("wmp_sql_parse_errors_total"),
+            p50_latency_us: latency.p50,
+            p99_latency_us: latency.p99,
+        };
+        assert_eq!(stats, exported);
+        assert_eq!(
+            (stats.submitted, stats.served, stats.failed, stats.pending, stats.windows),
+            (36, 25, 10, 1, 4)
+        );
+        assert_eq!(
+            (stats.swaps, stats.observed, stats.sql_parse_ok, stats.sql_parse_errors),
+            (1, 1, 1, 1)
+        );
+        assert_eq!(latency.count, stats.windows);
+    }
+
+    #[test]
     fn window_policy_count_zero_degrades_to_one() {
         let log = wmp_workloads::tpcc::generate(60, 10).unwrap();
         let model = trained_on(&log, ModelKind::Ridge, 10);
@@ -387,11 +450,11 @@ mod tests {
         assert_eq!(err.kind(), "unexpected_token");
         assert_eq!(engine.pending_len(), 0);
 
-        let front = engine.sql_frontend().expect("front-end attached");
-        assert_eq!(front.parse_ok(), 5);
-        assert_eq!(front.parse_errors(), 1);
-        let snap = engine.obs_registry().unwrap().snapshot();
-        let text = snap.to_prometheus();
+        let stats = engine.stats();
+        assert_eq!(stats.sql_parse_ok, 5);
+        assert_eq!(stats.sql_parse_errors, 1);
+        assert_eq!(stats.submitted, 5, "a rejected statement is never submitted");
+        let text = engine.obs_registry().snapshot().to_prometheus();
         assert!(text.contains("wmp_sql_parse_ok_total 5"));
         assert!(text.contains("wmp_sql_parse_errors_total 1"));
     }

@@ -1,89 +1,54 @@
-//! Registry-backed observability for the serving engine: metric publication,
-//! rolling prediction-quality tracking, and template-distribution drift.
+//! The serving engine's telemetry: its `wmp_*` instruments, rolling
+//! prediction-quality tracking, and template-distribution drift.
 //!
-//! [`crate::Engine::with_observability`] attaches an [`ObsConfig`] to an
-//! engine; from then on every submit/score/observe/install publishes into
-//! the configured [`wmp_obs::Registry`] under the `wmp_*` metric names (see
-//! the README's metrics catalog). The engine works identically without this
-//! — [`crate::EngineStats`] keeps its lock-free counters either way; the
-//! registry adds the exportable (Prometheus/JSON) view plus the two derived
-//! signals a dashboard actually alarms on:
+//! Every [`crate::Engine`] owns one private [`wmp_obs::Registry`] holding
+//! these instruments; each serving fact (a submission, a scored window, an
+//! observation, a model swap) is counted once there, and [`crate::Engine::stats`] reads its
+//! [`crate::StatsSnapshot`] back from the same instruments (see the README's
+//! metrics catalog for the names). Besides the counters, the registry
+//! carries the two derived signals a dashboard actually alarms on:
 //!
 //! - **Prediction quality** — [`Engine::observe`](crate::Engine::observe)d
-//!   queries are grouped into evaluation batches of
-//!   [`ObsConfig::quality_batch`]; each batch is re-predicted through the
-//!   current model and compared against the summed measured resources,
-//!   feeding one rolling [`wmp_obs::QualityMonitor`] per resource axis,
-//!   published as `wmp_prediction_mae_mb` / `wmp_prediction_mae_cpu_ms` /
-//!   `wmp_prediction_mae_io_pages` plus
+//!   queries are grouped into evaluation batches of 10 (the paper's
+//!   `s = 10`, so the predictor is evaluated in-regime); each batch is
+//!   re-predicted through the current model and compared against the summed
+//!   measured resources, feeding one rolling [`wmp_obs::QualityMonitor`]
+//!   per resource axis, published as `wmp_prediction_mae_mb` /
+//!   `wmp_prediction_mae_cpu_ms` / `wmp_prediction_mae_io_pages` plus
 //!   `wmp_prediction_within_one_bucket_ratio` (memory axis).
-//! - **Template drift** — when [`ObsConfig::drift_reference`] supplies the
+//! - **Template drift** — once [`ObsConfig::drift_reference`] supplies the
 //!   training-time template distribution (see
 //!   [`learnedwmp_core::LearnedWmp::template_distribution`]), each observed
 //!   query is assigned to its template and fed to a rolling
 //!   [`wmp_obs::DriftMonitor`]; the total-variation score is published as
 //!   `wmp_template_drift_score`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use learnedwmp_core::WorkloadPredictor;
 use wmp_obs::{Counter, DriftMonitor, Gauge, Histogram, QualityMonitor, Registry};
 use wmp_workloads::QueryRecord;
 
-/// Configuration for [`crate::Engine::with_observability`].
-pub struct ObsConfig {
-    /// Registry the engine publishes into. Defaults to a fresh registry;
-    /// use [`wmp_obs::Registry::global`] (via [`ObsConfig::global`]) to
-    /// share one process-wide exposition surface.
-    pub registry: Arc<Registry>,
-    /// Evaluation-batch size for prediction quality: every `quality_batch`
-    /// observed queries are re-predicted as one workload and compared to
-    /// their summed true memory. Match the model's training batch size
-    /// (the paper's `s = 10`) so the predictor is evaluated in-regime.
-    pub quality_batch: usize,
-    /// Rolling window (in evaluation batches) for MAE / accuracy.
-    pub quality_capacity: usize,
-    /// Memory-bin width (MB) for the within-one-bucket accuracy.
-    pub quality_bucket_mb: f64,
-    /// CPU-bin width (ms) for the per-resource within-one-bucket accuracy.
-    pub quality_bucket_cpu_ms: f64,
-    /// IO-bin width (pages) for the per-resource within-one-bucket accuracy.
-    pub quality_bucket_io_pages: f64,
-    /// Training-time template distribution for drift scoring; `None`
-    /// disables the drift monitor (the gauge is never published).
-    pub drift_reference: Option<Vec<f64>>,
-    /// Rolling window (in queries) for the live template distribution.
-    pub drift_capacity: usize,
-}
+/// Observed queries per quality evaluation batch.
+const QUALITY_BATCH: usize = 10;
+/// Rolling window (in evaluation batches) for MAE / accuracy.
+const QUALITY_CAPACITY: usize = 256;
+/// Bin widths for the per-axis within-one-bucket accuracy.
+const QUALITY_BUCKET_MB: f64 = 100.0;
+const QUALITY_BUCKET_CPU_MS: f64 = 100.0;
+const QUALITY_BUCKET_IO_PAGES: f64 = 10_000.0;
+/// Rolling window (in queries) for the live template distribution.
+const DRIFT_CAPACITY: usize = 512;
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            registry: Arc::new(Registry::new()),
-            quality_batch: 10,
-            quality_capacity: 256,
-            quality_bucket_mb: 100.0,
-            quality_bucket_cpu_ms: 100.0,
-            quality_bucket_io_pages: 10_000.0,
-            drift_reference: None,
-            drift_capacity: 512,
-        }
-    }
+/// Configuration for [`crate::Engine::with_observability`].
+#[derive(Debug, Clone, Default)]
+pub struct ObsConfig {
+    /// Training-time template distribution for drift scoring; `None`
+    /// leaves the drift monitor off (the gauge stays at 0).
+    pub drift_reference: Option<Vec<f64>>,
 }
 
 impl ObsConfig {
-    /// Default configuration publishing into the process-wide
-    /// [`wmp_obs::Registry::global`] registry.
-    pub fn global() -> Self {
-        ObsConfig { registry: Registry::global_shared(), ..Default::default() }
-    }
-
-    /// Publishes into `registry` instead of a fresh private one.
-    pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// Sets the drift reference distribution (normalized template
     /// frequencies from training; see
     /// [`learnedwmp_core::LearnedWmp::template_distribution`]).
@@ -97,7 +62,7 @@ impl ObsConfig {
 /// instance is shared (via `Arc`) by the submit path, the scoring path, and
 /// the background retrainer thread.
 pub(crate) struct EngineObs {
-    pub(crate) registry: Arc<Registry>,
+    pub(crate) registry: Registry,
     pub(crate) submitted: Arc<Counter>,
     pub(crate) served: Arc<Counter>,
     pub(crate) failed: Arc<Counter>,
@@ -108,27 +73,26 @@ pub(crate) struct EngineObs {
     pub(crate) retrain_failures: Arc<Counter>,
     pub(crate) sql_parse_ok: Arc<Counter>,
     pub(crate) sql_parse_errors: Arc<Counter>,
-    pub(crate) quality_windows: Arc<Counter>,
+    quality_windows: Arc<Counter>,
     pub(crate) score_latency: Arc<Histogram>,
     pub(crate) pending: Arc<Gauge>,
     pub(crate) model_version: Arc<Gauge>,
     pub(crate) model_age_seconds: Arc<Gauge>,
-    pub(crate) mae_mb: Arc<Gauge>,
-    pub(crate) mae_cpu_ms: Arc<Gauge>,
-    pub(crate) mae_io_pages: Arc<Gauge>,
-    pub(crate) within_one_bucket: Arc<Gauge>,
-    pub(crate) drift_score: Arc<Gauge>,
+    mae_mb: Arc<Gauge>,
+    mae_cpu_ms: Arc<Gauge>,
+    mae_io_pages: Arc<Gauge>,
+    within_one_bucket: Arc<Gauge>,
+    drift_score: Arc<Gauge>,
     quality: QualityMonitor,
     quality_cpu: QualityMonitor,
     quality_io: QualityMonitor,
-    quality_batch: usize,
     eval_buffer: Mutex<Vec<QueryRecord>>,
-    drift: Option<DriftMonitor>,
+    drift: OnceLock<DriftMonitor>,
 }
 
 impl EngineObs {
-    pub(crate) fn new(config: ObsConfig) -> Self {
-        let r = &config.registry;
+    pub(crate) fn new() -> Self {
+        let r = Registry::new();
         EngineObs {
             submitted: r.counter(
                 "wmp_queries_submitted_total",
@@ -222,28 +186,28 @@ impl EngineObs {
                 "Total-variation distance between live and training template distributions",
                 &[],
             ),
-            quality: QualityMonitor::new(config.quality_capacity, config.quality_bucket_mb),
-            quality_cpu: QualityMonitor::new(config.quality_capacity, config.quality_bucket_cpu_ms),
-            quality_io: QualityMonitor::new(
-                config.quality_capacity,
-                config.quality_bucket_io_pages,
-            ),
-            quality_batch: config.quality_batch.max(1),
+            quality: QualityMonitor::new(QUALITY_CAPACITY, QUALITY_BUCKET_MB),
+            quality_cpu: QualityMonitor::new(QUALITY_CAPACITY, QUALITY_BUCKET_CPU_MS),
+            quality_io: QualityMonitor::new(QUALITY_CAPACITY, QUALITY_BUCKET_IO_PAGES),
             eval_buffer: Mutex::new(Vec::new()),
-            drift: config
-                .drift_reference
-                .map(|reference| DriftMonitor::new(reference, config.drift_capacity)),
-            registry: Arc::clone(&config.registry),
+            drift: OnceLock::new(),
+            registry: r,
         }
+    }
+
+    /// Starts drift scoring against `reference`. The first reference an
+    /// engine receives is kept; later ones are ignored.
+    pub(crate) fn set_drift_reference(&self, reference: Vec<f64>) {
+        let _ = self.drift.set(DriftMonitor::new(reference, DRIFT_CAPACITY));
     }
 
     /// Accounts one observed (executed) query: feeds the drift monitor with
     /// its template assignment and, once a full evaluation batch has
     /// accumulated, re-predicts the batch through `model` and scores it
     /// against the measured memory. Runs on the observer's thread — cheap
-    /// except once per `quality_batch`, when it costs one prediction.
+    /// except once per evaluation batch, when it costs one prediction.
     pub(crate) fn account_observation(&self, model: &dyn WorkloadPredictor, record: &QueryRecord) {
-        if let Some(drift) = &self.drift {
+        if let Some(drift) = self.drift.get() {
             if let Ok(Some(template)) = model.assign_template(record) {
                 drift.observe(template);
                 if let Some(score) = drift.score() {
@@ -255,7 +219,7 @@ impl EngineObs {
             let mut buffer =
                 self.eval_buffer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             buffer.push(record.clone());
-            if buffer.len() >= self.quality_batch {
+            if buffer.len() >= QUALITY_BATCH {
                 Some(std::mem::take(&mut *buffer))
             } else {
                 None

@@ -5,8 +5,8 @@
 //! A production predictor sits in front of a DBMS that speaks SQL, not
 //! [`wmp_plan::query::QuerySpec`]s. [`SqlFrontend`] owns everything needed to turn one
 //! statement of log text into a [`QueryRecord`] — the catalog, the dialect,
-//! and the pricing pipeline — and keeps lock-free parse success/failure
-//! counters so a long-running engine can report its rejection rate.
+//! and the pricing pipeline. The engine counts accepted and rejected
+//! statements (`wmp_sql_parse_ok_total` / `wmp_sql_parse_errors_total`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,8 +26,6 @@ pub struct SqlFrontend {
     simulator: ExecutorSimulator,
     heuristic: DbmsHeuristicEstimator,
     next_id: AtomicU64,
-    parse_ok: AtomicU64,
-    parse_errors: AtomicU64,
 }
 
 impl SqlFrontend {
@@ -40,8 +38,6 @@ impl SqlFrontend {
             simulator: ExecutorSimulator::new(),
             heuristic: DbmsHeuristicEstimator::new(),
             next_id: AtomicU64::new(0),
-            parse_ok: AtomicU64::new(0),
-            parse_errors: AtomicU64::new(0),
         }
     }
 
@@ -50,36 +46,13 @@ impl SqlFrontend {
         self.dialect.as_ref()
     }
 
-    /// Statements successfully parsed, lowered, and planned.
-    pub fn parse_ok(&self) -> u64 {
-        // ordering: Relaxed — advisory statistic.
-        self.parse_ok.load(Ordering::Relaxed)
-    }
-
-    /// Statements rejected (with a typed [`ParseError`]).
-    pub fn parse_errors(&self) -> u64 {
-        // ordering: Relaxed — advisory statistic.
-        self.parse_errors.load(Ordering::Relaxed)
-    }
-
     /// Parses one SQL statement into a fully-priced [`QueryRecord`] with a
     /// sequential id and [`NO_TEMPLATE_HINT`].
     ///
     /// # Errors
     /// A span-carrying [`ParseError`] from any stage (tokenize / parse /
-    /// lower); counters are updated either way.
+    /// lower).
     pub fn record(&self, sql: &str) -> SqlResult<QueryRecord> {
-        let result = self.record_inner(sql);
-        // ordering: Relaxed — independent counters; no reader correlates
-        // them with the returned record.
-        match &result {
-            Ok(_) => self.parse_ok.fetch_add(1, Ordering::Relaxed), // ordering: see above
-            Err(_) => self.parse_errors.fetch_add(1, Ordering::Relaxed), // ordering: see above
-        };
-        result
-    }
-
-    fn record_inner(&self, sql: &str) -> SqlResult<QueryRecord> {
         let mut spec = wmp_sql::parse_to_spec(sql, self.dialect.as_ref(), &self.catalog)?;
         // ordering: Relaxed — ids need uniqueness only.
         spec.id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -132,8 +105,6 @@ mod tests {
         assert!(!r.features.is_empty());
         let r2 = front.record("SELECT l.* FROM lineitem l WHERE l.l_quantity > 10").unwrap();
         assert_eq!(r2.id, 1, "ids are sequential");
-        assert_eq!(front.parse_ok(), 2);
-        assert_eq!(front.parse_errors(), 0);
     }
 
     #[test]
@@ -143,11 +114,8 @@ mod tests {
         let e = e.unwrap_err();
         assert_eq!(e.kind(), "unsupported");
         assert!(e.span().end > e.span().start);
-        assert_eq!(front.parse_errors(), 1);
-        assert_eq!(front.parse_ok(), 0);
         // Valid Postgres still goes through on the same front-end.
         assert!(front.record("SELECT l.* FROM lineitem l WHERE l.l_quantity > $1 LIMIT 5").is_ok());
-        assert_eq!(front.parse_ok(), 1);
     }
 
     #[test]

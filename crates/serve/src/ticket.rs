@@ -97,7 +97,7 @@ impl QueryTicket {
     /// [`QueryTicket::wait`] with a timeout.
     ///
     /// # Errors
-    /// Returns [`MlError::NotFitted`] if the window was not scored within
+    /// Returns [`MlError::Timeout`] if the window was not scored within
     /// `timeout` (the window has not filled; `Engine::drain` flushes it).
     pub fn wait_timeout(&self, timeout: Duration) -> MlResult<WorkloadDecision> {
         let deadline = std::time::Instant::now() + timeout;
@@ -108,7 +108,7 @@ impl QueryTicket {
             }
             let now = std::time::Instant::now();
             if now >= deadline {
-                return Err(MlError::NotFitted("QueryTicket (window not yet scored)"));
+                return Err(MlError::Timeout("QueryTicket window to be scored"));
             }
             let (guard, _) = self
                 .state
@@ -166,7 +166,7 @@ mod tests {
         let state = TicketState::new();
         let ticket = QueryTicket { seq: 0, state };
         let err = ticket.wait_timeout(Duration::from_millis(10)).unwrap_err();
-        assert!(matches!(err, MlError::NotFitted(_)));
+        assert_eq!(err, MlError::Timeout("QueryTicket window to be scored"));
     }
 
     #[test]

@@ -82,7 +82,8 @@ fn main() {
         }
         let drift = engine
             .obs_registry()
-            .and_then(|r| r.snapshot().get("wmp_template_drift_score", &[]).cloned())
+            .snapshot()
+            .get("wmp_template_drift_score", &[])
             .and_then(|m| m.as_gauge())
             .unwrap_or(f64::NAN);
         println!("served {name}: {} queries, drift score {drift:.3}", log.len());
@@ -98,7 +99,7 @@ fn main() {
     }
 
     // --- Exposition: the same registry, both renderers. -------------------
-    let snapshot = engine.obs_registry().expect("observability is on").snapshot();
+    let snapshot = engine.obs_registry().snapshot();
     println!("\n=== Prometheus exposition ===\n{}", snapshot.to_prometheus());
     println!("=== JSON snapshot ===\n{}", snapshot.to_json());
 

@@ -94,7 +94,7 @@ fn main() {
     let decision = tickets[0].wait().expect("decision");
     println!(
         "\nServing engine: window of {} priced at {:.1} MB by model v{} \
-         (p50 scoring latency {} µs)",
+         (p50 scoring latency {:.0} µs)",
         decision.window_len,
         decision.predicted_mb(),
         decision.model_version,

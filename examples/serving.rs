@@ -117,7 +117,7 @@ fn main() {
 
     // --- Report. ----------------------------------------------------------
     let stats = engine.stats();
-    println!("\nEngineStats after the session:");
+    println!("\nEngine stats after the session:");
     println!("  submitted            : {:>8}", stats.submitted);
     println!("  served               : {:>8}", stats.served);
     println!("  windows scored       : {:>8}", stats.windows);
@@ -125,7 +125,7 @@ fn main() {
     println!("  retrain passes       : {:>8}", stats.retrains);
     println!("  model swaps          : {:>8}", stats.swaps);
     println!(
-        "  scoring latency      : p50 {:>5} µs, p99 {:>5} µs",
+        "  scoring latency      : p50 {:>5.0} µs, p99 {:>5.0} µs",
         stats.p50_latency_us, stats.p99_latency_us
     );
     println!("  current model version: {:>8}", engine.handle().version());

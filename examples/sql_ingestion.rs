@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use learnedwmp::core::{LearnedWmp, ModelKind, PredictorHandle, TemplateSpec};
-use learnedwmp::serve::{Engine, ObsConfig, SqlFrontend, WindowPolicy};
+use learnedwmp::serve::{Engine, SqlFrontend, WindowPolicy};
 use learnedwmp::sql::Ansi;
 
 const WINDOW: usize = 10;
@@ -44,9 +44,8 @@ fn main() {
     }
     println!("Replaying {} log lines through Engine::submit_sql...\n", lines.len());
 
-    // --- Boot an engine with a SQL front-end and observability. -----------
+    // --- Boot an engine with a SQL front-end. ------------------------------
     let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(WINDOW))
-        .with_observability(ObsConfig::default())
         .with_sql_frontend(SqlFrontend::new(history.catalog.clone(), Box::new(Ansi)));
 
     let mut tickets = Vec::new();
@@ -79,23 +78,24 @@ fn main() {
         println!("  [{:>6.0}, {:>6.0}) MB : {:>4}  {}", lo, lo + BUCKET_MB, n, "#".repeat(n / 10));
     }
 
-    // --- Parse counters: front-end view and exported metrics. -------------
-    let front = engine.sql_frontend().expect("front-end attached");
+    // --- Parse counters: engine stats and exported metrics. ---------------
+    let stats = engine.stats();
+    assert_eq!(stats.sql_parse_ok, tickets.len() as u64, "every accepted statement was ticketed");
+    assert_eq!(stats.sql_parse_errors, rejections.values().sum::<usize>() as u64);
     println!("\nParse counters:");
-    println!("  accepted : {:>5}", front.parse_ok());
-    println!("  rejected : {:>5}", front.parse_errors());
+    println!("  accepted : {:>5}", stats.sql_parse_ok);
+    println!("  rejected : {:>5}", stats.sql_parse_errors);
     for (kind, n) in &rejections {
         println!("    {kind:<20}: {n:>3}");
     }
-    let exposition = engine.obs_registry().expect("registry").snapshot().to_prometheus();
+    let exposition = engine.obs_registry().snapshot().to_prometheus();
     println!("\nExported metrics (grep wmp_sql):");
     for line in exposition.lines().filter(|l| l.starts_with("wmp_sql")) {
         println!("  {line}");
     }
 
-    let stats = engine.stats();
     println!(
-        "\nEngineStats: submitted {} / served {} / windows {}",
+        "\nEngine stats: submitted {} / served {} / windows {}",
         stats.submitted, stats.served, stats.windows
     );
 }
