@@ -161,7 +161,7 @@ pub struct Engine {
     pending: Mutex<Pending>,
     window_seq: AtomicU64,
     query_seq: AtomicU64,
-    obs: Arc<EngineObs>,
+    pub(crate) obs: Arc<EngineObs>,
     sql: Option<SqlFrontend>,
     retrainer: Option<Retrainer>,
 }

@@ -90,6 +90,96 @@ pub use obs::ObsConfig;
 pub use sqlfront::SqlFrontend;
 pub use ticket::{QueryTicket, WorkloadDecision};
 
+/// [`StatsSnapshot`] as [`Engine::stats`] reads it: the empty engine, the
+/// latency quantiles and the reconciliation of its counters. The
+/// mixed-traffic and concurrent checks are in `tests`.
+#[cfg(test)]
+mod stats {
+    mod tests {
+        use crate::{Engine, PredictorHandle, StatsSnapshot, WindowPolicy};
+        use learnedwmp_core::{LearnedWmp, ModelKind, TemplateSpec};
+        use std::time::Duration;
+        use wmp_workloads::QueryLog;
+
+        fn engine_for(log: &QueryLog, policy: WindowPolicy) -> Engine {
+            let model = LearnedWmp::builder()
+                .model(ModelKind::Ridge)
+                .templates(TemplateSpec::PlanKMeans { k: 6, seed: 3 })
+                .fit(log)
+                .unwrap();
+            Engine::new(PredictorHandle::new(model), policy)
+        }
+
+        #[test]
+        fn latency_quantiles_keep_the_conservative_upper_bound_contract() {
+            // p50/p99 are interpolated within the bucket that holds the true
+            // quantile and never pass that bucket's upper edge; the exported
+            // buckets still carry the inclusive upper bound itself.
+            let log = wmp_workloads::tpcc::generate(120, 3).unwrap();
+            let engine = engine_for(&log, WindowPolicy::Count(10));
+            let latency = &engine.obs.score_latency;
+            for _ in 0..99 {
+                latency.record_duration(Duration::from_micros(100));
+            }
+            latency.record_duration(Duration::from_millis(50));
+
+            let snap = engine.stats();
+            // 100 µs lands in the bucket [64, 128), inclusive bound 127.
+            assert_eq!(latency.snapshot().buckets, vec![(127, 99), (65_535, 100)]);
+            for q in [snap.p50_latency_us, snap.p99_latency_us] {
+                assert!(q > 64.0 && q <= 128.0, "quantile {q} left the [64, 128) bucket");
+            }
+            assert_eq!(snap.p99_latency_us, 128.0);
+            assert!(latency.quantile(1.0) >= 50_000.0);
+        }
+
+        #[test]
+        fn empty_histogram_reports_zero() {
+            let log = wmp_workloads::tpcc::generate(120, 3).unwrap();
+            let engine = engine_for(&log, WindowPolicy::Count(10));
+            let snap = engine.stats();
+            assert_eq!(snap.p50_latency_us, 0.0);
+            assert_eq!(snap.p99_latency_us, 0.0);
+            assert_eq!(snap, StatsSnapshot::default());
+        }
+
+        #[test]
+        fn snapshot_reconciles() {
+            let log = wmp_workloads::tpcc::generate(120, 3).unwrap();
+            let engine = engine_for(&log, WindowPolicy::Count(5));
+            for r in &log.records[..8] {
+                let _ = engine.submit(r.clone());
+            }
+            // A failed window: the features are one column wider than the
+            // model's.
+            for r in &log.records[..2] {
+                let mut wide = r.clone();
+                wide.features.push(1.0);
+                let _ = engine.submit(wide);
+            }
+            // The first window is served; the second (3 good + 2 wide)
+            // fails as a whole.
+            let snap = engine.stats();
+            assert_eq!((snap.submitted, snap.served, snap.failed), (10, 5, 5));
+            assert_eq!(snap.resolved(), snap.submitted);
+            assert_eq!(snap.pending, 0);
+        }
+
+        #[test]
+        fn snapshot_with_pending_reports_the_live_level() {
+            let log = wmp_workloads::tpcc::generate(120, 3).unwrap();
+            let engine = engine_for(&log, WindowPolicy::Count(10));
+            for r in &log.records[..16] {
+                let _ = engine.submit(r.clone());
+            }
+            let snap = engine.stats();
+            assert_eq!(snap.pending, 6);
+            assert_eq!(snap.resolved(), 10);
+            assert!(snap.submitted >= snap.resolved() + snap.pending);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
