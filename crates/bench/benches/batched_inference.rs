@@ -1,5 +1,5 @@
 //! Criterion bench for the batched-inference hot path behind
-//! `WorkloadPredictor::predict_workloads`: the memoized path assigns each
+//! `WorkloadPredictor::predict_resources_many`: the memoized path assigns each
 //! distinct record to its template once and reuses assignments across
 //! workloads, versus the naive path re-running template assignment for
 //! every workload membership. The gap is the serving-side win for a daemon
@@ -40,7 +40,7 @@ fn bench_batched_inference(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("batched_inference");
     group.bench_function("memoized_trait_path", |b| {
-        b.iter(|| predictor.predict_workloads(&ctx.test, &workloads).expect("prediction"))
+        b.iter(|| predictor.predict_resources_many(&ctx.test, &workloads).expect("prediction"))
     });
     group.bench_function("naive_per_workload", |b| {
         b.iter(|| {
@@ -49,9 +49,9 @@ fn bench_batched_inference(c: &mut Criterion) {
                 .map(|w| {
                     let queries: Vec<&QueryRecord> =
                         w.query_indices.iter().map(|&i| ctx.test[i]).collect();
-                    predictor.predict_workload(&queries).expect("prediction")
+                    predictor.predict_resources(&queries).expect("prediction")
                 })
-                .collect::<Vec<f64>>()
+                .collect::<Vec<_>>()
         })
     });
     group.finish();
@@ -71,7 +71,7 @@ fn bench_batched_inference(c: &mut Criterion) {
     let t0 = Instant::now();
     for _ in 0..passes {
         let p0 = Instant::now();
-        black_box(predictor.predict_workloads(&ctx.test, &workloads).expect("prediction"));
+        black_box(predictor.predict_resources_many(&ctx.test, &workloads).expect("prediction"));
         memo_latency.record_duration(p0.elapsed());
     }
     let memo_qps = (passes * total_queries) as f64 / t0.elapsed().as_secs_f64();
@@ -83,7 +83,7 @@ fn bench_batched_inference(c: &mut Criterion) {
         let p0 = Instant::now();
         for w in &workloads {
             let queries: Vec<&QueryRecord> = w.query_indices.iter().map(|&i| ctx.test[i]).collect();
-            black_box(predictor.predict_workload(&queries).expect("prediction"));
+            black_box(predictor.predict_resources(&queries).expect("prediction"));
         }
         naive_latency.record_duration(p0.elapsed());
     }

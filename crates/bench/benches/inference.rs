@@ -24,7 +24,7 @@ fn bench_inference(c: &mut Criterion) {
             [("learnedwmp", &learned), ("singlewmp", &single)];
         for (label, p) in predictors {
             group.bench_function(format!("{label}_{}", kind.label()), |b| {
-                b.iter(|| p.predict_workload(&workload).expect("prediction"))
+                b.iter(|| p.predict_resources(&workload).expect("prediction"))
             });
         }
     }

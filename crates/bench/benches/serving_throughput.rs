@@ -44,7 +44,7 @@ fn aggregate_qps(
             scope.spawn(|| {
                 for w in windows {
                     let w0 = Instant::now();
-                    black_box(handle.snapshot().predict_workload(w).expect("prediction"));
+                    black_box(handle.snapshot().predict_resources(w).expect("prediction"));
                     latency.record_duration(w0.elapsed());
                 }
             });
@@ -68,7 +68,7 @@ fn bench_serving_throughput(c: &mut Criterion) {
     group.bench_function("handle_1_reader_all_windows", |b| {
         b.iter(|| {
             for w in &windows {
-                black_box(handle.snapshot().predict_workload(w).expect("prediction"));
+                black_box(handle.snapshot().predict_resources(w).expect("prediction"));
             }
         })
     });
@@ -78,7 +78,7 @@ fn bench_serving_throughput(c: &mut Criterion) {
                 for _ in 0..4 {
                     scope.spawn(|| {
                         for w in &windows {
-                            black_box(handle.snapshot().predict_workload(w).expect("prediction"));
+                            black_box(handle.snapshot().predict_resources(w).expect("prediction"));
                         }
                     });
                 }
@@ -100,7 +100,7 @@ fn bench_serving_throughput(c: &mut Criterion) {
                 for _ in 0..4 {
                     scope.spawn(|| {
                         for w in &windows {
-                            black_box(handle.snapshot().predict_workload(w).expect("prediction"));
+                            black_box(handle.snapshot().predict_resources(w).expect("prediction"));
                         }
                         running.fetch_sub(1, Ordering::Release);
                     });

@@ -35,8 +35,12 @@ fn eval_learned_with(
         .seed(cfg.seed)
         .fit_refs(&ctx.train, &log.catalog)
         .expect("training");
-    let predictor: &dyn WorkloadPredictor = &wmp;
-    let preds = predictor.predict_workloads(&ctx.test, &ctx.test_workloads).expect("prediction");
+    let preds: Vec<f64> = wmp
+        .predict_resources_many(&ctx.test, &ctx.test_workloads)
+        .expect("prediction")
+        .iter()
+        .map(|r| r.memory_mb)
+        .collect();
     (rmse(&ctx.y_test, &preds).expect("rmse"), mape(&ctx.y_test, &preds).expect("mape"))
 }
 

@@ -51,7 +51,12 @@ fn main() {
         .expect("auto-k training");
 
     let eval = |m: &dyn WorkloadPredictor| -> (f64, f64) {
-        let preds = m.predict_workloads(&ctx.test, &test_ws).expect("prediction");
+        let preds: Vec<f64> = m
+            .predict_resources_many(&ctx.test, &test_ws)
+            .expect("prediction")
+            .iter()
+            .map(|r| r.memory_mb)
+            .collect();
         (rmse(&y, &preds).expect("rmse"), mape(&y, &preds).expect("mape"))
     };
     let (fr, fm) = eval(&fixed);

@@ -35,9 +35,12 @@ fn main() {
             .seed(seed)
             .fit_refs(&ctx.train, &log.catalog)
             .expect("training");
-        let predictor: &dyn WorkloadPredictor = &wmp;
-        let preds =
-            predictor.predict_workloads(&ctx.test, &ctx.test_workloads).expect("prediction");
+        let preds: Vec<f64> = wmp
+            .predict_resources_many(&ctx.test, &ctx.test_workloads)
+            .expect("prediction")
+            .iter()
+            .map(|r| r.memory_mb)
+            .collect();
         rows.push(vec![
             wmp.templates().name().to_string(),
             format!("{}", wmp.templates().n_templates()),

@@ -30,7 +30,7 @@
 //! `p99_us`, interpolated from a [`wmp_obs::Histogram`]) are present when
 //! the bench records per-operation latencies. `test_mode` marks reduced
 //! CI runs (`cargo bench ... -- --test`), whose numbers are smoke-test
-//! artifacts, not trajectory points.
+//! artifacts, not trajectory points: they are printed, never written.
 
 use std::path::PathBuf;
 
@@ -123,11 +123,16 @@ impl BenchReport {
 
     /// Writes `BENCH_<bench>.json` at the repository root and returns the
     /// path. Failures are printed, not fatal — a read-only checkout must
-    /// not fail the bench itself.
+    /// not fail the bench itself. A test-mode report is printed instead and
+    /// never overwrites the committed file (returns `None`).
     pub fn write(&self) -> Option<PathBuf> {
         let path = repo_root().join(format!("BENCH_{}.json", self.bench));
         let mut body = self.to_json().render();
         body.push('\n');
+        if self.test_mode {
+            print!("test mode, not writing {}:\n{body}", path.display());
+            return None;
+        }
         match std::fs::write(&path, body) {
             Ok(()) => {
                 println!("wrote {}", path.display());
@@ -197,6 +202,13 @@ mod tests {
         let ns = fast.get("ns_per_query").and_then(JsonValue::as_f64).unwrap();
         assert!((ns - 8_000.0).abs() < 1.0, "1e9/125k = 8000, got {ns}");
         assert!(results[1].get("p50_us").is_none(), "no latency histogram, no quantiles");
+    }
+
+    #[test]
+    fn test_mode_write_leaves_the_committed_file_alone() {
+        let report = BenchReport::new("unit_test_mode_write", true);
+        assert_eq!(report.write(), None);
+        assert!(!repo_root().join("BENCH_unit_test_mode_write.json").exists());
     }
 
     #[test]

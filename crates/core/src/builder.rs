@@ -13,7 +13,8 @@
 //!     .batch_size(10)
 //!     .fit(&log)
 //!     .unwrap();
-//! assert!(model.predict_workload(&log.records.iter().collect::<Vec<_>>()[..10]).unwrap() > 0.0);
+//! let queries: Vec<_> = log.records[..10].iter().collect();
+//! assert!(model.predict_resources(&queries).unwrap().memory_mb > 0.0);
 //! ```
 
 use wmp_mlkit::{MlError, MlResult};
@@ -292,7 +293,7 @@ mod tests {
                 .templates(spec.clone())
                 .fit(&log)
                 .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
-            assert!(model.predict_workload(&probe).unwrap().is_finite(), "{spec:?}");
+            assert!(model.predict_resources(&probe).unwrap().is_finite(), "{spec:?}");
         }
     }
 
@@ -310,13 +311,9 @@ mod tests {
         let from_log = make().fit(&log).unwrap();
         let from_refs = make().fit_refs(&refs, &log.catalog).unwrap();
         for chunk in refs.chunks(10).take(4) {
-            assert_eq!(
-                from_log.predict_workload(chunk).unwrap().to_bits(),
-                from_refs.predict_workload(chunk).unwrap().to_bits()
-            );
             let a = from_log.predict_resources(chunk).unwrap();
             let b = from_refs.predict_resources(chunk).unwrap();
-            assert_eq!(a, b);
+            assert_eq!(a.as_array().map(f64::to_bits), b.as_array().map(f64::to_bits));
         }
     }
 
@@ -340,6 +337,6 @@ mod tests {
             .fit_records(&log.records, &log.catalog)
             .unwrap();
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
-        assert!(model.predict_workload(&probe).unwrap() > 0.0);
+        assert!(model.predict_resources(&probe).unwrap().memory_mb > 0.0);
     }
 }

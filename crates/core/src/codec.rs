@@ -458,13 +458,8 @@ mod tests {
             let refs: Vec<&wmp_workloads::QueryRecord> = log.records.iter().collect();
             for chunk in refs.chunks(10).take(3) {
                 assert_eq!(
-                    model.predict_workload(chunk).unwrap().to_bits(),
-                    reloaded.predict_workload(chunk).unwrap().to_bits(),
-                    "{spec:?}"
-                );
-                assert_eq!(
-                    model.predict_resources(chunk).unwrap(),
-                    reloaded.predict_resources(chunk).unwrap(),
+                    model.predict_resources(chunk).unwrap().as_array().map(f64::to_bits),
+                    reloaded.predict_resources(chunk).unwrap().as_array().map(f64::to_bits),
                     "{spec:?}"
                 );
             }

@@ -209,22 +209,8 @@ impl WorkloadPredictor for PredictorHandle {
         self.snapshot().name()
     }
 
-    fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        self.snapshot().predict_workload(queries)
-    }
-
     fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<wmp_plan::ResourceVector> {
         self.snapshot().predict_resources(queries)
-    }
-
-    fn predict_workloads(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<f64>> {
-        // One snapshot for the whole batch: every workload of the batch is
-        // scored by the same model even if a swap lands mid-batch.
-        self.snapshot().predict_workloads(records, workloads)
     }
 
     fn predict_resources_many(
@@ -232,6 +218,8 @@ impl WorkloadPredictor for PredictorHandle {
         records: &[&QueryRecord],
         workloads: &[Workload],
     ) -> MlResult<Vec<wmp_plan::ResourceVector>> {
+        // One snapshot for the whole batch: every workload of the batch is
+        // scored by the same model even if a swap lands mid-batch.
         self.snapshot().predict_resources_many(records, workloads)
     }
 
@@ -265,7 +253,7 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(300, 1).unwrap();
         let probe: Vec<&wmp_workloads::QueryRecord> = log.records[..10].iter().collect();
         let a = trained(1);
-        let expect_a = a.predict_workload(&probe).unwrap();
+        let expect_a = a.predict_resources(&probe).unwrap();
         let handle = PredictorHandle::new(a);
         let pinned = handle.snapshot();
         assert_eq!(pinned.version(), 0);
@@ -275,7 +263,7 @@ mod tests {
         assert_eq!(outcome.version, 1);
         assert_eq!(handle.version(), 1);
         // The old snapshot still answers from the old model, bit-exactly.
-        assert_eq!(pinned.predict_workload(&probe).unwrap().to_bits(), expect_a.to_bits());
+        assert_eq!(pinned.predict_resources(&probe).unwrap(), expect_a);
         // A fresh snapshot sees the replacement.
         assert_eq!(handle.snapshot().version(), 1);
     }
@@ -296,7 +284,7 @@ mod tests {
         let handle = PredictorHandle::new(SingleWmpDbms);
         let p: &dyn WorkloadPredictor = &handle;
         let expected: f64 = probe.iter().map(|q| q.dbms_estimate_mb()).sum();
-        assert!((p.predict_workload(&probe).unwrap() - expected).abs() < 1e-9);
+        assert!((p.predict_resources(&probe).unwrap().memory_mb - expected).abs() < 1e-9);
         assert_eq!(p.footprint_bytes(), 0);
     }
 }

@@ -9,6 +9,7 @@ use wmp_workloads::QueryRecord;
 
 use crate::histogram::{build_histogram, HistogramMode};
 use crate::model::{Approach, ModelKind};
+use crate::predictor::WorkloadPredictor;
 use crate::template::TemplateLearner;
 use crate::workload::{batch_workloads, LabelMode, Workload};
 
@@ -205,105 +206,6 @@ impl LearnedWmp {
         Ok(ResourceVector::from_partial(&self.regressor.predict_row_multi(&h)?))
     }
 
-    /// Predicts the memory demand (MB) of one workload — the memory
-    /// projection of [`LearnedWmp::predict_resources`].
-    ///
-    /// # Errors
-    /// Propagates assignment/prediction errors.
-    pub fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        let assignments: Vec<usize> =
-            queries.iter().map(|r| self.templates.assign(r)).collect::<MlResult<_>>()?;
-        let h = build_histogram(
-            &assignments,
-            self.templates.n_templates(),
-            self.config.histogram_mode,
-        )?;
-        self.regressor.predict_row(&h)
-    }
-
-    /// Predicts every workload in a batched test set (indices into `records`).
-    ///
-    /// Each distinct record is assigned to its template exactly once
-    /// (memoized by index), so overlapping workloads — and the common case
-    /// where every record appears in some workload — never re-run IN3 per
-    /// membership. This is the batched-inference hot path behind the
-    /// [`crate::predictor::WorkloadPredictor`] trait.
-    ///
-    /// # Errors
-    /// Propagates per-workload errors; out-of-range `query_indices` surface
-    /// as a typed [`MlError::DimensionMismatch`] instead of a panic.
-    pub fn predict_workloads(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<f64>> {
-        let hs = self.workload_histograms(records, workloads)?;
-        hs.iter().map(|h| self.regressor.predict_row(h)).collect()
-    }
-
-    /// Batched full-resource inference: one [`ResourceVector`] per workload,
-    /// with the same per-record template-assignment memoization as
-    /// [`LearnedWmp::predict_workloads`].
-    ///
-    /// # Errors
-    /// Same conditions as [`LearnedWmp::predict_workloads`].
-    pub fn predict_resources_many(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<ResourceVector>> {
-        let hs = self.workload_histograms(records, workloads)?;
-        hs.iter()
-            .map(|h| Ok(ResourceVector::from_partial(&self.regressor.predict_row_multi(h)?)))
-            .collect()
-    }
-
-    /// IN1–IN4 for a batched test set: builds every workload's template
-    /// histogram, assigning each distinct record at most once (memoized by
-    /// index) so overlapping workloads never re-run IN3 per membership.
-    fn workload_histograms(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<Vec<f64>>> {
-        let mut assignments: Vec<Option<usize>> = vec![None; records.len()];
-        let k = self.templates.n_templates();
-        let mut hs = Vec::with_capacity(workloads.len());
-        let mut member = Vec::new();
-        for w in workloads {
-            member.clear();
-            for &i in &w.query_indices {
-                let record = *records.get(i).ok_or_else(|| {
-                    wmp_mlkit::error::dim_mismatch(
-                        format!("query index < {}", records.len()),
-                        format!("index {i}"),
-                    )
-                })?;
-                let a = match assignments[i] {
-                    Some(a) => a,
-                    None => {
-                        let a = self.templates.assign(record)?;
-                        assignments[i] = Some(a);
-                        a
-                    }
-                };
-                member.push(a);
-            }
-            hs.push(build_histogram(&member, k, self.config.histogram_mode)?);
-        }
-        Ok(hs)
-    }
-
-    /// Assigns one query to its learned template (IN3 for a single record) —
-    /// the signal a drift monitor consumes to track the live template
-    /// distribution against training.
-    ///
-    /// # Errors
-    /// Propagates template-assignment errors.
-    pub fn assign_template(&self, query: &QueryRecord) -> MlResult<usize> {
-        self.templates.assign(query)
-    }
-
     /// The normalized template distribution of a record set — each entry is
     /// the fraction of `records` assigned to that template. Computed over
     /// the training log, this is the reference distribution a
@@ -361,6 +263,59 @@ impl LearnedWmp {
     }
 }
 
+impl WorkloadPredictor for LearnedWmp {
+    fn name(&self) -> String {
+        format!("LearnedWMP-{}", self.config.model.label())
+    }
+
+    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
+        LearnedWmp::predict_resources(self, queries)
+    }
+
+    /// Batched inference: each distinct record is assigned to its template
+    /// at most once (memoized by index), so overlapping workloads — and the
+    /// common case where every record appears in some workload — never
+    /// re-run IN3 per membership.
+    fn predict_resources_many(
+        &self,
+        records: &[&QueryRecord],
+        workloads: &[Workload],
+    ) -> MlResult<Vec<ResourceVector>> {
+        let mut assignments: Vec<Option<usize>> = vec![None; records.len()];
+        let k = self.templates.n_templates();
+        let mut member = Vec::new();
+        workloads
+            .iter()
+            .map(|w| {
+                member.clear();
+                for &i in &w.query_indices {
+                    let record = *records.get(i).ok_or_else(|| {
+                        wmp_mlkit::error::dim_mismatch(
+                            format!("query index < {}", records.len()),
+                            format!("index {i}"),
+                        )
+                    })?;
+                    let a = match assignments[i] {
+                        Some(a) => a,
+                        None => *assignments[i].insert(self.templates.assign(record)?),
+                    };
+                    member.push(a);
+                }
+                let h = build_histogram(&member, k, self.config.histogram_mode)?;
+                Ok(ResourceVector::from_partial(&self.regressor.predict_row_multi(&h)?))
+            })
+            .collect()
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        LearnedWmp::footprint_bytes(self)
+    }
+
+    fn assign_template(&self, query: &QueryRecord) -> MlResult<Option<usize>> {
+        self.templates.assign(query).map(Some)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,7 +334,7 @@ mod tests {
     fn trains_and_predicts_positive_memory() {
         let (log, wmp) = trained(ModelKind::Xgb);
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
-        let pred = wmp.predict_workload(&refs[..10]).unwrap();
+        let pred = wmp.predict_resources(&refs[..10]).unwrap().memory_mb;
         assert!(pred.is_finite());
         assert!(pred > 0.0, "memory predictions must be positive, got {pred}");
         assert_eq!(wmp.n_train_workloads, 60);
@@ -393,8 +348,8 @@ mod tests {
         sorted.sort_by(|a, b| a.true_memory_mb().partial_cmp(&b.true_memory_mb()).unwrap());
         let light = &sorted[..10];
         let heavy = &sorted[sorted.len() - 10..];
-        let p_light = wmp.predict_workload(light).unwrap();
-        let p_heavy = wmp.predict_workload(heavy).unwrap();
+        let p_light = wmp.predict_resources(light).unwrap().memory_mb;
+        let p_heavy = wmp.predict_resources(heavy).unwrap().memory_mb;
         assert!(p_heavy > p_light, "heavy {p_heavy} vs light {p_light}");
     }
 
@@ -403,7 +358,8 @@ mod tests {
         let (log, wmp) = trained(ModelKind::Xgb);
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let ws = batch_workloads(&refs, 10, 7, LabelMode::Sum);
-        let preds = wmp.predict_workloads(&refs, &ws).unwrap();
+        let preds: Vec<f64> =
+            wmp.predict_resources_many(&refs, &ws).unwrap().iter().map(|r| r.memory_mb).collect();
         let y: Vec<f64> = ws.iter().map(Workload::y_mb).collect();
         let mape = wmp_mlkit::metrics::mape(&y, &preds).unwrap();
         assert!(mape < 60.0, "in-sample MAPE = {mape}%");
@@ -416,8 +372,12 @@ mod tests {
         let r = wmp.predict_resources(&refs[..10]).unwrap();
         assert!(r.is_finite(), "{r}");
         assert!(r.memory_mb > 0.0 && r.cpu_ms > 0.0 && r.io_pages > 0.0, "{r}");
-        // The memory axis is exactly the scalar prediction path (head 0).
-        assert_eq!(r.memory_mb.to_bits(), wmp.predict_workload(&refs[..10]).unwrap().to_bits());
+        // The memory axis is exactly the scalar regressor path (head 0).
+        let assignments: Vec<usize> =
+            refs[..10].iter().map(|q| wmp.templates().assign(q)).collect::<MlResult<_>>().unwrap();
+        let h = build_histogram(&assignments, wmp.templates().n_templates(), HistogramMode::Counts)
+            .unwrap();
+        assert_eq!(r.memory_mb.to_bits(), wmp.regressor().predict_row(&h).unwrap().to_bits());
         // Batched full-resource inference matches the per-workload path.
         let ws = batch_workloads(&refs, 10, 7, LabelMode::Sum);
         let many = wmp.predict_resources_many(&refs, &ws).unwrap();

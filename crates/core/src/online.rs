@@ -5,11 +5,13 @@
 
 use wmp_mlkit::{MlError, MlResult};
 use wmp_obs::Level;
-use wmp_plan::Catalog;
+use wmp_plan::{Catalog, ResourceVector};
 use wmp_workloads::QueryRecord;
 
 use crate::learned::{LearnedWmp, LearnedWmpConfig};
+use crate::predictor::WorkloadPredictor;
 use crate::template::{PlanKMeansTemplates, TemplateLearner};
+use crate::workload::Workload;
 
 /// What one [`OnlineWmp::observe`] call did with the observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,26 +158,12 @@ impl OnlineWmp {
         }
     }
 
-    /// Predicts an unseen workload's memory demand (MB).
-    ///
-    /// # Errors
-    /// Returns [`MlError::NotFitted`] before the first (re)training.
-    pub fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        self.model
-            .as_ref()
-            .ok_or(MlError::NotFitted("OnlineWmp (no retraining has happened yet)"))?
-            .predict_workload(queries)
-    }
-
     /// Predicts an unseen workload's full resource demand (memory MB /
     /// CPU ms / IO pages).
     ///
     /// # Errors
     /// Returns [`MlError::NotFitted`] before the first (re)training.
-    pub fn predict_resources(
-        &self,
-        queries: &[&QueryRecord],
-    ) -> MlResult<wmp_plan::ResourceVector> {
+    pub fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
         self.model
             .as_ref()
             .ok_or(MlError::NotFitted("OnlineWmp (no retraining has happened yet)"))?
@@ -198,6 +186,41 @@ impl OnlineWmp {
     }
 }
 
+impl WorkloadPredictor for OnlineWmp {
+    fn name(&self) -> String {
+        match &self.model {
+            Some(m) => format!("Online{}", m.name()),
+            None => "OnlineWMP-untrained".to_string(),
+        }
+    }
+
+    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
+        OnlineWmp::predict_resources(self, queries)
+    }
+
+    fn predict_resources_many(
+        &self,
+        records: &[&QueryRecord],
+        workloads: &[Workload],
+    ) -> MlResult<Vec<ResourceVector>> {
+        self.model
+            .as_ref()
+            .ok_or(MlError::NotFitted("OnlineWmp (no retraining has happened yet)"))?
+            .predict_resources_many(records, workloads)
+    }
+
+    fn footprint_bytes(&self) -> usize {
+        self.model.as_ref().map_or(0, LearnedWmp::footprint_bytes)
+    }
+
+    fn assign_template(&self, query: &QueryRecord) -> MlResult<Option<usize>> {
+        match &self.model {
+            Some(m) => m.assign_template(query),
+            None => Ok(None),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,7 +240,7 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(300, 1).unwrap();
         let mut online = OnlineWmp::new(config(), policy(100, 1000));
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
-        assert!(matches!(online.predict_workload(&probe), Err(MlError::NotFitted(_))));
+        assert!(matches!(online.predict_resources(&probe), Err(MlError::NotFitted(_))));
         let mut retrains = 0;
         for r in &log.records {
             if online.observe(r.clone(), &log.catalog).unwrap().retrained() {
@@ -226,7 +249,7 @@ mod tests {
         }
         assert_eq!(retrains, 3, "300 observations at retrain_every=100");
         assert_eq!(online.retrain_count(), 3);
-        assert!(online.predict_workload(&probe).unwrap() > 0.0);
+        assert!(online.predict_resources(&probe).unwrap().memory_mb > 0.0);
     }
 
     #[test]
@@ -274,13 +297,8 @@ mod tests {
             let ws =
                 crate::workload::batch_workloads(&refs, 10, 7, crate::workload::LabelMode::Sum);
             let y: Vec<f64> = ws.iter().map(crate::workload::Workload::y_mb).collect();
-            let preds: Vec<f64> = ws
-                .iter()
-                .map(|w| {
-                    let qs: Vec<&QueryRecord> = w.query_indices.iter().map(|&i| refs[i]).collect();
-                    m.predict_workload(&qs).unwrap()
-                })
-                .collect();
+            let preds: Vec<f64> =
+                m.predict_resources_many(&refs, &ws).unwrap().iter().map(|r| r.memory_mb).collect();
             mape(&y, &preds).unwrap()
         };
         let stale = eval(&online, &phase2);
@@ -324,14 +342,14 @@ mod tests {
             .fit(&log)
             .unwrap();
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
-        let expected = pre_trained.predict_workload(&probe).unwrap();
+        let expected = pre_trained.predict_resources(&probe).unwrap();
 
         let mut online = OnlineWmp::new(config(), policy(1_000, 2_000));
-        assert!(online.predict_workload(&probe).is_err(), "cold model cannot predict");
+        assert!(online.predict_resources(&probe).is_err(), "cold model cannot predict");
         online.warm_start(pre_trained);
         assert_eq!(
-            online.predict_workload(&probe).unwrap().to_bits(),
-            expected.to_bits(),
+            online.predict_resources(&probe).unwrap().memory_mb.to_bits(),
+            expected.memory_mb.to_bits(),
             "warm-started predictions come from the seeded model"
         );
         // The seeded model's config takes over for future retrains.
@@ -353,8 +371,8 @@ mod tests {
         online.warm_start(LearnedWmp::load_from_reader(&mut artifact.as_slice()).unwrap());
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
         assert_eq!(
-            online.predict_workload(&probe).unwrap().to_bits(),
-            trained.predict_workload(&probe).unwrap().to_bits()
+            online.predict_resources(&probe).unwrap().memory_mb.to_bits(),
+            trained.predict_resources(&probe).unwrap().memory_mb.to_bits()
         );
     }
 

@@ -1,22 +1,23 @@
-//! The unified serving surface: every predictor family — [`LearnedWmp`], the
-//! [`SingleWmp`] ML baselines, the [`SingleWmpDbms`] heuristic, and the
-//! self-retraining [`OnlineWmp`] — answers workload-memory questions through
-//! one [`WorkloadPredictor`] trait.
+//! The unified serving surface: every predictor family — [`crate::LearnedWmp`],
+//! the [`crate::SingleWmp`] ML baselines, the [`crate::SingleWmpDbms`]
+//! heuristic, and the self-retraining [`crate::OnlineWmp`] — answers
+//! workload-demand questions through one [`WorkloadPredictor`] trait, with
+//! one predict method per input shape:
+//! [`WorkloadPredictor::predict_resources`] for one workload and
+//! [`WorkloadPredictor::predict_resources_many`] for a batched test set.
 //!
 //! This is the interface a serving daemon, the evaluation harness, and the
 //! figure binaries program against: hold a `Box<dyn WorkloadPredictor>` (or a
-//! `&dyn WorkloadPredictor`), call [`WorkloadPredictor::predict_workload`]
-//! per arriving batch, and report [`WorkloadPredictor::name`] /
-//! [`WorkloadPredictor::footprint_bytes`] in dashboards — without
-//! special-casing the model family at any call site.
+//! `&dyn WorkloadPredictor`), call [`WorkloadPredictor::predict_resources`]
+//! per arriving batch (memory-only callers read `.memory_mb`), and report
+//! [`WorkloadPredictor::name`] / [`WorkloadPredictor::footprint_bytes`] in
+//! dashboards — without special-casing the model family at any call site.
+//! Each family implements the trait next to its own type.
 
 use wmp_mlkit::MlResult;
 use wmp_plan::ResourceVector;
 use wmp_workloads::QueryRecord;
 
-use crate::learned::LearnedWmp;
-use crate::online::OnlineWmp;
-use crate::single::{SingleWmp, SingleWmpDbms};
 use crate::workload::Workload;
 
 /// Resolves a workload's `query_indices` against the record slice, rejecting
@@ -43,7 +44,7 @@ pub(crate) fn gather_queries<'r>(
         .collect()
 }
 
-/// A trained (or heuristic) model that predicts the collective working-memory
+/// A trained (or heuristic) model that predicts the collective resource
 /// demand of a workload — the common contract over the paper's three
 /// predictor families (§IV: LearnedWMP, SingleWMP, SingleWMP-DBMS).
 ///
@@ -56,8 +57,8 @@ pub trait WorkloadPredictor: Send + Sync {
     fn name(&self) -> String;
 
     /// Predicts the full resource demand of one workload — memory (MB), CPU
-    /// time (ms), and IO (pages). This is the primary prediction surface;
-    /// memory-only call sites use [`WorkloadPredictor::predict_workload`].
+    /// time (ms), and IO (pages). Memory-only call sites read `.memory_mb`:
+    /// it is the paper's memory predictor, bit for bit.
     ///
     /// Families without a model for an axis (and models trained before
     /// multi-resource labels) report zero on that axis.
@@ -67,40 +68,15 @@ pub trait WorkloadPredictor: Send + Sync {
     /// first return [`wmp_mlkit::MlError::NotFitted`].
     fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector>;
 
-    /// Predicts the memory demand (MB) of one workload — the memory
-    /// projection of [`WorkloadPredictor::predict_resources`].
-    /// Implementations with a cheaper scalar path may override it.
-    ///
-    /// # Errors
-    /// Same conditions as [`WorkloadPredictor::predict_resources`].
-    fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        Ok(self.predict_resources(queries)?.memory_mb)
-    }
-
     /// Predicts every workload of a batched test set (indices into
-    /// `records`). Implementations may override this with a batched fast
-    /// path; the default calls [`WorkloadPredictor::predict_workload`] per
-    /// workload.
+    /// `records`). The default resolves and validates indices per workload
+    /// and calls [`WorkloadPredictor::predict_resources`]; implementations
+    /// with a batched fast path may override it.
     ///
     /// # Errors
     /// Propagates per-workload errors, and rejects workloads whose
     /// `query_indices` fall outside `records` with a
     /// [`wmp_mlkit::MlError::DimensionMismatch`] instead of panicking.
-    fn predict_workloads(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<f64>> {
-        workloads.iter().map(|w| self.predict_workload(&gather_queries(records, w)?)).collect()
-    }
-
-    /// Predicts every workload's full resource demand. The default resolves
-    /// and validates indices per workload and calls
-    /// [`WorkloadPredictor::predict_resources`]; implementations with a
-    /// batched fast path may override it.
-    ///
-    /// # Errors
-    /// Same conditions as [`WorkloadPredictor::predict_workloads`].
     fn predict_resources_many(
         &self,
         records: &[&QueryRecord],
@@ -125,200 +101,98 @@ pub trait WorkloadPredictor: Send + Sync {
     }
 }
 
-impl WorkloadPredictor for LearnedWmp {
-    fn name(&self) -> String {
-        format!("LearnedWMP-{}", self.config().model.label())
-    }
-
-    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
-        LearnedWmp::predict_resources(self, queries)
-    }
-
-    fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        LearnedWmp::predict_workload(self, queries)
-    }
-
-    fn predict_workloads(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<f64>> {
-        // The batched path assigns each distinct record to its template once
-        // and reuses the assignment across overlapping workloads.
-        LearnedWmp::predict_workloads(self, records, workloads)
-    }
-
-    fn predict_resources_many(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<ResourceVector>> {
-        LearnedWmp::predict_resources_many(self, records, workloads)
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        LearnedWmp::footprint_bytes(self)
-    }
-
-    fn assign_template(&self, query: &QueryRecord) -> MlResult<Option<usize>> {
-        LearnedWmp::assign_template(self, query).map(Some)
-    }
-}
-
-impl WorkloadPredictor for SingleWmp {
-    fn name(&self) -> String {
-        format!("SingleWMP-{}", self.model().label())
-    }
-
-    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
-        SingleWmp::predict_resources(self, queries)
-    }
-
-    fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        SingleWmp::predict_workload(self, queries)
-    }
-
-    // `predict_workloads` uses the validating trait default: summing per
-    // query has no batched fast path to exploit.
-
-    fn footprint_bytes(&self) -> usize {
-        SingleWmp::footprint_bytes(self)
-    }
-}
-
-impl WorkloadPredictor for SingleWmpDbms {
-    fn name(&self) -> String {
-        "SingleWMP-DBMS".to_string()
-    }
-
-    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
-        Ok(SingleWmpDbms::predict_resources(self, queries))
-    }
-
-    fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        Ok(SingleWmpDbms::predict_workload(self, queries))
-    }
-
-    // `predict_workloads` uses the validating trait default.
-
-    fn footprint_bytes(&self) -> usize {
-        0
-    }
-}
-
-impl WorkloadPredictor for OnlineWmp {
-    fn name(&self) -> String {
-        match self.model() {
-            Some(m) => format!("Online{}", WorkloadPredictor::name(m)),
-            None => "OnlineWMP-untrained".to_string(),
-        }
-    }
-
-    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
-        OnlineWmp::predict_resources(self, queries)
-    }
-
-    fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        OnlineWmp::predict_workload(self, queries)
-    }
-
-    fn predict_workloads(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<f64>> {
-        match self.model() {
-            Some(m) => LearnedWmp::predict_workloads(m, records, workloads),
-            None => {
-                Err(wmp_mlkit::MlError::NotFitted("OnlineWmp (no retraining has happened yet)"))
-            }
-        }
-    }
-
-    fn predict_resources_many(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<ResourceVector>> {
-        match self.model() {
-            Some(m) => LearnedWmp::predict_resources_many(m, records, workloads),
-            None => {
-                Err(wmp_mlkit::MlError::NotFitted("OnlineWmp (no retraining has happened yet)"))
-            }
-        }
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.model().map_or(0, LearnedWmp::footprint_bytes)
-    }
-
-    fn assign_template(&self, query: &QueryRecord) -> MlResult<Option<usize>> {
-        match self.model() {
-            Some(m) => LearnedWmp::assign_template(m, query).map(Some),
-            None => Ok(None),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use wmp_mlkit::MlError;
+
     use super::*;
     use crate::builder::TemplateSpec;
+    use crate::handle::PredictorHandle;
+    use crate::learned::LearnedWmp;
     use crate::model::ModelKind;
+    use crate::online::{OnlinePolicy, OnlineWmp};
+    use crate::single::{SingleWmp, SingleWmpDbms};
     use crate::workload::{batch_workloads, LabelMode};
 
-    #[test]
-    fn all_families_serve_through_one_trait_object() {
-        let log = wmp_workloads::tpcc::generate(400, 5).unwrap();
+    /// One trained member of every family besides the stateless
+    /// [`SingleWmpDbms`]: LearnedWMP, SingleWMP, an OnlineWMP after one
+    /// retrain, and a handle over a LearnedWMP.
+    fn families(
+        log: &wmp_workloads::QueryLog,
+    ) -> (LearnedWmp, SingleWmp, OnlineWmp, PredictorHandle) {
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let learned = LearnedWmp::builder()
-            .model(ModelKind::Ridge)
+            .model(ModelKind::Xgb)
             .templates(TemplateSpec::PlanKMeans { k: 8, seed: 1 })
-            .fit(&log)
+            .fit(log)
             .unwrap();
         let single = SingleWmp::train(ModelKind::Ridge, &refs).unwrap();
-        let predictors: Vec<Box<dyn WorkloadPredictor>> =
-            vec![Box::new(learned), Box::new(single), Box::new(SingleWmpDbms)];
-        let ws = batch_workloads(&refs, 10, 3, LabelMode::Sum);
-        for p in &predictors {
-            let one = p.predict_workload(&refs[..10]).unwrap();
-            assert!(one > 0.0, "{}", p.name());
-            let many = p.predict_workloads(&refs, &ws).unwrap();
-            assert_eq!(many.len(), ws.len(), "{}", p.name());
-            assert!(many.iter().all(|v| v.is_finite()), "{}", p.name());
-            // The full-resource surface serves every family too, and its
-            // memory axis agrees with the scalar path.
-            let vec_one = p.predict_resources(&refs[..10]).unwrap();
-            assert!(vec_one.is_finite(), "{}: {vec_one}", p.name());
-            assert_eq!(vec_one.memory_mb.to_bits(), one.to_bits(), "{}", p.name());
-            assert!(vec_one.cpu_ms > 0.0, "{}: cpu axis must be modeled", p.name());
-            let vec_many = p.predict_resources_many(&refs, &ws).unwrap();
-            assert_eq!(vec_many.len(), ws.len(), "{}", p.name());
-            for (scalar, vector) in many.iter().zip(&vec_many) {
-                assert_eq!(vector.memory_mb.to_bits(), scalar.to_bits(), "{}", p.name());
-            }
+        let policy = OnlinePolicy { retrain_every: usize::MAX, window: refs.len(), k_templates: 6 };
+        let mut online = OnlineWmp::new(learned.config().clone(), policy);
+        for r in &log.records {
+            let _ = online.observe(r.clone(), &log.catalog).unwrap();
         }
-        let names: Vec<String> = predictors.iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["LearnedWMP-Ridge", "SingleWMP-Ridge", "SingleWMP-DBMS"]);
-        assert_eq!(predictors[2].footprint_bytes(), 0);
-        assert!(predictors[0].footprint_bytes() > 0);
+        online.retrain(&log.catalog).unwrap();
+        let handle = PredictorHandle::new(learned.codec_clone().unwrap());
+        (learned, single, online, handle)
     }
 
     #[test]
     fn batched_trait_path_matches_per_workload_path() {
-        let log = wmp_workloads::tpcc::generate(300, 2).unwrap();
+        let log = wmp_workloads::tpcc::generate(400, 5).unwrap();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
-        let learned = LearnedWmp::builder()
-            .model(ModelKind::Xgb)
-            .templates(TemplateSpec::PlanKMeans { k: 6, seed: 1 })
-            .fit(&log)
-            .unwrap();
-        let p: &dyn WorkloadPredictor = &learned;
+        let (learned, single, online, handle) = families(&log);
+        let predictors: [&dyn WorkloadPredictor; 5] =
+            [&learned, &single, &SingleWmpDbms, &online, &handle];
         let ws = batch_workloads(&refs, 10, 9, LabelMode::Sum);
-        let batched = p.predict_workloads(&refs, &ws).unwrap();
-        for (w, b) in ws.iter().zip(&batched) {
-            let queries: Vec<&QueryRecord> = w.query_indices.iter().map(|&i| refs[i]).collect();
-            assert_eq!(p.predict_workload(&queries).unwrap().to_bits(), b.to_bits());
+        for p in predictors {
+            let probe = p.predict_resources(&refs[..10]).unwrap();
+            assert!(probe.is_finite() && probe.memory_mb > 0.0, "{}: {probe}", p.name());
+            assert!(probe.cpu_ms > 0.0, "{}: cpu axis must be modeled", p.name());
+            let many = p.predict_resources_many(&refs, &ws).unwrap();
+            assert_eq!(many.len(), ws.len(), "{}", p.name());
+            for (w, batched) in ws.iter().zip(&many) {
+                let one = p.predict_resources(&gather_queries(&refs, w).unwrap()).unwrap();
+                assert_eq!(
+                    one.as_array().map(f64::to_bits),
+                    batched.as_array().map(f64::to_bits),
+                    "{}",
+                    p.name()
+                );
+            }
+            assert_eq!(p.footprint_bytes() == 0, p.name() == "SingleWMP-DBMS", "{}", p.name());
+        }
+        let names: Vec<String> = predictors.iter().map(|p| p.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "LearnedWMP-XGB",
+                "SingleWMP-Ridge",
+                "SingleWMP-DBMS",
+                "OnlineLearnedWMP-XGB",
+                "LearnedWMP-XGB"
+            ]
+        );
+    }
+
+    #[test]
+    fn out_of_range_query_indices_are_typed_errors_for_every_family() {
+        let log = wmp_workloads::tpcc::generate(200, 3).unwrap();
+        let refs: Vec<&QueryRecord> = log.records.iter().collect();
+        let (learned, single, online, handle) = families(&log);
+        let bad = [Workload { query_indices: vec![0, refs.len()], y: ResourceVector::ZERO }];
+        let concrete = [
+            learned.predict_resources_many(&refs, &bad),
+            single.predict_resources_many(&refs, &bad),
+            SingleWmpDbms.predict_resources_many(&refs, &bad),
+            online.predict_resources_many(&refs, &bad),
+            handle.predict_resources_many(&refs, &bad),
+        ];
+        let predictors: [&dyn WorkloadPredictor; 5] =
+            [&learned, &single, &SingleWmpDbms, &online, &handle];
+        let through_dyn = predictors.map(|p| p.predict_resources_many(&refs, &bad));
+        for result in concrete.into_iter().chain(through_dyn) {
+            assert!(matches!(result, Err(MlError::DimensionMismatch { .. })), "{result:?}");
         }
     }
 }

@@ -8,7 +8,7 @@ use wmp_plan::{ResourceVector, N_RESOURCES};
 use wmp_workloads::QueryRecord;
 
 use crate::model::{Approach, ModelKind};
-use crate::workload::Workload;
+use crate::predictor::WorkloadPredictor;
 
 /// A trained single-query model: plan features → per-query peak memory.
 pub struct SingleWmp {
@@ -42,73 +42,31 @@ impl SingleWmp {
         Ok(SingleWmp { model, regressor, fit_ms, n_train_queries: records.len() })
     }
 
-    /// Per-query memory prediction (MB).
-    ///
-    /// # Errors
-    /// Propagates prediction errors.
-    pub fn predict_query(&self, record: &QueryRecord) -> MlResult<f64> {
-        self.regressor.predict_row(&record.features)
-    }
-
-    /// Per-query full-resource prediction (memory MB / CPU ms / IO pages).
-    ///
-    /// # Errors
-    /// Propagates prediction errors.
-    pub fn predict_query_resources(&self, record: &QueryRecord) -> MlResult<ResourceVector> {
-        Ok(ResourceVector::from_partial(&self.regressor.predict_row_multi(&record.features)?))
-    }
-
-    /// Workload prediction = Σ per-query predictions (paper eq. 11), memory
-    /// axis only.
-    ///
-    /// # Errors
-    /// Propagates prediction errors.
-    pub fn predict_workload(&self, queries: &[&QueryRecord]) -> MlResult<f64> {
-        let mut total = 0.0;
-        for q in queries {
-            total += self.predict_query(q)?;
-        }
-        Ok(total)
-    }
-
-    /// Workload resource prediction = componentwise Σ per-query predictions.
-    ///
-    /// # Errors
-    /// Propagates prediction errors.
-    pub fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
-        let mut total = ResourceVector::ZERO;
-        for q in queries {
-            total += self.predict_query_resources(q)?;
-        }
-        Ok(total)
-    }
-
-    /// Predicts every workload in a batched test set.
-    ///
-    /// # Errors
-    /// Propagates per-workload errors.
-    pub fn predict_workloads(
-        &self,
-        records: &[&QueryRecord],
-        workloads: &[Workload],
-    ) -> MlResult<Vec<f64>> {
-        workloads
-            .iter()
-            .map(|w| {
-                let queries: Vec<&QueryRecord> =
-                    w.query_indices.iter().map(|&i| records[i]).collect();
-                self.predict_workload(&queries)
-            })
-            .collect()
-    }
-
     /// The learner family.
     pub fn model(&self) -> ModelKind {
         self.model
     }
+}
 
-    /// Model size in bytes.
-    pub fn footprint_bytes(&self) -> usize {
+impl WorkloadPredictor for SingleWmp {
+    fn name(&self) -> String {
+        format!("SingleWMP-{}", self.model.label())
+    }
+
+    /// Workload prediction = componentwise Σ per-query predictions (paper
+    /// eq. 11); the memory axis is the scalar per-query head summed.
+    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
+        let mut total = ResourceVector::ZERO;
+        for q in queries {
+            total += ResourceVector::from_partial(&self.regressor.predict_row_multi(&q.features)?);
+        }
+        Ok(total)
+    }
+
+    // `predict_resources_many` uses the validating trait default: summing
+    // per query has no batched fast path to exploit.
+
+    fn footprint_bytes(&self) -> usize {
         self.regressor.footprint_bytes()
     }
 }
@@ -118,28 +76,19 @@ impl SingleWmp {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SingleWmpDbms;
 
-impl SingleWmpDbms {
-    /// Workload estimate = Σ per-query optimizer memory estimates (MB).
-    pub fn predict_workload(&self, queries: &[&QueryRecord]) -> f64 {
-        queries.iter().map(|q| q.dbms_estimate_mb()).sum()
+impl WorkloadPredictor for SingleWmpDbms {
+    fn name(&self) -> String {
+        "SingleWMP-DBMS".to_string()
     }
 
-    /// Workload resource estimate = componentwise Σ per-query optimizer
-    /// estimates (the cost-model side of the heuristic).
-    pub fn predict_resources(&self, queries: &[&QueryRecord]) -> ResourceVector {
-        queries.iter().map(|q| q.dbms_estimate).sum()
+    /// Workload estimate = componentwise Σ per-query optimizer estimates
+    /// (the cost-model side of the heuristic).
+    fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
+        Ok(queries.iter().map(|q| q.dbms_estimate).sum())
     }
 
-    /// Predicts every workload in a batched test set.
-    pub fn predict_workloads(&self, records: &[&QueryRecord], workloads: &[Workload]) -> Vec<f64> {
-        workloads
-            .iter()
-            .map(|w| {
-                let queries: Vec<&QueryRecord> =
-                    w.query_indices.iter().map(|&i| records[i]).collect();
-                self.predict_workload(&queries)
-            })
-            .collect()
+    fn footprint_bytes(&self) -> usize {
+        0
     }
 }
 
@@ -152,6 +101,11 @@ mod tests {
         wmp_workloads::tpcc::generate(500, 3).unwrap()
     }
 
+    /// One query scored as a one-query workload.
+    fn per_query(m: &SingleWmp, r: &&QueryRecord) -> ResourceVector {
+        m.predict_resources(std::slice::from_ref(r)).unwrap()
+    }
+
     #[test]
     fn trains_and_sums_per_query_predictions() {
         let log = log();
@@ -159,8 +113,8 @@ mod tests {
         let m = SingleWmp::train(ModelKind::Xgb, &refs).unwrap();
         assert_eq!(m.n_train_queries, 500);
         assert!(m.fit_ms > 0.0);
-        let w: f64 = m.predict_workload(&refs[..10]).unwrap();
-        let parts: f64 = refs[..10].iter().map(|r| m.predict_query(r).unwrap()).sum();
+        let w = m.predict_resources(&refs[..10]).unwrap().memory_mb;
+        let parts: f64 = refs[..10].iter().map(|r| per_query(&m, r).memory_mb).sum();
         assert!((w - parts).abs() < 1e-9, "workload prediction is the sum of queries");
     }
 
@@ -169,7 +123,7 @@ mod tests {
         let log = log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let m = SingleWmp::train(ModelKind::Rf, &refs).unwrap();
-        let preds: Vec<f64> = refs.iter().map(|r| m.predict_query(r).unwrap()).collect();
+        let preds: Vec<f64> = refs.iter().map(|r| per_query(&m, r).memory_mb).collect();
         let y: Vec<f64> = refs.iter().map(|r| r.true_memory_mb()).collect();
         let r2 = wmp_mlkit::metrics::r2(&y, &preds).unwrap();
         assert!(r2 > 0.7, "in-sample r2 = {r2}");
@@ -180,19 +134,18 @@ mod tests {
         let log = log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let m = SingleWmp::train(ModelKind::Rf, &refs).unwrap();
-        let one = m.predict_query_resources(refs[0]).unwrap();
+        let one = per_query(&m, &refs[0]);
         assert!(one.is_finite(), "{one}");
-        // Memory head is the scalar prediction.
-        assert_eq!(one.memory_mb.to_bits(), m.predict_query(refs[0]).unwrap().to_bits());
+        // Memory head is the scalar regressor prediction.
+        let head0 = m.regressor.predict_row(&refs[0].features).unwrap();
+        assert_eq!(one.memory_mb.to_bits(), head0.to_bits());
         let w = m.predict_resources(&refs[..10]).unwrap();
-        let parts: ResourceVector =
-            refs[..10].iter().map(|r| m.predict_query_resources(r).unwrap()).sum();
+        let parts: ResourceVector = refs[..10].iter().map(|r| per_query(&m, r)).sum();
         assert!(w.abs_diff(parts).as_array().iter().all(|d| *d < 1e-9));
         assert!(w.cpu_ms > 0.0 && w.io_pages > 0.0, "{w}");
         // In-sample CPU accuracy is meaningful, not noise.
         let y: Vec<f64> = refs.iter().map(|r| r.resources.cpu_ms).collect();
-        let p: Vec<f64> =
-            refs.iter().map(|r| m.predict_query_resources(r).unwrap().cpu_ms).collect();
+        let p: Vec<f64> = refs.iter().map(|r| per_query(&m, r).cpu_ms).collect();
         let r2 = wmp_mlkit::metrics::r2(&y, &p).unwrap();
         assert!(r2 > 0.7, "in-sample cpu r2 = {r2}");
     }
@@ -202,9 +155,8 @@ mod tests {
         let log = log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let expected: ResourceVector = refs[..10].iter().map(|r| r.dbms_estimate).sum();
-        let got = SingleWmpDbms.predict_resources(&refs[..10]);
+        let got = SingleWmpDbms.predict_resources(&refs[..10]).unwrap();
         assert!(got.abs_diff(expected).as_array().iter().all(|d| *d < 1e-9));
-        assert!((got.memory_mb - SingleWmpDbms.predict_workload(&refs[..10])).abs() < 1e-9);
     }
 
     #[test]
@@ -213,11 +165,11 @@ mod tests {
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let dbms = SingleWmpDbms;
         let expected: f64 = refs[..10].iter().map(|r| r.dbms_estimate_mb()).sum();
-        assert!((dbms.predict_workload(&refs[..10]) - expected).abs() < 1e-9);
+        assert!((dbms.predict_resources(&refs[..10]).unwrap().memory_mb - expected).abs() < 1e-9);
         let ws = batch_workloads(&refs, 10, 0, LabelMode::Sum);
-        let preds = dbms.predict_workloads(&refs, &ws);
+        let preds = dbms.predict_resources_many(&refs, &ws).unwrap();
         assert_eq!(preds.len(), ws.len());
-        assert!(preds.iter().all(|p| *p > 0.0));
+        assert!(preds.iter().all(|p| p.memory_mb > 0.0));
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(200, 1).unwrap();
         let model = trained_on(&log, ModelKind::Ridge, 1);
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
-        let expected = model.predict_workload(&probe).unwrap();
+        let expected = model.predict_resources(&probe).unwrap().memory_mb;
 
         let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
         let tickets: Vec<QueryTicket> =
@@ -270,8 +270,8 @@ mod tests {
         let a = trained_on(&log, ModelKind::Ridge, 4);
         let b = trained_on(&log, ModelKind::Xgb, 5);
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
-        let pa = a.predict_workload(&probe).unwrap();
-        let pb = b.predict_workload(&probe).unwrap();
+        let pa = a.predict_resources(&probe).unwrap().memory_mb;
+        let pb = b.predict_resources(&probe).unwrap().memory_mb;
         assert_ne!(pa.to_bits(), pb.to_bits());
 
         let dir = std::env::temp_dir().join("wmp-serve-reload-test");
@@ -307,7 +307,7 @@ mod tests {
         let seed_log = wmp_workloads::tpcc::generate(300, 77).unwrap();
         let seed_model = trained_on(&seed_log, ModelKind::Ridge, 6);
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
-        let seeded = seed_model.predict_workload(&probe).unwrap();
+        let seeded = seed_model.predict_resources(&probe).unwrap().memory_mb;
 
         let config = LearnedWmpConfig { model: ModelKind::Ridge, ..Default::default() };
         let policy = OnlinePolicy { retrain_every: 200, window: 1_000, k_templates: 6 };

@@ -427,18 +427,25 @@ mod tests {
 
     #[test]
     fn decisions_emit_structured_events() {
-        let recorder = std::sync::Arc::new(wmp_obs::RingBufferRecorder::with_capacity(64));
+        // The subscriber is process-global, so sibling tests' events land in
+        // this recorder too: a budget no other test uses tags ours.
+        const BUDGET_MB: f64 = 97.0;
+        let recorder = std::sync::Arc::new(wmp_obs::RingBufferRecorder::with_capacity(1024));
         wmp_obs::set_subscriber(recorder.clone());
-        let mut gate = AdmissionController::new(100.0);
+        let mut gate = AdmissionController::new(BUDGET_MB);
         let Admission::Admitted(first) = gate.offer(60.0, 90.0) else { panic!("admit") };
-        assert!(gate.offer(30.0, 40.0).admitted()); // actual 130 > 100: overflow
+        assert!(gate.offer(30.0, 40.0).admitted()); // actual 130 > 97: overflow
         gate.complete(first); // actual occupancy back to 40
-                              // Over-prediction: 30 + 80 predicted > 100 rejects, but 40 + 10
+                              // Over-prediction: 30 + 80 predicted > 97 rejects, but 40 + 10
                               // actual would have fit — a wasteful rejection.
         assert_eq!(gate.offer(80.0, 10.0), Admission::Rejected);
         wmp_obs::clear_subscriber();
 
-        let events = recorder.take();
+        let events: Vec<_> = recorder
+            .take()
+            .into_iter()
+            .filter(|e| e.field("budget_mb").and_then(|f| f.as_f64()) == Some(BUDGET_MB))
+            .collect();
         let decisions: Vec<_> = events.iter().filter(|e| e.name == "admission_decision").collect();
         assert_eq!(decisions.len(), 3);
         assert_eq!(decisions[0].field("admitted").and_then(|f| f.as_bool()), Some(true));

@@ -37,7 +37,8 @@ fn main() {
     let batches = batch_workloads(&future, 10, 3, LabelMode::Sum);
     let actual: Vec<f64> = batches.iter().map(|w| w.y_mb()).collect();
     let predict = |p: &dyn WorkloadPredictor| -> Vec<f64> {
-        p.predict_workloads(&future, &batches).expect("prediction")
+        let preds = p.predict_resources_many(&future, &batches).expect("prediction");
+        preds.iter().map(|r| r.memory_mb).collect()
     };
     let learned = predict(&model);
     let heuristic = predict(&SingleWmpDbms);

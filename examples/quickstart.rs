@@ -58,8 +58,10 @@ fn main() {
     println!("  {:>10} {:>12} {:>12} {:>12}", "workload", "actual MB", "LearnedWMP", "DBMS est.");
     for (i, w) in workloads.iter().take(5).enumerate() {
         let queries: Vec<&QueryRecord> = w.query_indices.iter().map(|&j| test[j]).collect();
-        let preds: Vec<f64> =
-            predictors.iter().map(|p| p.predict_workload(&queries).expect("prediction")).collect();
+        let preds: Vec<f64> = predictors
+            .iter()
+            .map(|p| p.predict_resources(&queries).expect("prediction").memory_mb)
+            .collect();
         println!("  {:>10} {:>12.1} {:>12.1} {:>12.1}", i, w.y_mb(), preds[0], preds[1]);
     }
 
@@ -69,7 +71,12 @@ fn main() {
     println!("\nRMSE over {} unseen workloads:", workloads.len());
     let mut rmses = Vec::new();
     for p in &predictors {
-        let preds = p.predict_workloads(&test, &workloads).expect("prediction");
+        let preds: Vec<f64> = p
+            .predict_resources_many(&test, &workloads)
+            .expect("prediction")
+            .iter()
+            .map(|r| r.memory_mb)
+            .collect();
         let rmse = learnedwmp::mlkit::metrics::rmse(&y, &preds).expect("rmse");
         println!("  {:<16}: {rmse:>8.1} MB  (model size {:.1} kB)", p.name(), {
             p.footprint_bytes() as f64 / 1024.0

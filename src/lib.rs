@@ -49,9 +49,9 @@
 //! //    the uniform `WorkloadPredictor` trait (every family implements it).
 //! let workload: Vec<_> = log.records.iter().take(10).collect();
 //! let predictor: &dyn WorkloadPredictor = &served;
-//! let predicted_mb = predictor.predict_workload(&workload).unwrap();
+//! let predicted_mb = predictor.predict_resources(&workload).unwrap().memory_mb;
 //! assert!(predicted_mb > 0.0);
-//! assert_eq!(predicted_mb, model.predict_workload(&workload).unwrap());
+//! assert_eq!(predicted_mb, model.predict_resources(&workload).unwrap().memory_mb);
 //! ```
 //!
 //! ## SQL ingestion

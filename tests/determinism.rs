@@ -57,8 +57,8 @@ fn trained_models_predict_identically_for_fixed_seeds() {
     let m2 = train(42);
     for chunk in refs.chunks(10).take(5) {
         assert_eq!(
-            m1.predict_workload(chunk).expect("p1"),
-            m2.predict_workload(chunk).expect("p2")
+            m1.predict_resources(chunk).expect("p1"),
+            m2.predict_resources(chunk).expect("p2")
         );
     }
 }

@@ -107,11 +107,14 @@ fn histogram_dimension_matches_template_count() {
 fn workload_prediction_is_consistent_with_members() {
     // SingleWMP workload prediction must equal the sum of member predictions
     // (paper eq. 11), checked through the public facade.
-    use learnedwmp::core::SingleWmp;
+    use learnedwmp::core::{ResourceVector, SingleWmp, WorkloadPredictor};
     let log = learnedwmp::workloads::tpcc::generate(600, 9).expect("tpcc");
     let refs: Vec<_> = log.records.iter().collect();
     let model = SingleWmp::train(ModelKind::Dt, &refs).expect("train");
-    let total = model.predict_workload(&refs[..7]).expect("workload");
-    let by_parts: f64 = refs[..7].iter().map(|r| model.predict_query(r).expect("query")).sum();
-    assert!((total - by_parts).abs() < 1e-9);
+    let total = model.predict_resources(&refs[..7]).expect("workload");
+    let by_parts: ResourceVector = refs[..7]
+        .iter()
+        .map(|r| model.predict_resources(std::slice::from_ref(r)).expect("query"))
+        .sum();
+    assert!(total.abs_diff(by_parts).as_array().iter().all(|d| *d < 1e-9));
 }

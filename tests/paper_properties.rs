@@ -141,8 +141,8 @@ fn learned_inference_makes_one_call_per_workload() {
     let mut reversed = workload.clone();
     reversed.reverse();
     assert_eq!(
-        model.predict_workload(&workload).expect("fwd"),
-        model.predict_workload(&reversed).expect("rev"),
+        model.predict_resources(&workload).expect("fwd"),
+        model.predict_resources(&reversed).expect("rev"),
         "prediction is permutation-invariant (pure distribution regression)"
     );
 }

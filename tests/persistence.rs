@@ -36,17 +36,20 @@ fn save_load_predict_is_bit_identical_for_every_model_kind() {
         // Single-workload path.
         for chunk in refs.chunks(10).take(5) {
             assert_eq!(
-                model.predict_workload(chunk).expect("orig").to_bits(),
-                reloaded.predict_workload(chunk).expect("reloaded").to_bits(),
+                model.predict_resources(chunk).expect("orig").as_array().map(f64::to_bits),
+                reloaded.predict_resources(chunk).expect("reloaded").as_array().map(f64::to_bits),
                 "{kind:?}: single-workload prediction must be bit-identical"
             );
         }
         // Batched trait path.
-        let a = WorkloadPredictor::predict_workloads(&model, &refs, &workloads).expect("orig");
-        let b =
-            WorkloadPredictor::predict_workloads(&reloaded, &refs, &workloads).expect("reloaded");
+        let a = model.predict_resources_many(&refs, &workloads).expect("orig");
+        let b = reloaded.predict_resources_many(&refs, &workloads).expect("reloaded");
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{kind:?}: batched prediction drifted");
+            assert_eq!(
+                x.as_array().map(f64::to_bits),
+                y.as_array().map(f64::to_bits),
+                "{kind:?}: batched prediction drifted"
+            );
         }
         // Metadata and size accounting survive too.
         assert_eq!(model.footprint_bytes(), reloaded.footprint_bytes(), "{kind:?}");
@@ -72,8 +75,8 @@ fn file_round_trip_via_paths() {
     std::fs::remove_file(&path).ok();
     let refs: Vec<&QueryRecord> = log.records.iter().collect();
     assert_eq!(
-        model.predict_workload(&refs[..10]).unwrap().to_bits(),
-        reloaded.predict_workload(&refs[..10]).unwrap().to_bits()
+        model.predict_resources(&refs[..10]).unwrap().as_array().map(f64::to_bits),
+        reloaded.predict_resources(&refs[..10]).unwrap().as_array().map(f64::to_bits)
     );
 }
 
@@ -112,7 +115,7 @@ fn version_1_fixture_still_loads_and_predicts_the_recorded_bits() {
         r.features.truncate(20);
     }
     let refs: Vec<&QueryRecord> = records.iter().collect();
-    let pred = model.predict_workload(&refs[..10]).expect("predict");
+    let pred = model.predict_resources(&refs[..10]).expect("predict").memory_mb;
     assert_eq!(
         pred.to_bits(),
         0x3fe4_b7a2_4e70_2334,

@@ -24,9 +24,9 @@ fn a_serving_daemon_shape_holds_every_family_behind_one_trait() {
         vec![Box::new(learned), Box::new(single), Box::new(SingleWmpDbms)];
     let workloads = batch_workloads(&refs, 10, 1, LabelMode::Sum);
     for p in &fleet {
-        let preds = p.predict_workloads(&refs, &workloads).expect("batched");
+        let preds = p.predict_resources_many(&refs, &workloads).expect("batched");
         assert_eq!(preds.len(), workloads.len(), "{}", p.name());
-        assert!(preds.iter().all(|v| v.is_finite() && *v > 0.0), "{}", p.name());
+        assert!(preds.iter().all(|v| v.is_finite() && v.memory_mb > 0.0), "{}", p.name());
     }
     let names: Vec<String> = fleet.iter().map(|p| p.name()).collect();
     assert_eq!(names, ["LearnedWMP-XGB", "SingleWMP-XGB", "SingleWMP-DBMS"]);
@@ -59,12 +59,12 @@ fn batched_fast_path_agrees_with_per_workload_calls() {
     // differently-composed workloads.
     let mut workloads = batch_workloads(&refs, 10, 1, LabelMode::Sum);
     workloads.extend(batch_workloads(&refs, 10, 2, LabelMode::Sum));
-    let batched = model.predict_workloads(&refs, &workloads).expect("batched");
+    let batched = model.predict_resources_many(&refs, &workloads).expect("batched");
     for (w, b) in workloads.iter().zip(&batched) {
         let queries: Vec<&QueryRecord> = w.query_indices.iter().map(|&i| refs[i]).collect();
         assert_eq!(
-            model.predict_workload(&queries).expect("single").to_bits(),
-            b.to_bits(),
+            model.predict_resources(&queries).expect("single").as_array().map(f64::to_bits),
+            b.as_array().map(f64::to_bits),
             "fast path must be bit-identical to the per-workload path"
         );
     }
@@ -91,8 +91,8 @@ fn online_loop_warm_starts_from_a_shipped_artifact() {
     online.warm_start(shipped);
     let probe: Vec<&QueryRecord> = history.records[..10].iter().collect();
     assert_eq!(
-        online.predict_workload(&probe).expect("warm prediction").to_bits(),
-        offline.predict_workload(&probe).expect("offline prediction").to_bits(),
+        online.predict_resources(&probe).expect("warm prediction").as_array().map(f64::to_bits),
+        offline.predict_resources(&probe).expect("offline prediction").as_array().map(f64::to_bits),
         "a warm-started loop serves the shipped model verbatim"
     );
 
@@ -106,7 +106,7 @@ fn online_loop_warm_starts_from_a_shipped_artifact() {
     assert_eq!(outcomes.iter().filter(|o| o.retrained()).count(), 1);
     assert!(matches!(outcomes.last(), Some(RetrainOutcome::Retrained { pass: 1, .. })));
     assert_eq!(online.retrain_count(), 1);
-    assert!(online.predict_workload(&probe).expect("post-retrain") > 0.0);
+    assert!(online.predict_resources(&probe).expect("post-retrain").memory_mb > 0.0);
 }
 
 #[test]
@@ -126,5 +126,5 @@ fn online_predictor_also_serves_through_the_trait() {
     assert_eq!(warm.name(), "OnlineLearnedWMP-Ridge");
     assert!(warm.footprint_bytes() > 0);
     let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
-    assert!(warm.predict_workload(&probe).expect("prediction") > 0.0);
+    assert!(warm.predict_resources(&probe).expect("prediction").memory_mb > 0.0);
 }

@@ -34,8 +34,8 @@ fn concurrent_readers_never_observe_a_torn_model_during_hot_swap() {
 
     let a = train(&log, ModelKind::Ridge, 1);
     let b = train(&log, ModelKind::Xgb, 2);
-    let pa = a.predict_workload(&probe).expect("a");
-    let pb = b.predict_workload(&probe).expect("b");
+    let pa = a.predict_resources(&probe).expect("a").memory_mb;
+    let pb = b.predict_resources(&probe).expect("b").memory_mb;
     assert_ne!(pa.to_bits(), pb.to_bits(), "the two models must be distinguishable");
 
     // Version parity encodes which model is installed: even = A, odd = B
@@ -52,7 +52,7 @@ fn concurrent_readers_never_observe_a_torn_model_during_hot_swap() {
                 while !writer_done.load(Ordering::Acquire) {
                     let snapshot = handle.snapshot();
                     let version = snapshot.version();
-                    let got = snapshot.predict_workload(&probe).expect("prediction");
+                    let got = snapshot.predict_resources(&probe).expect("prediction").memory_mb;
                     let expected = if version.is_multiple_of(2) { pa } else { pb };
                     assert_eq!(
                         got.to_bits(),
@@ -96,7 +96,7 @@ fn pinned_snapshots_survive_many_swaps_unchanged() {
     let log = learnedwmp::workloads::tpcc::generate(300, 12).expect("log");
     let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
     let a = train(&log, ModelKind::Ridge, 3);
-    let pa = a.predict_workload(&probe).expect("a");
+    let pa = a.predict_resources(&probe).expect("a").memory_mb;
     let handle = PredictorHandle::new(a);
     let pinned = handle.snapshot();
     let b = train(&log, ModelKind::Dt, 4);
@@ -105,7 +105,7 @@ fn pinned_snapshots_survive_many_swaps_unchanged() {
     }
     // The pinned snapshot still serves the original model bit-exactly.
     assert_eq!(pinned.version(), 0);
-    assert_eq!(pinned.predict_workload(&probe).expect("pinned").to_bits(), pa.to_bits());
+    assert_eq!(pinned.predict_resources(&probe).expect("pinned").memory_mb.to_bits(), pa.to_bits());
     assert_eq!(handle.version(), 10);
 }
 

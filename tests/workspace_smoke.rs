@@ -19,8 +19,9 @@ fn every_model_kind_trains_and_predicts_positive_memory() {
             .unwrap_or_else(|e| panic!("{kind:?} failed to train: {e}"));
         for workload in train.chunks(8).take(4) {
             let mb = model
-                .predict_workload(workload)
-                .unwrap_or_else(|e| panic!("{kind:?} failed to predict: {e}"));
+                .predict_resources(workload)
+                .unwrap_or_else(|e| panic!("{kind:?} failed to predict: {e}"))
+                .memory_mb;
             assert!(mb.is_finite() && mb > 0.0, "{kind:?} predicted {mb} for a nonempty workload");
         }
     }
