@@ -138,28 +138,25 @@ mod tests {
     }
 
     #[test]
-    fn batched_trait_path_matches_per_workload_path() {
+    fn all_families_serve_through_one_trait_object() {
         let log = wmp_workloads::tpcc::generate(400, 5).unwrap();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let (learned, single, online, handle) = families(&log);
-        let predictors: [&dyn WorkloadPredictor; 5] =
-            [&learned, &single, &SingleWmpDbms, &online, &handle];
-        let ws = batch_workloads(&refs, 10, 9, LabelMode::Sum);
-        for p in predictors {
-            let probe = p.predict_resources(&refs[..10]).unwrap();
-            assert!(probe.is_finite() && probe.memory_mb > 0.0, "{}: {probe}", p.name());
-            assert!(probe.cpu_ms > 0.0, "{}: cpu axis must be modeled", p.name());
+        let predictors: Vec<Box<dyn WorkloadPredictor>> = vec![
+            Box::new(learned),
+            Box::new(single),
+            Box::new(SingleWmpDbms),
+            Box::new(online),
+            Box::new(handle),
+        ];
+        let ws = batch_workloads(&refs, 10, 3, LabelMode::Sum);
+        for p in &predictors {
+            let one = p.predict_resources(&refs[..10]).unwrap();
+            assert!(one.is_finite() && one.memory_mb > 0.0, "{}: {one}", p.name());
+            assert!(one.cpu_ms > 0.0, "{}: cpu axis must be modeled", p.name());
             let many = p.predict_resources_many(&refs, &ws).unwrap();
             assert_eq!(many.len(), ws.len(), "{}", p.name());
-            for (w, batched) in ws.iter().zip(&many) {
-                let one = p.predict_resources(&gather_queries(&refs, w).unwrap()).unwrap();
-                assert_eq!(
-                    one.as_array().map(f64::to_bits),
-                    batched.as_array().map(f64::to_bits),
-                    "{}",
-                    p.name()
-                );
-            }
+            assert!(many.iter().all(|v| v.is_finite()), "{}", p.name());
             assert_eq!(p.footprint_bytes() == 0, p.name() == "SingleWMP-DBMS", "{}", p.name());
         }
         let names: Vec<String> = predictors.iter().map(|p| p.name()).collect();
@@ -173,6 +170,29 @@ mod tests {
                 "LearnedWMP-XGB"
             ]
         );
+    }
+
+    #[test]
+    fn batched_trait_path_matches_per_workload_path() {
+        let log = wmp_workloads::tpcc::generate(400, 5).unwrap();
+        let refs: Vec<&QueryRecord> = log.records.iter().collect();
+        let (learned, single, online, handle) = families(&log);
+        let predictors: [&dyn WorkloadPredictor; 5] =
+            [&learned, &single, &SingleWmpDbms, &online, &handle];
+        let ws = batch_workloads(&refs, 10, 9, LabelMode::Sum);
+        for p in predictors {
+            let many = p.predict_resources_many(&refs, &ws).unwrap();
+            assert_eq!(many.len(), ws.len(), "{}", p.name());
+            for (w, batched) in ws.iter().zip(&many) {
+                let one = p.predict_resources(&gather_queries(&refs, w).unwrap()).unwrap();
+                assert_eq!(
+                    one.as_array().map(f64::to_bits),
+                    batched.as_array().map(f64::to_bits),
+                    "{}",
+                    p.name()
+                );
+            }
+        }
     }
 
     #[test]
