@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use wmp_obs::JsonValue;
+
 /// One lint violation, anchored to a `file:line:col` span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -44,53 +46,25 @@ impl Report {
     /// `{"schema_version":1,"rules":[…],"files_scanned":N,
     ///   "violations":[{"rule","file","line","col","message"}…]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema_version\":1,\"rules\":[");
-        for (i, rule) in self.rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(rule);
-            out.push('"');
-        }
-        out.push_str("],\"files_scanned\":");
-        out.push_str(&self.files_scanned.to_string());
-        out.push_str(",\"violations\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":\"");
-            out.push_str(d.rule);
-            out.push_str("\",\"file\":\"");
-            out.push_str(&escape(&d.file));
-            out.push_str("\",\"line\":");
-            out.push_str(&d.line.to_string());
-            out.push_str(",\"col\":");
-            out.push_str(&d.col.to_string());
-            out.push_str(",\"message\":\"");
-            out.push_str(&escape(&d.message));
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
-        out
+        let text = |s: &str| JsonValue::String(s.to_string());
+        let num = |n: usize| JsonValue::Number(n as f64);
+        let violations = self.diagnostics.iter().map(|d| {
+            JsonValue::Object(vec![
+                ("rule".to_string(), text(d.rule)),
+                ("file".to_string(), text(&d.file)),
+                ("line".to_string(), num(d.line)),
+                ("col".to_string(), num(d.col)),
+                ("message".to_string(), text(&d.message)),
+            ])
+        });
+        JsonValue::Object(vec![
+            ("schema_version".to_string(), num(1)),
+            ("rules".to_string(), JsonValue::Array(self.rules.iter().map(|r| text(r)).collect())),
+            ("files_scanned".to_string(), num(self.files_scanned)),
+            ("violations".to_string(), JsonValue::Array(violations.collect())),
+        ])
+        .render()
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -127,6 +101,13 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\\\"hi\\\"\\n"));
-        assert!(json.starts_with("{\"schema_version\":1"));
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"schema_version":1,"rules":["no_hot_panic"],"files_scanned":1,"#,
+                r#""violations":[{"rule":"no_hot_panic","file":"a.rs","line":1,"col":1,"#,
+                r#""message":"say \"hi\"\n"}]}"#,
+            )
+        );
     }
 }

@@ -27,7 +27,6 @@
 //! (the integration tests run the whole linter in-process).
 
 pub mod diag;
-pub mod json;
 pub mod rules;
 pub mod source;
 pub mod workspace;

@@ -1,9 +1,9 @@
 //! `bench_schema` — committed bench trajectories stay machine-readable.
 
 use crate::diag::Diagnostic;
-use crate::json::{self, Kind, Value};
 use crate::rules::Rule;
 use crate::workspace::Workspace;
+use wmp_obs::json::{self, Kind, Value};
 
 /// Validates every committed root-level `BENCH_*.json` against the
 /// `wmp_bench::report` schema (version 1):

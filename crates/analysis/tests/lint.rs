@@ -363,7 +363,7 @@ fn json_report_shape() {
     let ws = ws_with("crates/serve/src/bad.rs", text);
     let report = wmp_analysis::run_on(&ws, &all_rules());
     let json = report.to_json();
-    let doc = wmp_analysis::json::parse(&json).expect("report JSON parses");
+    let doc = wmp_obs::json::parse(&json).expect("report JSON parses");
     let members = doc.as_object().expect("object");
     assert_eq!(members.get("schema_version").and_then(|v| v.as_f64()), Some(1.0));
     assert_eq!(

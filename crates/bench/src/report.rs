@@ -169,6 +169,7 @@ pub fn git_describe() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmp_obs::json::Value;
 
     #[test]
     fn report_round_trips_through_the_validator() {
@@ -193,13 +194,13 @@ mod tests {
         let mut diags = Vec::new();
         wmp_analysis::Rule::check(&wmp_analysis::rules::BenchSchema, &ws, &mut diags);
         assert!(diags.is_empty(), "fresh report validates: {diags:?}");
-        let value = JsonValue::parse(&text).unwrap();
-        assert_eq!(value.get("bench").and_then(JsonValue::as_str), Some("unit_test"));
-        let results = value.get("results").and_then(JsonValue::as_array).unwrap();
+        let value = wmp_obs::json::parse(&text).unwrap();
+        assert_eq!(value.get("bench").and_then(Value::as_str), Some("unit_test"));
+        let results = value.get("results").and_then(Value::as_array).unwrap();
         assert_eq!(results.len(), 2);
         let fast = &results[0];
-        assert!(fast.get("p50_us").and_then(JsonValue::as_f64).unwrap() > 0.0);
-        let ns = fast.get("ns_per_query").and_then(JsonValue::as_f64).unwrap();
+        assert!(fast.get("p50_us").and_then(Value::as_f64).unwrap() > 0.0);
+        let ns = fast.get("ns_per_query").and_then(Value::as_f64).unwrap();
         assert!((ns - 8_000.0).abs() < 1.0, "1e9/125k = 8000, got {ns}");
         assert!(results[1].get("p50_us").is_none(), "no latency histogram, no quantiles");
     }

@@ -25,9 +25,11 @@
 //!    assignment window and the training distribution — the retraining
 //!    trigger signal the Sibyl direction needs).
 //!
-//! A minimal JSON [`json`] module (writer **and** parser) backs the JSON
-//! renderer, the stderr subscriber, and the persisted `BENCH_*.json`
-//! perf-trajectory files emitted by `wmp_bench`.
+//! The workspace's one JSON module, [`json`], pairs a writer tree
+//! ([`JsonValue`]) with a positioned RFC 8259 reader ([`json::parse`]). The
+//! writer backs the JSON renderer, the stderr subscriber, and the
+//! `BENCH_*.json` perf-trajectory files emitted by `wmp_bench`; the reader
+//! backs the `wmp_analysis` `bench_schema` lint.
 //!
 //! ## Example
 //!

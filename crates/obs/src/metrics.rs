@@ -795,19 +795,19 @@ wmp_shard_total{shard=\"1\"} 9
     #[test]
     fn json_rendering_is_valid_and_complete() {
         let text = golden_registry().snapshot().to_json();
-        let doc = JsonValue::parse(&text).expect("renderer emits valid JSON");
+        let doc = crate::json::parse(&text).expect("renderer emits valid JSON");
         let metrics = doc.get("metrics").unwrap().as_array().unwrap();
         assert_eq!(metrics.len(), 6);
         let latency = metrics
             .iter()
-            .find(|m| m.get("name").and_then(JsonValue::as_str) == Some("wmp_latency_us"))
+            .find(|m| m.get("name").and_then(crate::json::Value::as_str) == Some("wmp_latency_us"))
             .unwrap();
         assert_eq!(latency.get("type").unwrap().as_str(), Some("histogram"));
         assert_eq!(latency.get("count").unwrap().as_f64(), Some(4.0));
         let shard1 = metrics
             .iter()
             .find(|m| {
-                m.get("labels").and_then(|l| l.get("shard")).and_then(JsonValue::as_str)
+                m.get("labels").and_then(|l| l.get("shard")).and_then(crate::json::Value::as_str)
                     == Some("1")
             })
             .unwrap();

@@ -595,7 +595,7 @@ mod tests {
             duration_us: Some(1500),
         };
         let line = event.to_json_line();
-        let doc = JsonValue::parse(&line).expect("JSON line parses");
+        let doc = crate::json::parse(&line).expect("JSON line parses");
         assert_eq!(doc.get("level").unwrap().as_str(), Some("warn"));
         assert_eq!(doc.get("event").unwrap().as_str(), Some("retrain_failed"));
         assert_eq!(doc.get("duration_us").unwrap().as_f64(), Some(1500.0));

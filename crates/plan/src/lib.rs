@@ -7,7 +7,8 @@
 //! - [`schema`] / [`catalog`] — tables, columns, statistics, indexes;
 //! - [`datamodel`] — the *hidden* truth (predicate correlations, join skew)
 //!   that breaks the estimator's independence assumptions;
-//! - [`query`] — logical query specifications, [`sql`] — SQL text rendering;
+//! - [`query`] — logical query specifications (rendered to SQL text by
+//!   `wmp_sql::render_sql_dialect`);
 //! - [`card`] — textbook cardinality estimation (estimates vs. truths);
 //! - [`planner`] — access paths, greedy join ordering, join/aggregation
 //!   method selection, sort elision;
@@ -31,7 +32,6 @@ pub mod planner;
 pub mod query;
 pub mod resource;
 pub mod schema;
-pub mod sql;
 
 pub use catalog::Catalog;
 pub use cost::{CardSource, CostModel, PlanCost};

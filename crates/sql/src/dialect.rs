@@ -50,7 +50,9 @@ pub trait Dialect: Send + Sync {
     }
 
     /// Folds an *unquoted* identifier to its catalog form. Quoted
-    /// identifiers always bypass folding.
+    /// identifiers always bypass folding. Folding may only lower-case ASCII
+    /// upper-case letters: [`crate::ident_needs_quoting`] skips the call for
+    /// identifiers without one.
     fn fold_ident(&self, ident: &str) -> String {
         ident.to_ascii_lowercase()
     }

@@ -1,10 +1,10 @@
-//! Dialect-aware SQL rendering of a [`QuerySpec`].
+//! The workspace's one SQL renderer: [`render_sql_dialect`] turns a
+//! [`QuerySpec`] into text a specific DBMS would accept. Under [`Ansi`] it
+//! is the canonical text the text-based template learners (paper §IV-C)
+//! read, the examples print, and the TPC-H generator parses back; under
+//! every dialect it feeds the render → parse → lower round trip.
 //!
-//! [`wmp_plan::sql::render_sql`] emits canonical ANSI text for the
-//! text-based featurizers; this module is the other direction of the same
-//! contract — text a *specific* DBMS would accept, used to exercise the
-//! render → parse → lower round trip under every dialect's quoting and
-//! limit rules.
+//! [`Ansi`]: crate::dialect::Ansi
 
 use std::fmt::Write as _;
 
@@ -66,7 +66,12 @@ const RESERVED: [&str; 45] = [
 /// the dialect's case folding, look like a plain word, and not collide with
 /// a keyword.
 pub fn ident_needs_quoting(ident: &str, dialect: &dyn Dialect) -> bool {
-    if ident.is_empty() || dialect.fold_ident(ident) != ident {
+    if ident.is_empty() {
+        return true;
+    }
+    // `fold_ident` allocates, so skip it for identifiers it cannot change:
+    // a dialect's folding only ever lower-cases ASCII upper-case letters.
+    if ident.bytes().any(|b| b.is_ascii_uppercase()) && dialect.fold_ident(ident) != ident {
         return true;
     }
     let mut chars = ident.chars();
@@ -191,7 +196,7 @@ pub fn render_sql_dialect(q: &QuerySpec, dialect: &dyn Dialect) -> String {
 mod tests {
     use super::*;
     use crate::dialect::{Ansi, MySql, Postgres};
-    use wmp_plan::query::{Aggregate, Predicate, TableRef};
+    use wmp_plan::query::{Aggregate, JoinEdge, Predicate, TableRef};
 
     #[test]
     fn quoting_rules() {
@@ -242,7 +247,15 @@ mod tests {
 
     #[test]
     fn reserved_table_names_are_quoted() {
-        let q = QuerySpec {
+        let sql = render_sql_dialect(&order_query(), &Ansi);
+        assert_eq!(sql, "SELECT \"order\".* FROM \"order\" WHERE \"order\".total > 5");
+        let sql = render_sql_dialect(&order_query(), &MySql);
+        assert_eq!(sql, "SELECT `order`.* FROM `order` WHERE `order`.total > 5");
+    }
+
+    /// `SELECT * FROM order WHERE order.total > 5`, a reserved table name.
+    fn order_query() -> QuerySpec {
+        QuerySpec {
             tables: vec![TableRef::plain("order")],
             predicates: vec![Predicate {
                 table_alias: "order".into(),
@@ -253,10 +266,126 @@ mod tests {
                 sel_true: 0.3,
             }],
             ..QuerySpec::default()
+        }
+    }
+
+    fn join_query() -> QuerySpec {
+        QuerySpec {
+            id: 7,
+            tables: vec![TableRef::new("orders", "o"), TableRef::new("customer", "c")],
+            joins: vec![JoinEdge {
+                left_alias: "o".into(),
+                left_col: "o_cust".into(),
+                right_alias: "c".into(),
+                right_col: "c_id".into(),
+            }],
+            predicates: vec![Predicate {
+                table_alias: "c".into(),
+                column: "c_nation".into(),
+                op: CmpOp::Eq,
+                literal: "'CA'".into(),
+                sel_est: 0.04,
+                sel_true: 0.05,
+            }],
+            group_by: vec![("c".into(), "c_nation".into())],
+            aggregates: vec![Aggregate {
+                func: AggFunc::Sum,
+                table_alias: "o".into(),
+                column: "o_total".into(),
+            }],
+            order_by: vec![("c".into(), "c_nation".into())],
+            distinct: false,
+            limit: Some(100),
+        }
+    }
+
+    #[test]
+    fn renders_full_query_shape() {
+        let sql = render_sql_dialect(&join_query(), &Ansi);
+        assert!(
+            sql.starts_with("SELECT c.c_nation, SUM(o.o_total) FROM orders AS o, customer AS c")
+        );
+        assert!(sql.contains("WHERE o.o_cust = c.c_id AND c.c_nation = 'CA'"));
+        assert!(sql.contains("GROUP BY c.c_nation"));
+        assert!(sql.contains("ORDER BY c.c_nation"));
+        assert!(sql.ends_with("FETCH FIRST 100 ROWS ONLY"));
+    }
+
+    #[test]
+    fn renders_count_star_and_distinct() {
+        let q = QuerySpec {
+            tables: vec![TableRef::plain("item")],
+            aggregates: vec![Aggregate {
+                func: AggFunc::Count,
+                table_alias: "item".into(),
+                column: String::new(),
+            }],
+            distinct: true,
+            ..QuerySpec::default()
         };
         let sql = render_sql_dialect(&q, &Ansi);
-        assert_eq!(sql, "SELECT \"order\".* FROM \"order\" WHERE \"order\".total > 5");
-        let sql = render_sql_dialect(&q, &MySql);
-        assert_eq!(sql, "SELECT `order`.* FROM `order` WHERE `order`.total > 5");
+        assert_eq!(sql, "SELECT DISTINCT COUNT(*) FROM item");
+    }
+
+    #[test]
+    fn count_with_a_column_keeps_it() {
+        let q = QuerySpec {
+            tables: vec![TableRef::plain("item")],
+            aggregates: vec![Aggregate {
+                func: AggFunc::Count,
+                table_alias: "item".into(),
+                column: "i_id".into(),
+            }],
+            ..QuerySpec::default()
+        };
+        assert_eq!(render_sql_dialect(&q, &Ansi), "SELECT COUNT(item.i_id) FROM item");
+    }
+
+    #[test]
+    fn renders_in_and_between() {
+        let q = QuerySpec {
+            tables: vec![TableRef::plain("t")],
+            predicates: vec![
+                Predicate {
+                    table_alias: "t".into(),
+                    column: "a".into(),
+                    op: CmpOp::InList(2),
+                    literal: "1, 2".into(),
+                    sel_est: 0.1,
+                    sel_true: 0.1,
+                },
+                Predicate {
+                    table_alias: "t".into(),
+                    column: "b".into(),
+                    op: CmpOp::Between,
+                    literal: "5 AND 10".into(),
+                    sel_est: 0.1,
+                    sel_true: 0.1,
+                },
+            ],
+            ..QuerySpec::default()
+        };
+        let sql = render_sql_dialect(&q, &Ansi);
+        assert!(sql.contains("t.a IN (1, 2)"));
+        assert!(sql.contains("t.b BETWEEN 5 AND 10"));
+    }
+
+    #[test]
+    fn select_star_fallback_without_aggregates() {
+        let q = QuerySpec { tables: vec![TableRef::plain("t")], ..QuerySpec::default() };
+        assert_eq!(render_sql_dialect(&q, &Ansi), "SELECT t.* FROM t");
+    }
+
+    #[test]
+    fn reserved_and_cased_identifiers_are_quoted() {
+        assert_eq!(quote_ident("c_nation", &Ansi), "c_nation");
+        assert_eq!(quote_ident("order", &Ansi), "\"order\"", "reserved word");
+        assert_eq!(quote_ident("Lineitem", &Ansi), "\"Lineitem\"", "would fold to lower case");
+        assert_eq!(quote_ident("odd name", &Ansi), "\"odd name\"");
+        assert_eq!(quote_ident("a\"b", &Ansi), "\"a\"\"b\"", "embedded quote doubles");
+        assert_eq!(
+            render_sql_dialect(&order_query(), &Ansi),
+            "SELECT \"order\".* FROM \"order\" WHERE \"order\".total > 5"
+        );
     }
 }

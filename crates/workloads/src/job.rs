@@ -542,7 +542,7 @@ mod tests {
             assert!(spec.order_by.is_empty());
             assert!(!spec.aggregates.is_empty());
             assert!(spec.aggregates.iter().all(|a| a.func == AggFunc::Min));
-            assert!(wmp_plan::sql::render_sql(&spec).contains("MIN("));
+            assert!(wmp_sql::render_sql_dialect(&spec, &wmp_sql::Ansi).contains("MIN("));
         }
     }
 

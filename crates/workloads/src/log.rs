@@ -11,9 +11,9 @@ use wmp_plan::error::PlanResult;
 use wmp_plan::features::featurize_plan;
 use wmp_plan::planner::Planner;
 use wmp_plan::query::QuerySpec;
-use wmp_plan::sql::render_sql;
 use wmp_plan::{Catalog, ResourceVector};
 use wmp_sim::{DbmsHeuristicEstimator, ExecutorSimulator};
+use wmp_sql::{render_sql_dialect, Ansi};
 
 /// Template hint assigned to text-ingested queries, which have no
 /// generator template. Diagnostics only; models never read hints.
@@ -35,7 +35,7 @@ pub struct SqlLineError {
 pub struct QueryRecord {
     /// Stable query id within the log.
     pub id: u64,
-    /// Logical spec (renders to `e` via [`render_sql`]).
+    /// Logical spec (renders to `e` via [`render_sql_dialect`] in [`Ansi`]).
     pub spec: QuerySpec,
     /// Plan features: `(count, Σ est. cardinality)` per operator kind plus
     /// the structural tail (see `wmp_plan::features`).
@@ -54,7 +54,7 @@ pub struct QueryRecord {
 impl QueryRecord {
     /// SQL text of the query.
     pub fn sql(&self) -> String {
-        render_sql(&self.spec)
+        render_sql_dialect(&self.spec, &Ansi)
     }
 
     /// Actual peak working memory in MB — the memory projection of

@@ -22,9 +22,8 @@ use rand::SeedableRng;
 use wmp_plan::error::PlanResult;
 use wmp_plan::query::{AggFunc, Aggregate, CmpOp, JoinEdge, Predicate, QuerySpec, TableRef};
 use wmp_plan::schema::{Column, ColumnType, Distribution, Table};
-use wmp_plan::sql::render_sql;
 use wmp_plan::Catalog;
-use wmp_sql::{parse_to_spec, Ansi};
+use wmp_sql::{parse_to_spec, render_sql_dialect, Ansi};
 
 use crate::log::{build_log, QueryLog};
 use crate::params::{draw_eq, draw_in, draw_like, draw_range, literal_for};
@@ -569,7 +568,7 @@ pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) ->
 /// When the round trip fails or changes the number of predicates — both are
 /// template/renderer bugs, not data errors.
 pub fn roundtrip_through_sql(cat: &Catalog, spec: &QuerySpec) -> QuerySpec {
-    let sql = render_sql(spec);
+    let sql = render_sql_dialect(spec, &Ansi);
     let mut lowered = parse_to_spec(&sql, &Ansi, cat)
         .unwrap_or_else(|e| panic!("TPC-H SQL round trip failed for {sql:?}: {e}"));
     assert_eq!(

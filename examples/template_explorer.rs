@@ -13,6 +13,7 @@ use learnedwmp::mlkit::scaler::StandardScaler;
 use learnedwmp::mlkit::Matrix;
 use learnedwmp::plan::features::{feature_names, featurize_plan};
 use learnedwmp::plan::Planner;
+use learnedwmp::sql::{render_sql_dialect, Ansi};
 use learnedwmp::workloads::QueryRecord;
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let spec = learnedwmp::workloads::tpcds::instantiate(&cat, &templates[1], 0, &mut rng);
-    println!("SQL:\n  {}\n", learnedwmp::plan::sql::render_sql(&spec));
+    println!("SQL:\n  {}\n", render_sql_dialect(&spec, &Ansi));
     let planner = Planner::new(&cat);
     let plan = planner.plan(&spec).expect("plan");
     println!("Plan (estimated vs true cardinalities):\n{}", plan.explain());

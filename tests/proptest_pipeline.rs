@@ -1,12 +1,16 @@
 //! Property-based integration tests: random logical queries against the
 //! TPC-DS catalog must always plan, simulate to positive memory, and
 //! featurize to the fixed layout; core numeric invariants hold for arbitrary
-//! inputs.
+//! inputs; the JSON reader reads back exactly what the JSON writer wrote.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 use learnedwmp::core::{build_histogram, HistogramMode};
 use learnedwmp::mlkit::metrics::{mape, quantile, rmse, ResidualSummary};
+use learnedwmp::obs::json::{self, Kind, Value};
+use learnedwmp::obs::JsonValue;
 use learnedwmp::plan::features::{featurize_plan, N_PLAN_FEATURES};
 use learnedwmp::plan::query::{AggFunc, Aggregate, JoinEdge, Predicate, QuerySpec, TableRef};
 use learnedwmp::plan::{OpKind, Planner};
@@ -69,6 +73,85 @@ fn arb_star_query() -> impl Strategy<Value = QuerySpec> {
             }
         },
     )
+}
+
+/// A random [`JsonValue`] tree at most `depth` containers deep. Strings mix
+/// control characters, `"`, `\\`, and non-BMP characters; numbers are
+/// arbitrary finite `f64`s (negative zero and subnormals included); object
+/// keys are unique.
+fn arb_json(rng: &mut StdRng, depth: u32) -> JsonValue {
+    match rng.gen_range(0..if depth == 0 { 4 } else { 8 }) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(rng.gen()),
+        2 => JsonValue::Number(arb_f64(rng)),
+        3 => JsonValue::String(arb_string(rng)),
+        4 | 5 => {
+            JsonValue::Array((0..rng.gen_range(0..6)).map(|_| arb_json(rng, depth - 1)).collect())
+        }
+        // The distinct one-digit suffix keeps the keys unique.
+        _ => JsonValue::Object(
+            (0..rng.gen_range(0..6))
+                .map(|i| (format!("{}{i}", arb_string(rng)), arb_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+fn arb_f64(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..4) {
+        0 => rng.gen_range(-1_000i64..1_000) as f64,
+        1 => [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, f64::MAX, -f64::MAX][rng.gen_range(0..6)],
+        2 => rng.gen_range(-1e6..1e6),
+        _ => loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                break x;
+            }
+        },
+    }
+}
+
+fn arb_string(rng: &mut StdRng) -> String {
+    const SPECIAL: [char; 10] = ['"', '\\', '/', '\n', '\r', '\t', '\u{7f}', 'é', '\u{2028}', '😀'];
+    (0..rng.gen_range(0..8))
+        .map(|_| match rng.gen_range(0..4) {
+            0 => char::from(rng.gen_range(0u8..0x20)),
+            1 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            2 => char::from_u32(rng.gen_range(0x10000u32..0x110000)).unwrap_or('\u{10ffff}'),
+            _ => char::from(rng.gen_range(b' '..=b'~')),
+        })
+        .collect()
+}
+
+/// `parsed` has the structure of `built`, with bit-equal numbers.
+fn same(parsed: &Value, built: &JsonValue) -> bool {
+    match (&parsed.kind, built) {
+        (Kind::Null, JsonValue::Null) => true,
+        (Kind::Bool(a), JsonValue::Bool(b)) => a == b,
+        (Kind::Number(a), JsonValue::Number(b)) => a.to_bits() == b.to_bits(),
+        (Kind::String(a), JsonValue::String(b)) => a == b,
+        (Kind::Array(a), JsonValue::Array(b)) => {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same(x, y))
+        }
+        (Kind::Object(a), JsonValue::Object(b)) => {
+            a.len() == b.len() && b.iter().all(|(k, v)| a.get(k).is_some_and(|x| same(x, v)))
+        }
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_reader_reads_back_what_the_writer_wrote(seed in any::<u64>()) {
+        let doc = arb_json(&mut StdRng::seed_from_u64(seed), 4);
+        let text = doc.render();
+        let parsed = json::parse(&text).map_err(|e| {
+            TestCaseError::fail(format!("{}:{}: {} in {text:?}", e.line, e.col, e.message))
+        })?;
+        prop_assert!(same(&parsed, &doc), "{:?} read back as {:?}", doc, parsed);
+    }
 }
 
 proptest! {
