@@ -232,18 +232,18 @@ impl Scheduler {
             if self.try_place(waiting).is_some() {
                 self.placed_deferred_accounting(waiting);
             } else {
-                let placed = (0..self.cluster.len()).any(|i| {
+                let placed = (0..self.cluster.len()).find(|&i| {
                     self.cluster
                         .executor_mut(i)
                         .try_admit(waiting.request.id, waiting.reserve, waiting.request.actual)
                         .is_ok()
                 });
-                debug_assert!(placed, "queue head must fit an empty cluster");
-                if placed {
+                debug_assert!(placed.is_some(), "queue head must fit an empty cluster");
+                if let Some(executor) = placed {
                     // try_place covers accounting on the policy path; this
                     // fallback path repeats it for the forced placement.
                     self.account_start(&waiting, self.clock);
-                    self.push_completion(&waiting.request);
+                    self.push_completion(&waiting.request, executor);
                     self.placed_deferred_accounting(waiting);
                 } else {
                     self.rejected += 1;
@@ -338,7 +338,7 @@ impl Scheduler {
             .try_admit(waiting.request.id, waiting.reserve, waiting.request.actual)
             .ok()?;
         self.account_start(&waiting, self.clock);
-        self.push_completion(&waiting.request);
+        self.push_completion(&waiting.request, executor);
         Some(executor)
     }
 
@@ -359,9 +359,8 @@ impl Scheduler {
         if let Some(obs) = &self.obs {
             obs.placed.inc();
         }
-        // One overflow episode per placement decision whose aftermath has
-        // actual occupancy over capacity somewhere in the cluster's
-        // touched executor — mirrors AdmissionController::offer counting.
+        // One overflow episode per placement after which some executor's
+        // actual occupancy exceeds its capacity, however many axes overrun.
         let overrun = self.cluster.executors().iter().find_map(|e| e.actual_overruns().first());
         if let Some(overrun) = overrun {
             self.overflow_events += 1;
@@ -390,20 +389,11 @@ impl Scheduler {
         }
     }
 
-    /// Schedules the completion event for a workload starting now.
-    fn push_completion(&mut self, request: &WorkloadRequest) {
+    /// Schedules the completion event for a workload starting now on
+    /// `executor`, the one that just admitted it.
+    fn push_completion(&mut self, request: &WorkloadRequest, executor: usize) {
         let finish = self.clock + request.duration.max(1);
-        self.completions.push(Reverse((finish, request.id, {
-            // The executor index in the heap key is informational; release
-            // is by id, so an unfindable workload (which would mean admit
-            // and push_completion disagree) degrades to a sentinel key
-            // rather than unwinding the scheduling loop.
-            self.cluster
-                .executors()
-                .iter()
-                .position(|e| e.workloads().iter().any(|w| w.id == request.id))
-                .unwrap_or(usize::MAX)
-        })));
+        self.completions.push(Reverse((finish, request.id, executor)));
         self.makespan = self.makespan.max(finish);
     }
 }
@@ -412,6 +402,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::policy::{BestFit, FirstFit};
+    use wmp_plan::ResourceKind;
 
     fn request(id: u64, arrival: u64, duration: u64, mb: f64) -> WorkloadRequest {
         WorkloadRequest {
@@ -517,6 +508,44 @@ mod tests {
         }
         let report = sched.run_to_completion();
         assert_eq!(report.placed() + report.rejected, 20);
+    }
+
+    #[test]
+    fn duplicate_ids_release_from_their_own_executor() {
+        // The second 80 MB copy cannot share executor 0, so it lands on 1;
+        // its completion must release it there, not from executor 0.
+        let mut sched = scheduler(2, 100.0);
+        assert_eq!(sched.submit(request(0, 0, 10, 80.0)), Submitted::Placed(0));
+        assert_eq!(sched.submit(request(0, 0, 10, 80.0)), Submitted::Placed(1));
+        let report = sched.run_to_completion();
+        assert_eq!(report.placed_direct, 2);
+        assert_eq!(sched.cluster().total_running(), 0);
+    }
+
+    #[test]
+    fn cpu_budget_defers_what_memory_alone_would_place() {
+        // 1000 MB of memory headroom but only 200 ms of concurrent CPU.
+        let hog = WorkloadRequest {
+            decision: ResourceVector::new(50.0, 150.0, 0.0),
+            actual: ResourceVector::new(50.0, 150.0, 0.0),
+            ..request(0, 0, 10, 0.0)
+        };
+        let one_executor = |cpu_ms| {
+            let capacity = ResourceVector::new(1_000.0, cpu_ms, f64::INFINITY);
+            Scheduler::new(Cluster::uniform(1, capacity), Box::new(FirstFit))
+        };
+        let mut joint = one_executor(200.0);
+        assert_eq!(joint.submit(hog), Submitted::Placed(0));
+        // Memory view: 100 of 1000 MB. CPU view: 300 of 200 ms.
+        assert_eq!(joint.submit(WorkloadRequest { id: 1, ..hog }), Submitted::Deferred);
+        assert_eq!(
+            joint.cluster().executor(0).first_overrun(hog.decision),
+            Some(ResourceKind::Cpu)
+        );
+        // A memory-only cluster with the same memory capacity places both.
+        let mut memory_only = one_executor(f64::INFINITY);
+        assert_eq!(memory_only.submit(hog), Submitted::Placed(0));
+        assert_eq!(memory_only.submit(WorkloadRequest { id: 1, ..hog }), Submitted::Placed(0));
     }
 
     #[test]

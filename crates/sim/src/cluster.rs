@@ -2,8 +2,9 @@
 //! [`ResourceVector`] capacity and a running set of admitted workloads,
 //! grouped into a [`Cluster`].
 //!
-//! This is the accounting substrate both admission control and scheduling
-//! stand on. An executor tracks two occupancy views of the same running set:
+//! This is the accounting substrate the scheduler (`wmp_sched`) stands on;
+//! admission control is its one-executor case. An executor tracks two
+//! occupancy views of the same running set:
 //!
 //! - the **reserved** view — what the decision maker *believed* each
 //!   workload needs (a prediction, a heuristic guess, or the truth for an
@@ -18,9 +19,8 @@
 //!
 //! Capacity components set to `f64::INFINITY` are not gated, so a
 //! memory-only budget (the paper's scenario) and a joint memory+CPU budget
-//! (the WiSeDB-style scheduling regime) are the same code path — this is
-//! the deduplicated decision path `AdmissionController` and `wmp_sched`
-//! both delegate to.
+//! (the WiSeDB-style scheduling regime) are the same code path — the one
+//! decision path `wmp_sched` delegates to.
 
 use wmp_plan::{ResourceKind, ResourceVector, N_RESOURCES};
 
@@ -99,25 +99,6 @@ impl Executor {
         self.first_overrun(demand).is_none()
     }
 
-    /// Whether `demand` would fit next to the current **actual** occupancy
-    /// on every gated resource — the hindsight check behind
-    /// stranded-capacity accounting (a rejection was wasteful iff the
-    /// workload's true demand would have fit the true headroom).
-    pub fn actual_fits(&self, demand: ResourceVector) -> bool {
-        let occupancy = self.actual();
-        ResourceKind::ALL.into_iter().all(|kind| {
-            !self.capacity.get(kind).is_finite()
-                || occupancy.get(kind) + demand.get(kind) <= self.capacity.get(kind)
-        })
-    }
-
-    /// Replaces the capacity. Existing admissions are never evicted — the
-    /// capacity invariant is enforced at admission time — so lowering the
-    /// capacity below the current reservation only affects future admits.
-    pub fn set_capacity(&mut self, capacity: ResourceVector) {
-        self.capacity = capacity;
-    }
-
     /// Whether `demand` could ever be reserved on this executor, i.e. fits
     /// an *empty* executor's capacity. Workloads failing this can never be
     /// placed and must be rejected rather than deferred.
@@ -152,14 +133,6 @@ impl Executor {
     pub fn release(&mut self, id: u64) -> Option<PlacedWorkload> {
         let at = self.running.iter().position(|w| w.id == id)?;
         Some(self.running.remove(at))
-    }
-
-    /// Releases the oldest running workload, if any.
-    pub fn release_oldest(&mut self) -> Option<PlacedWorkload> {
-        if self.running.is_empty() {
-            return None;
-        }
-        Some(self.running.remove(0))
     }
 
     /// Every gated resource whose *actual* occupancy currently exceeds
@@ -198,11 +171,6 @@ impl ActualOverruns {
     /// The first overrun resource in [`ResourceKind::ALL`] order.
     pub fn first(&self) -> Option<ResourceKind> {
         ResourceKind::ALL.into_iter().find(|&k| self.on(k))
-    }
-
-    /// Iterates the overrun resources in [`ResourceKind::ALL`] order.
-    pub fn iter(&self) -> impl Iterator<Item = ResourceKind> + '_ {
-        ResourceKind::ALL.into_iter().filter(|&k| self.on(k))
     }
 }
 
@@ -325,7 +293,6 @@ mod tests {
         assert!(overruns.on(ResourceKind::Memory) && overruns.on(ResourceKind::Cpu));
         assert!(!overruns.on(ResourceKind::Io), "IO is not gated");
         assert_eq!(overruns.first(), Some(ResourceKind::Memory));
-        assert_eq!(overruns.iter().count(), 2, "one episode, two resources — not four events");
     }
 
     #[test]
@@ -338,7 +305,6 @@ mod tests {
         assert_eq!(released.id, 7);
         assert!(exec.release(7).is_none(), "double completion is a no-op");
         assert!(exec.fits(ResourceVector::memory_only(20.0)));
-        assert!(exec.release_oldest().is_none());
     }
 
     #[test]

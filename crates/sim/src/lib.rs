@@ -9,24 +9,21 @@
 //!   the label `m` for every query (plus deterministic log-normal run noise);
 //! - [`heuristic::DbmsHeuristicEstimator`] — an expert-rule estimator driven
 //!   by **estimated** cardinalities (the paper's SingleWMP-DBMS baseline);
-//! - [`admission::AdmissionController`] — a closed-loop admission-control
-//!   scenario: a budgeted gate admits workloads on *predicted* memory while
-//!   admitted batches occupy their *actual* memory, so prediction error
-//!   surfaces as overflow events or stranded capacity;
 //! - [`cluster::Executor`] / [`cluster::Cluster`] — the capacity-accounting
-//!   substrate under admission control: per-executor reserved-vs-actual
-//!   occupancy over a [`wmp_plan::ResourceVector`] capacity, the model the
-//!   multi-tenant scheduler (`wmp_sched`) scales to N executors.
+//!   substrate under the multi-tenant scheduler (`wmp_sched`): per-executor
+//!   reserved-vs-actual occupancy over a [`wmp_plan::ResourceVector`]
+//!   capacity. Admission control is the scheduler's one-executor case: a
+//!   budgeted executor admits workloads on *predicted* demand while they
+//!   occupy their *actual* demand, so prediction error surfaces as overflow
+//!   episodes or stranded capacity.
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod cluster;
 pub mod executor;
 pub mod heuristic;
 pub mod noise;
 
-pub use admission::{Admission, AdmissionController, AdmissionStats};
 pub use cluster::{ActualOverruns, CapacityExceeded, Cluster, Executor, PlacedWorkload};
 pub use executor::{ExecutorSimulator, MemProfile, MemoryConfig, MB};
 pub use heuristic::{DbmsHeuristicEstimator, HeuristicConfig};

@@ -6,16 +6,19 @@
 //!
 //! Unseen JOB-style traffic is replayed through two serving engines — one
 //! holding LearnedWMP, one holding the DBMS heuristic — and each window's
-//! ticketed prediction drives a `wmp_sim::AdmissionController` gate; the
-//! controllers tally both error types against the ground truth.
+//! ticketed prediction is submitted to a one-executor `wmp_sched::Scheduler`
+//! whose capacity is the memory budget; each run tallies both error types
+//! against the ground truth.
 //!
 //! ```sh
 //! cargo run --release --example admission_control
 //! ```
 
 use learnedwmp::core::{LearnedWmp, ModelKind, PredictorHandle, SingleWmpDbms, TemplateSpec};
+use learnedwmp::plan::ResourceVector;
+use learnedwmp::sched::{FirstFit, ScheduleReport, Scheduler, WorkloadRequest};
 use learnedwmp::serve::{Engine, WindowPolicy};
-use learnedwmp::sim::{AdmissionController, AdmissionStats};
+use learnedwmp::sim::Cluster;
 use learnedwmp::workloads::QueryRecord;
 
 const WINDOW: usize = 10;
@@ -73,40 +76,51 @@ fn main() {
     let budget = actuals[actuals.len() / 2] * 1.5;
     println!("Working-memory budget per batch: {budget:.0} MB ({} windows)\n", windows.len());
 
-    // Drive one closed-loop controller per gate on identical traffic; each
-    // window is priced alone (complete before the next offer), so the
-    // tallies isolate pure prediction quality.
-    let mut tallies: Vec<AdmissionStats> = Vec::new();
+    // Drive one one-executor scheduler per gate on identical traffic. Window
+    // `i` arrives at tick `i` and runs for one tick, so each window is priced
+    // alone and the tallies isolate pure prediction quality; a window whose
+    // prediction cannot fit the empty executor is rejected.
+    let capacity = ResourceVector::new(budget, f64::INFINITY, f64::INFINITY);
+    let mut tallies: Vec<(ScheduleReport, usize)> = Vec::new();
     for slot in 0..engines.len() {
-        let mut gate = AdmissionController::new(budget);
-        for (actual, predicted) in &windows {
-            gate.complete_oldest();
-            gate.offer(predicted[slot], *actual);
+        let mut gate = Scheduler::new(Cluster::uniform(1, capacity), Box::new(FirstFit));
+        for (i, (actual, predicted)) in windows.iter().enumerate() {
+            gate.submit(WorkloadRequest {
+                id: i as u64,
+                tenant: 0,
+                arrival: i as u64,
+                duration: 1,
+                decision: ResourceVector::memory_only(predicted[slot]),
+                actual: ResourceVector::memory_only(*actual),
+                queries: WINDOW,
+            });
         }
-        tallies.push(gate.stats());
+        let report = gate.run_to_completion();
+        assert_eq!(report.placed_deferred, 0, "each window runs alone, so none waits");
+        let rejected_would_fit =
+            windows.iter().filter(|(actual, p)| p[slot] > budget && *actual <= budget).count();
+        tallies.push((report, rejected_would_fit));
     }
 
-    let report = |name: &str, t: &AdmissionStats| {
-        let total = t.admitted + t.rejected;
+    let wrong_decisions = |(r, would_fit): &(ScheduleReport, usize)| r.overflow_events + would_fit;
+    for ((name, engine), tally) in engines.iter().zip(&tallies) {
+        let (r, would_fit) = tally;
         println!("{name}:");
-        println!("  admitted & fit            : {:>3}", t.admitted - t.overflow_events);
+        println!("  admitted & fit            : {:>3}", r.placed() - r.overflow_events);
         println!(
             "  admitted but OVERFLOWED   : {:>3}   <- memory pressure / failures",
-            t.overflow_events
+            r.overflow_events
         );
-        println!("  rejected although it fit  : {:>3}   <- wasted capacity", t.rejected_would_fit);
-        println!("  rejected & would overflow : {:>3}", t.rejected - t.rejected_would_fit);
-        println!("  wrong decisions           : {:>3}/{total}\n", t.wrong_decisions());
-    };
-    for ((name, engine), tally) in engines.iter().zip(&tallies) {
-        report(name, tally);
+        println!("  rejected although it fit  : {:>3}   <- wasted capacity", would_fit);
+        println!("  rejected & would overflow : {:>3}", r.rejected - would_fit);
+        println!("  wrong decisions           : {:>3}/{}\n", wrong_decisions(tally), r.workloads);
         let stats = engine.stats();
         assert_eq!(stats.served, stats.submitted, "every submitted query was ticketed");
     }
 
     println!(
         "-> LearnedWMP makes {} wrong admission decisions vs the heuristic's {}.",
-        tallies[0].wrong_decisions(),
-        tallies[1].wrong_decisions()
+        wrong_decisions(&tallies[0]),
+        wrong_decisions(&tallies[1])
     );
 }

@@ -16,7 +16,8 @@ use learnedwmp::core::{
 };
 use learnedwmp::mlkit::metrics::quantile;
 use learnedwmp::plan::{ResourceKind, ResourceVector};
-use learnedwmp::sim::AdmissionController;
+use learnedwmp::sched::{FirstFit, Scheduler, Submitted, WorkloadRequest};
+use learnedwmp::sim::Cluster;
 use learnedwmp::workloads::QueryRecord;
 
 fn main() {
@@ -71,8 +72,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     // Joint admission: memory capacity alone is not a safe gate. The model
-    // predicts a full resource vector per batch, so the controller can also
-    // budget CPU — and defer a batch that memory alone would happily admit.
+    // predicts a full resource vector per batch, so a one-executor scheduler
+    // can also budget CPU — and defer a batch that memory alone would admit.
     // ------------------------------------------------------------------
     println!("\nJoint memory + CPU admission (predictions from the same model):");
     let resources = model.predict_resources_many(&future, &batches).expect("resource prediction");
@@ -85,24 +86,39 @@ fn main() {
     let mem_budget = (resources[first].memory_mb + resources[second].memory_mb) * 2.0;
     let cpu_budget = resources[first].cpu_ms + resources[second].cpu_ms * 0.5;
 
-    let mut joint = AdmissionController::new(mem_budget).with_cpu_budget(cpu_budget);
-    let mut memory_only = AdmissionController::new(mem_budget);
-    for &i in &[first, second] {
-        let joint_verdict = joint.offer_resources(resources[i], actual_resources[i]);
-        let memory_verdict = memory_only.offer_resources(resources[i], actual_resources[i]);
+    let gate = |cpu_ms| {
+        let capacity = ResourceVector::new(mem_budget, cpu_ms, f64::INFINITY);
+        Scheduler::new(Cluster::uniform(1, capacity), Box::new(FirstFit))
+    };
+    let mut joint = gate(cpu_budget);
+    let mut memory_only = gate(f64::INFINITY);
+    let mut deferred_on = None;
+    for (id, &i) in [first, second].iter().enumerate() {
+        // Both batches arrive together, so the second competes with the first.
+        let request = WorkloadRequest {
+            id: id as u64,
+            tenant: 0,
+            arrival: 0,
+            duration: 1,
+            decision: resources[i],
+            actual: actual_resources[i],
+            queries: batches[i].query_indices.len(),
+        };
+        let joint_verdict = joint.submit(request);
+        let memory_verdict = memory_only.submit(request);
+        deferred_on = (joint_verdict == Submitted::Deferred)
+            .then(|| joint.cluster().executor(0).first_overrun(resources[i]))
+            .flatten();
         println!(
             "  batch {i:>3}: predicted {} | memory-only gate: {:?} | joint gate: {:?}{}",
             resources[i],
             memory_verdict,
             joint_verdict,
-            joint
-                .last_rejected_on()
-                .map(|k| format!(" (deferred on {})", k.label()))
-                .unwrap_or_default()
+            deferred_on.map(|k| format!(" (deferred on {})", k.label())).unwrap_or_default()
         );
     }
     assert!(
-        joint.last_rejected_on() == Some(ResourceKind::Cpu),
+        deferred_on == Some(ResourceKind::Cpu),
         "the second batch must be deferred on CPU, not memory"
     );
     println!(

@@ -5,9 +5,10 @@
 //! stream from concurrent client threads, while executed queries stream
 //! back into a background retrainer whose passes hot-swap the model without
 //! pausing the service; a persisted artifact is also installed live via
-//! `Engine::reload`. Every window's prediction then drives the sim crate's
-//! closed-loop admission controller, so prediction quality shows up as
-//! admission mistakes.
+//! `Engine::reload`. Every window's prediction is then submitted to a
+//! one-executor `wmp_sched::Scheduler` whose capacity is the memory budget,
+//! so prediction quality shows up as deferrals, overflows and stranded
+//! capacity.
 //!
 //! ```sh
 //! cargo run --release --example serving
@@ -19,8 +20,10 @@ use std::sync::Arc;
 use learnedwmp::core::{
     LearnedWmp, LearnedWmpConfig, ModelKind, OnlinePolicy, OnlineWmp, PredictorHandle, TemplateSpec,
 };
+use learnedwmp::plan::ResourceVector;
+use learnedwmp::sched::{FirstFit, Scheduler, WorkloadRequest};
 use learnedwmp::serve::{Engine, WindowPolicy};
-use learnedwmp::sim::AdmissionController;
+use learnedwmp::sim::Cluster;
 
 const WINDOW: usize = 10;
 const CLIENTS: usize = 4;
@@ -95,7 +98,7 @@ fn main() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
-    // --- Close the loop: window predictions drive the admission gate. ----
+    // --- Close the loop: window predictions drive admission. -------------
     // Reassemble windows: every member ticket carries the same decision, so
     // group actual per-query memory by window id.
     let mut by_window: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
@@ -103,17 +106,25 @@ fn main() {
         let entry = by_window.entry(decision.window_id).or_insert((decision.predicted_mb(), 0.0));
         entry.1 += actual_mb;
     }
-    // Budget ≈ 2.5 mean windows with 2 admitted at a time: a deliberately
-    // tight system where prediction error changes decisions.
+    // Budget ≈ 2.5 mean windows; a window arrives every tick and runs for
+    // two, so two usually share the budget: a deliberately tight system
+    // where prediction error changes decisions. A window that does not fit
+    // waits in the deferral queue.
     let budget = 2.5 * by_window.values().map(|(p, _)| p).sum::<f64>() / by_window.len() as f64;
-    let mut gate = AdmissionController::new(budget);
-    for (predicted, actual) in by_window.values() {
-        if gate.in_flight() >= 2 {
-            gate.complete_oldest();
-        }
-        gate.offer(*predicted, *actual);
+    let capacity = ResourceVector::new(budget, f64::INFINITY, f64::INFINITY);
+    let mut gate = Scheduler::new(Cluster::uniform(1, capacity), Box::new(FirstFit));
+    for (i, (predicted, actual)) in by_window.values().enumerate() {
+        gate.submit(WorkloadRequest {
+            id: i as u64,
+            tenant: 0,
+            arrival: i as u64,
+            duration: 2,
+            decision: ResourceVector::memory_only(*predicted),
+            actual: ResourceVector::memory_only(*actual),
+            queries: WINDOW,
+        });
     }
-    let admission = gate.stats();
+    let admission = gate.run_to_completion();
 
     // --- Report. ----------------------------------------------------------
     let stats = engine.stats();
@@ -130,10 +141,7 @@ fn main() {
     );
     println!("  current model version: {:>8}", engine.handle().version());
     println!("\nClosed-loop admission (budget {budget:.0} MB, 2 windows in flight):");
-    println!("  admitted  : {:>4}", admission.admitted);
-    println!("  rejected  : {:>4}", admission.rejected);
-    println!("  overflows : {:>4}", admission.overflow_events);
-    println!("  stranded  : {:>4} (rejected but would have fit)", admission.rejected_would_fit);
+    println!("{admission}");
 
     std::fs::remove_file(&artifact).ok();
 }

@@ -15,7 +15,7 @@
 //! | [`plan`] ([`wmp_plan`]) | schema/catalog, cardinality estimation, physical planner, plan features |
 //! | [`serve`] ([`wmp_serve`]) | thread-safe serving engine: streaming windows, shared handles, hot model swap |
 //! | [`sched`] ([`wmp_sched`]) | discrete-event multi-tenant capacity scheduler: placement policies, SLA costs, log replay |
-//! | [`sim`] ([`wmp_sim`]) | executor memory simulator (ground truth) + DBMS heuristic baseline + admission scenario + executor/cluster capacity model |
+//! | [`sim`] ([`wmp_sim`]) | executor memory simulator (ground truth) + DBMS heuristic baseline + executor/cluster capacity model |
 //! | [`sql`] ([`wmp_sql`]) | SQL front-end: tokenizer, dialect-aware parser, lowering to [`plan`] query specs |
 //! | [`workloads`] ([`wmp_workloads`]) | TPC-DS / JOB / TPC-C / TPC-H style generators and query logs |
 //! | [`text`] ([`wmp_text`]) | SQL tokenization, bag-of-words, text-mining, word embeddings |

@@ -158,21 +158,32 @@ fn engine_stats_reconcile_under_concurrent_submission_and_swapping() {
 #[test]
 fn engine_serves_through_the_facade_reexport() {
     // The serving API is reachable as `learnedwmp::serve` and composes with
-    // the sim crate's closed-loop admission scenario.
-    use learnedwmp::sim::AdmissionController;
+    // the scheduler's admission path over an unbounded executor.
+    use learnedwmp::plan::ResourceVector;
+    use learnedwmp::sched::{FirstFit, Scheduler, Submitted, WorkloadRequest};
+    use learnedwmp::sim::Cluster;
 
     let log = learnedwmp::workloads::tpcc::generate(200, 14).expect("log");
     let model = train(&log, ModelKind::Ridge, 7);
     let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
 
-    let mut gate = AdmissionController::new(f64::INFINITY);
-    for chunk in log.replay(10) {
+    let unbounded = ResourceVector::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut gate = Scheduler::new(Cluster::uniform(1, unbounded), Box::new(FirstFit));
+    for (i, chunk) in log.replay(10).enumerate() {
         let tickets: Vec<_> = chunk.iter().map(|r| engine.submit(r.clone())).collect();
         let decision = tickets[0].wait().expect("decision");
         let actual: f64 = chunk.iter().map(|r| r.true_memory_mb()).sum();
-        assert!(gate.offer(decision.predicted_mb(), actual).admitted());
-        gate.complete_oldest();
+        let request = WorkloadRequest {
+            id: i as u64,
+            tenant: 0,
+            arrival: i as u64,
+            duration: 1,
+            decision: ResourceVector::memory_only(decision.predicted_mb()),
+            actual: ResourceVector::memory_only(actual),
+            queries: chunk.len(),
+        };
+        assert_eq!(gate.submit(request), Submitted::Placed(0));
     }
-    assert_eq!(gate.stats().admitted, 20);
+    assert_eq!(gate.run_to_completion().placed_direct, 20);
     assert_eq!(engine.stats().windows, 20);
 }
