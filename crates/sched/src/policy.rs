@@ -39,9 +39,19 @@ pub trait PlacementPolicy: Send + Sync {
     }
 
     /// The executor to place a `reserve`-sized reservation on, or `None`
-    /// to defer. Implementations must only return executors where the
-    /// reservation [`wmp_sim::Executor::fits`]; the scheduler re-checks via
-    /// [`wmp_sim::Executor::try_admit`] either way.
+    /// to defer. The contract has two directions:
+    ///
+    /// - `Some(i)` only if executor `i` [`fits`](wmp_sim::Executor::fits)
+    ///   the reservation;
+    /// - `None` only when no executor fits it.
+    ///
+    /// The scheduler's deferral retry relies on both: a workload the policy
+    /// did not place fits nowhere, so after a release it can only fit the
+    /// executor that released, and the retry asks about nothing else. A
+    /// policy that breaks the contract still cannot overrun an executor
+    /// (the scheduler re-checks via [`wmp_sim::Executor::try_admit`]), but
+    /// a workload it turned away may wait until an executor it fits
+    /// releases, or until the final drain.
     fn place(&self, reserve: ResourceVector, cluster: &Cluster) -> Option<usize>;
 }
 

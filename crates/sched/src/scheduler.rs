@@ -11,7 +11,14 @@
 //! 1. the clock advances to `request.arrival`, processing every completion
 //!    due on the way (occupancy integrals are accumulated *before* each
 //!    release, so integrals see the workload up to its finish tick);
-//! 2. each completion retries the deferral queue in FIFO order (one pass);
+//! 2. each completion retries the deferral queue in FIFO order (one pass).
+//!    Between releases no waiting reservation fits any executor (each
+//!    failed everywhere at its last try, and headroom only shrinks until
+//!    the next release), so the pass asks the policy only about workloads
+//!    that fit the executor that just released, and stops as soon as that
+//!    executor cannot fit a lower bound on every waiting reservation. The
+//!    calls it skips are exactly those that would have declined, so the
+//!    outcome is a full pass's, bit for bit;
 //! 3. the request itself is placed if the policy finds a fitting executor,
 //!    **deferred** if not, and **rejected** only when its reservation could
 //!    never fit even an empty executor — so every submitted workload ends in
@@ -68,6 +75,26 @@ pub enum Submitted {
     Rejected,
 }
 
+/// A componentwise bound above every reservation: the lower bound on an
+/// empty deferral queue.
+const UNBOUNDED: ResourceVector =
+    ResourceVector { memory_mb: f64::INFINITY, cpu_ms: f64::INFINITY, io_pages: f64::INFINITY };
+
+/// `floor` lowered to cover `reserve` as well. A NaN component bounds
+/// nothing, so it drops that axis to −∞, where no headroom test can fail.
+fn lower_floor(floor: ResourceVector, reserve: ResourceVector) -> ResourceVector {
+    let (floor, reserve) = (floor.as_array(), reserve.as_array());
+    ResourceVector::from_array(std::array::from_fn(|k| {
+        if reserve[k] < floor[k] {
+            reserve[k]
+        } else if reserve[k].is_nan() {
+            f64::NEG_INFINITY
+        } else {
+            floor[k]
+        }
+    }))
+}
+
 /// A deferred request plus the bookkeeping to price its wait when placed.
 #[derive(Debug, Clone, Copy)]
 struct Waiting {
@@ -87,6 +114,16 @@ pub struct Scheduler {
     /// the key makes pop order total, hence deterministic.
     completions: BinaryHeap<Reverse<(u64, u64, usize)>>,
     waiting: VecDeque<Waiting>,
+    /// Componentwise lower bound on every waiting reservation: lowered on
+    /// each deferral, recomputed by a retry pass that visits the whole
+    /// queue. A stale value is still a lower bound, since workloads only
+    /// leave the queue in between.
+    floor: ResourceVector,
+    /// Per executor: whether its actual view overruns capacity. Updated
+    /// only for the executor that admits or releases.
+    overrunning: Vec<bool>,
+    /// How many entries of `overrunning` are set.
+    overrun_executors: usize,
     integrals: Integrals,
     obs: Option<SchedObs>,
     // Outcome counters (mirrored into the report).
@@ -108,6 +145,8 @@ impl Scheduler {
     /// classes (no penalties) and the default [`CostModel`] until configured
     /// via [`Scheduler::with_sla_classes`] / [`Scheduler::with_cost_model`].
     pub fn new(cluster: Cluster, policy: Box<dyn PlacementPolicy>) -> Self {
+        let overrunning: Vec<bool> =
+            cluster.executors().iter().map(|e| e.actual_overruns().any()).collect();
         Scheduler {
             cluster,
             policy,
@@ -116,6 +155,9 @@ impl Scheduler {
             clock: 0,
             completions: BinaryHeap::new(),
             waiting: VecDeque::new(),
+            floor: UNBOUNDED,
+            overrun_executors: overrunning.iter().filter(|&&o| o).count(),
+            overrunning,
             integrals: Integrals::default(),
             obs: None,
             workloads: 0,
@@ -206,6 +248,7 @@ impl Scheduler {
             Submitted::Placed(executor)
         } else {
             self.waiting.push_back(waiting);
+            self.floor = lower_floor(self.floor, reserve);
             if let Some(obs) = &self.obs {
                 obs.deferred.inc();
                 obs.queue_depth.set(self.waiting.len() as f64);
@@ -242,7 +285,7 @@ impl Scheduler {
                 if let Some(executor) = placed {
                     // try_place covers accounting on the policy path; this
                     // fallback path repeats it for the forced placement.
-                    self.account_start(&waiting, self.clock);
+                    self.account_start(&waiting, executor, self.clock);
                     self.push_completion(&waiting.request, executor);
                     self.placed_deferred_accounting(waiting);
                 } else {
@@ -304,25 +347,46 @@ impl Scheduler {
             self.integrals.advance(&self.cluster, finish);
             self.clock = finish;
             self.cluster.executor_mut(executor).release(id);
+            self.note_overruns(executor);
             self.makespan = finish;
-            self.retry_waiting();
+            self.retry_waiting(executor);
         }
         self.integrals.advance(&self.cluster, tick);
         self.clock = tick;
     }
 
-    /// One FIFO pass over the deferral queue: placeable workloads start now,
-    /// the rest keep their order.
-    fn retry_waiting(&mut self) {
-        let mut still_waiting = VecDeque::with_capacity(self.waiting.len());
-        while let Some(waiting) = self.waiting.pop_front() {
-            if self.try_place(waiting).is_some() {
+    /// One FIFO pass over the deferral queue after executor `released`
+    /// freed capacity: placeable workloads start now, the rest keep their
+    /// order.
+    ///
+    /// Only `released` gained headroom since every waiting workload last
+    /// failed everywhere, so a workload that does not fit `released` is
+    /// skipped without asking the policy, and the pass stops as soon as
+    /// `released` cannot fit `floor`. Neither shortcut skips a call that
+    /// could have placed anything (see the module docs). The pass works in
+    /// place, so a completion that places nothing costs no queue copy.
+    fn retry_waiting(&mut self, released: usize) {
+        let full = |s: &Self| s.cluster.executor(released).first_overrun(s.floor).is_some();
+        let mut floor = UNBOUNDED;
+        let mut i = 0;
+        let mut stop = full(self);
+        while !stop && i < self.waiting.len() {
+            let waiting = self.waiting[i];
+            if self.cluster.executor(released).fits(waiting.reserve)
+                && self.try_place(waiting).is_some()
+            {
+                self.waiting.remove(i);
                 self.placed_deferred_accounting(waiting);
+                stop = full(self);
             } else {
-                still_waiting.push_back(waiting);
+                floor = lower_floor(floor, waiting.reserve);
+                i += 1;
             }
         }
-        self.waiting = still_waiting;
+        if i == self.waiting.len() {
+            // The pass saw every workload still waiting.
+            self.floor = floor;
+        }
         if let Some(obs) = &self.obs {
             obs.queue_depth.set(self.waiting.len() as f64);
         }
@@ -337,14 +401,14 @@ impl Scheduler {
             .executor_mut(executor)
             .try_admit(waiting.request.id, waiting.reserve, waiting.request.actual)
             .ok()?;
-        self.account_start(&waiting, self.clock);
+        self.account_start(&waiting, executor, self.clock);
         self.push_completion(&waiting.request, executor);
         Some(executor)
     }
 
     /// Charges SLA penalties and counts overflow episodes for a workload
-    /// that starts at `now`.
-    fn account_start(&mut self, waiting: &Waiting, now: u64) {
+    /// that starts at `now` on `executor`.
+    fn account_start(&mut self, waiting: &Waiting, executor: usize, now: u64) {
         let wait = now - waiting.request.arrival;
         if let Some(class) = self.sla_for(waiting.request.tenant) {
             if class.violated_by(wait) {
@@ -360,8 +424,15 @@ impl Scheduler {
             obs.placed.inc();
         }
         // One overflow episode per placement after which some executor's
-        // actual occupancy exceeds its capacity, however many axes overrun.
-        let overrun = self.cluster.executors().iter().find_map(|e| e.actual_overruns().first());
+        // actual occupancy exceeds its capacity, however many axes overrun;
+        // the label is the first overrun axis of the lowest such executor.
+        self.note_overruns(executor);
+        let overrun = if self.overrun_executors == 0 {
+            None
+        } else {
+            let first = self.overrunning.iter().position(|&o| o);
+            first.and_then(|e| self.cluster.executor(e).actual_overruns().first())
+        };
         if let Some(overrun) = overrun {
             self.overflow_events += 1;
             if let Some(obs) = &self.obs {
@@ -375,6 +446,20 @@ impl Scheduler {
                 resource = overrun.label(),
                 tick = now,
             );
+        }
+    }
+
+    /// Re-reads whether `executor`'s actual view overruns capacity, after
+    /// it admitted or released a workload.
+    fn note_overruns(&mut self, executor: usize) {
+        let over = self.cluster.executor(executor).actual_overruns().any();
+        if over != self.overrunning[executor] {
+            self.overrunning[executor] = over;
+            if over {
+                self.overrun_executors += 1;
+            } else {
+                self.overrun_executors -= 1;
+            }
         }
     }
 
@@ -402,6 +487,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::policy::{BestFit, FirstFit};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use wmp_plan::ResourceKind;
 
     fn request(id: u64, arrival: u64, duration: u64, mb: f64) -> WorkloadRequest {
@@ -546,6 +632,77 @@ mod tests {
         let mut memory_only = one_executor(f64::INFINITY);
         assert_eq!(memory_only.submit(hog), Submitted::Placed(0));
         assert_eq!(memory_only.submit(WorkloadRequest { id: 1, ..hog }), Submitted::Placed(0));
+    }
+
+    #[test]
+    fn a_nan_reservation_does_not_stop_the_retry_pass_early() {
+        // Executor 0 gates memory only, executor 1 memory and CPU. A NaN
+        // CPU reservation passes every CPU test, so it must not let the
+        // other waiting workload's 600 ms bound the queue on that axis.
+        let mut sched = Scheduler::new(
+            Cluster::from_capacities(vec![
+                ResourceVector::new(100.0, f64::INFINITY, f64::INFINITY),
+                ResourceVector::new(100.0, 1_000.0, f64::INFINITY),
+            ]),
+            Box::new(FirstFit),
+        );
+        let job = |id, duration, mb, cpu_ms| WorkloadRequest {
+            decision: ResourceVector::new(mb, cpu_ms, 0.0),
+            actual: ResourceVector::new(mb, cpu_ms, 0.0),
+            ..request(id, 0, duration, 0.0)
+        };
+        assert_eq!(sched.submit(job(0, 10, 100.0, 0.0)), Submitted::Placed(0));
+        assert_eq!(sched.submit(job(1, 5, 80.0, 900.0)), Submitted::Placed(1));
+        assert_eq!(sched.submit(job(2, 5, 50.0, 600.0)), Submitted::Deferred);
+        assert_eq!(sched.submit(job(3, 5, 30.0, f64::NAN)), Submitted::Deferred);
+        // At tick 5 executor 1 frees up and takes both: 600 ms of CPU
+        // leaves no room for another 600, but the NaN workload still fits.
+        let report = sched.run_to_completion();
+        assert_eq!(report.total_deferral_ticks, 10);
+        assert_eq!(report.max_deferral_ticks, 5);
+    }
+
+    /// Delegates to `inner`, counting `place` calls.
+    struct Counting<P> {
+        inner: P,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl<P: PlacementPolicy> PlacementPolicy for Counting<P> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn reserve_demand(&self, demand: ResourceVector) -> ResourceVector {
+            self.inner.reserve_demand(demand)
+        }
+
+        fn place(&self, reserve: ResourceVector, cluster: &Cluster) -> Option<usize> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.place(reserve, cluster)
+        }
+    }
+
+    #[test]
+    fn a_deep_burst_costs_a_linear_number_of_policy_calls() {
+        // Equal windows in one burst onto 4 executors with room for two
+        // each: all but 8 defer. Retrying the whole queue on every
+        // completion would ask the policy about 10^6 times.
+        const WORKLOADS: usize = 2_000;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let policy = Counting { inner: FirstFit, calls: Arc::clone(&calls) };
+        let mut sched = Scheduler::new(
+            Cluster::uniform(4, ResourceVector::memory_only(100.0)),
+            Box::new(policy),
+        );
+        for id in 0..WORKLOADS as u64 {
+            sched.submit(request(id, 0, 10, 40.0));
+        }
+        let report = sched.run_to_completion();
+        assert_eq!(report.placed_direct, 8);
+        assert_eq!(report.placed_deferred, WORKLOADS - 8);
+        let calls = calls.load(Ordering::Relaxed);
+        assert!(calls <= 3 * WORKLOADS, "{calls} place calls for {WORKLOADS} workloads");
     }
 
     #[test]

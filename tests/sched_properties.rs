@@ -11,7 +11,12 @@
 //! placements through `Executor::try_admit`), and the property tests
 //! enforce that the construction actually delivers across first-fit,
 //! best-fit, and prediction-aware placement on randomized arrival
-//! sequences, demands, and cluster shapes.
+//! sequences, demands, and cluster shapes — including deep deferral queues
+//! on unequal executors, where the retry pass skips and stops early.
+//!
+//! 3. **Policy contract** — a policy returns `Some(i)` only if executor `i`
+//!    fits the reservation, and `None` only when no executor does. The
+//!    scheduler's retry pass is exact only for policies that keep it.
 
 use learnedwmp::plan::ResourceVector;
 use learnedwmp::sched::{
@@ -37,12 +42,72 @@ fn policies() -> Vec<Box<dyn PlacementPolicy>> {
     vec![Box::new(FirstFit), Box::new(BestFit), Box::new(PredictionAware::new(1.25))]
 }
 
-/// Runs `raw` through a fresh scheduler per policy, asserting the capacity
-/// invariant after every submission and conservation at the end.
-fn check_policies(raw: &[RawWorkload], executors: usize, capacity: ResourceVector) {
+/// Deep-queue runs on unequal executors with joint memory+CPU gating: most
+/// workloads arrive in the same tick as the one before, and about half
+/// decide on one shared reservation (the nominal-demand shape), so the
+/// queue grows long and retry passes stop early on a stale lower bound.
+fn arb_deep_queue() -> impl Strategy<Value = (Vec<RawWorkload>, Cluster)> {
+    let capacities = prop::collection::vec((60.0f64..300.0, 400.0f64..2_000.0), 1..5);
+    let shared = (10.0f64..120.0, 0.0f64..600.0);
+    let workloads = prop::collection::vec(
+        (0u64..10, 0u64..200, 1u64..60, any::<bool>(), 1.0f64..160.0, 0.0f64..900.0),
+        10..200,
+    );
+    (capacities, shared, workloads).prop_map(|(capacities, (shared_mb, shared_cpu), raw)| {
+        let raw = raw
+            .into_iter()
+            .map(|(burst, gap, duration, shared, act_mb, act_cpu)| {
+                let gap = if burst < 8 { 0 } else { gap };
+                let (dec_mb, dec_cpu) =
+                    if shared { (shared_mb, shared_cpu) } else { (act_mb, act_cpu) };
+                (gap, duration, dec_mb, dec_cpu, act_mb, act_cpu)
+            })
+            .collect();
+        let capacities = capacities
+            .into_iter()
+            .map(|(mb, cpu)| ResourceVector::new(mb, cpu, f64::INFINITY))
+            .collect();
+        (raw, Cluster::from_capacities(capacities))
+    })
+}
+
+/// A heterogeneous cluster, CPU-gated on some executors, each partly
+/// filled by admitting reservations in order while they fit.
+fn arb_partly_filled_cluster() -> impl Strategy<Value = Cluster> {
+    let executor = (
+        50.0f64..400.0,
+        500.0f64..5_000.0,
+        any::<bool>(),
+        prop::collection::vec((1.0f64..200.0, 0.0f64..3_000.0), 0..6),
+    );
+    prop::collection::vec(executor, 1..6).prop_map(|executors| {
+        let mut cluster = Cluster::from_capacities(
+            executors
+                .iter()
+                .map(|&(mb, cpu, cpu_gated, _)| {
+                    let cpu = if cpu_gated { cpu } else { f64::INFINITY };
+                    ResourceVector::new(mb, cpu, f64::INFINITY)
+                })
+                .collect(),
+        );
+        for (i, (_, _, _, fills)) in executors.iter().enumerate() {
+            for (id, &(mb, cpu)) in fills.iter().enumerate() {
+                let fill = ResourceVector::new(mb, cpu, 0.0);
+                // A fill that no longer fits is simply left out.
+                let _ = cluster.executor_mut(i).try_admit(id as u64, fill, fill);
+            }
+        }
+        cluster
+    })
+}
+
+/// Runs `raw` through a fresh scheduler over a copy of `cluster` per
+/// policy, asserting the capacity invariant after every submission and
+/// conservation at the end.
+fn check_policies(raw: &[RawWorkload], cluster: &Cluster) {
     for policy in policies() {
         let name = policy.name();
-        let mut sched = Scheduler::new(Cluster::uniform(executors, capacity), policy)
+        let mut sched = Scheduler::new(cluster.clone(), policy)
             .with_sla_classes(vec![SlaClass::new(50, 5.0), SlaClass::new(500, 1.0)]);
         let mut arrival = 0u64;
         let mut outcomes = [0usize; 3]; // placed, deferred, rejected
@@ -115,13 +180,45 @@ proptest! {
         // Joint memory+CPU gating: demands near the top of the draw range
         // can never fit (⇒ rejections exercised), most fit only serially
         // (⇒ deferrals exercised).
-        check_policies(&raw, executors, ResourceVector::new(200.0, 1_000.0, f64::INFINITY));
+        let capacity = ResourceVector::new(200.0, 1_000.0, f64::INFINITY);
+        check_policies(&raw, &Cluster::uniform(executors, capacity));
     }
 
     #[test]
     fn memory_only_budgets_hold_the_same_invariants(
         raw in arb_workloads(),
     ) {
-        check_policies(&raw, 2, ResourceVector::new(150.0, f64::INFINITY, f64::INFINITY));
+        let capacity = ResourceVector::new(150.0, f64::INFINITY, f64::INFINITY);
+        check_policies(&raw, &Cluster::uniform(2, capacity));
+    }
+
+    #[test]
+    fn deep_queues_on_unequal_executors_hold_the_same_invariants(
+        (raw, cluster) in arb_deep_queue(),
+    ) {
+        check_policies(&raw, &cluster);
+    }
+
+    #[test]
+    fn policies_place_exactly_when_some_executor_fits(
+        cluster in arb_partly_filled_cluster(),
+        demands in prop::collection::vec((1.0f64..250.0, 0.0f64..4_000.0), 1..20),
+    ) {
+        for policy in policies() {
+            let name = policy.name();
+            for &(mb, cpu) in &demands {
+                let reserve = policy.reserve_demand(ResourceVector::new(mb, cpu, 0.0));
+                match policy.place(reserve, &cluster) {
+                    Some(i) => prop_assert!(
+                        cluster.executor(i).fits(reserve),
+                        "{name}: placed {reserve} on executor {i}, which does not fit it"
+                    ),
+                    None => prop_assert!(
+                        !cluster.executors().iter().any(|e| e.fits(reserve)),
+                        "{name}: declined {reserve} although an executor fits it"
+                    ),
+                }
+            }
+        }
     }
 }
