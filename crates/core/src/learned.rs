@@ -196,8 +196,12 @@ impl LearnedWmp {
     /// # Errors
     /// Propagates assignment/prediction errors.
     pub fn predict_resources(&self, queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
-        let assignments: Vec<usize> =
-            queries.iter().map(|r| self.templates.assign(r)).collect::<MlResult<_>>()?;
+        // Sized up front: collecting through `MlResult` gives no size hint,
+        // and regrowth would cost an allocation per doubling.
+        let mut assignments = Vec::with_capacity(queries.len());
+        for r in queries {
+            assignments.push(self.templates.assign(r)?);
+        }
         let h = build_histogram(
             &assignments,
             self.templates.n_templates(),

@@ -16,7 +16,8 @@ use wmp_mlkit::kmeans::{KMeans, KMeansConfig};
 use wmp_mlkit::linalg::sq_dist;
 use wmp_mlkit::scaler::StandardScaler;
 use wmp_mlkit::{Matrix, MlError, MlResult};
-use wmp_plan::Catalog;
+use wmp_plan::features::N_PLAN_FEATURES;
+use wmp_plan::{Catalog, Name};
 use wmp_text::bow::Vectorizer;
 use wmp_text::embed::{EmbedConfig, WordEmbedder};
 use wmp_workloads::QueryRecord;
@@ -75,6 +76,31 @@ fn subsample_rows(rows: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
     // because generators rotate templates round-robin.
     let stride = rows.len().div_ceil(MAX_FIT_SAMPLES);
     rows.into_iter().step_by(stride).collect()
+}
+
+/// Standardizes `features` with `scaler` and hands the scaled row to `f`.
+/// Rows up to [`N_PLAN_FEATURES`] wide (every plan-feature row) are scaled
+/// in a stack buffer, so assignment allocates nothing; the arithmetic is
+/// [`StandardScaler::transform_row`]'s either way.
+fn with_scaled_row<T>(
+    scaler: &StandardScaler,
+    features: &[f64],
+    f: impl FnOnce(&[f64]) -> MlResult<T>,
+) -> MlResult<T> {
+    let mut stack = [0.0; N_PLAN_FEATURES];
+    let mut heap;
+    let row = match stack.get_mut(..features.len()) {
+        Some(row) => {
+            row.copy_from_slice(features);
+            row
+        }
+        None => {
+            heap = features.to_vec();
+            heap.as_mut_slice()
+        }
+    };
+    scaler.transform_row(row)?;
+    f(row)
 }
 
 /// The paper's template learner: k-means over standardized plan features.
@@ -151,9 +177,7 @@ impl TemplateLearner for PlanKMeansTemplates {
 
     fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
         let km = self.kmeans.as_ref().ok_or(MlError::NotFitted("PlanKMeansTemplates"))?;
-        let mut row = record.features.clone();
-        self.scaler.transform_row(&mut row)?;
-        km.predict_row(&row)
+        with_scaled_row(&self.scaler, &record.features, |row| km.predict_row(row))
     }
 
     fn n_templates(&self) -> usize {
@@ -183,7 +207,7 @@ impl TemplateLearner for PlanKMeansTemplates {
 /// fall back to template 0, mirroring a rule set's catch-all bucket.
 #[derive(Debug, Clone, Default)]
 pub struct RuleBasedTemplates {
-    map: HashMap<(usize, bool, bool, bool, String), usize>,
+    map: HashMap<(usize, bool, bool, bool, Name), usize>,
     fitted: bool,
 }
 
@@ -193,7 +217,7 @@ impl RuleBasedTemplates {
         Self::default()
     }
 
-    fn key_of(record: &QueryRecord) -> (usize, bool, bool, bool, String) {
+    fn key_of(record: &QueryRecord) -> (usize, bool, bool, bool, Name) {
         let s = &record.spec;
         (
             s.tables.len().min(6),
@@ -219,7 +243,7 @@ impl RuleBasedTemplates {
                 c::read_bool(r)?,
                 c::read_bool(r)?,
                 c::read_bool(r)?,
-                c::read_string(r)?,
+                Name::from(c::read_string(r)?),
             );
             let template = c::read_usize(r)?;
             // assign() must stay within 0..n_templates() or the histogram
@@ -560,16 +584,16 @@ impl TemplateLearner for DbscanTemplates {
         if !self.fitted {
             return Err(MlError::NotFitted("DbscanTemplates"));
         }
-        let mut row = record.features.clone();
-        self.scaler.transform_row(&mut row)?;
-        let mut best = (0usize, f64::INFINITY);
-        for (i, p) in self.points.row_iter().enumerate() {
-            let d = sq_dist(p, &row);
-            if d < best.1 {
-                best = (i, d);
+        with_scaled_row(&self.scaler, &record.features, |row| {
+            let mut best = (0usize, f64::INFINITY);
+            for (i, p) in self.points.row_iter().enumerate() {
+                let d = sq_dist(p, row);
+                if d < best.1 {
+                    best = (i, d);
+                }
             }
-        }
-        Ok(self.labels[best.0])
+            Ok(self.labels[best.0])
+        })
     }
 
     fn n_templates(&self) -> usize {

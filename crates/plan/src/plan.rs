@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use crate::query::Name;
+
 /// Flat operator taxonomy used for featurization. The paper's Fig. 2 example
 /// features exactly this kind of per-operator-type `(count, cardinality)`
 /// pair; our taxonomy covers the operators the mini-planner emits.
@@ -75,18 +77,18 @@ pub enum Operator {
     /// Sequential scan of a base table.
     TableScan {
         /// Scanned table.
-        table: String,
+        table: Name,
         /// Alias in the query.
-        alias: String,
+        alias: Name,
     },
     /// Index scan driven by a predicate on `column`.
     IndexScan {
         /// Scanned table.
-        table: String,
+        table: Name,
         /// Alias in the query.
-        alias: String,
+        alias: Name,
         /// Indexed column that drives the scan.
-        column: String,
+        column: Name,
     },
     /// Hash join; `children[1]` is always the build side.
     HashJoin,
@@ -315,6 +317,29 @@ mod tests {
         assert!(lines[0].contains("est_rows=500"));
         assert!(lines[0].contains("true_rows=900"));
         assert_eq!(format!("{}", sample_plan()), text);
+    }
+
+    #[test]
+    fn explain_text_is_pinned() {
+        let aliased = PlanNode::leaf(
+            Operator::TableScan { table: "orders".into(), alias: "o".into() },
+            3.0,
+            4.0,
+            8,
+        );
+        let plan = PlanNode::unary(Operator::Limit { n: 7 }, aliased, 3.0, 4.0, 8);
+        assert_eq!(
+            plan.explain(),
+            "LIMIT 7 (est_rows=3, true_rows=4, width=8B)\n  \
+             TBSCAN orders as o (est_rows=3, true_rows=4, width=8B)\n"
+        );
+        assert_eq!(
+            sample_plan().explain(),
+            "SORT by a.x (est_rows=500, true_rows=900, width=150B)\n  \
+             HSJOIN (est_rows=500, true_rows=900, width=150B)\n    \
+             TBSCAN a (est_rows=1000, true_rows=1200, width=100B)\n    \
+             IXSCAN b (est_rows=10, true_rows=12, width=50B)\n"
+        );
     }
 
     #[test]

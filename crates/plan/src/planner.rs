@@ -9,7 +9,7 @@ use crate::catalog::Catalog;
 use crate::datamodel::estimate_groups;
 use crate::error::{PlanError, PlanResult};
 use crate::plan::{OpKind, Operator, PlanNode};
-use crate::query::{CmpOp, QuerySpec, TableRef};
+use crate::query::{CmpOp, Name, QuerySpec, TableRef};
 
 /// Planner tunables.
 #[derive(Debug, Clone)]
@@ -46,10 +46,10 @@ pub struct Planner<'a> {
 /// A partially joined fragment during join enumeration.
 struct Fragment {
     node: PlanNode,
-    aliases: Vec<String>,
+    aliases: Vec<Name>,
     cards: Cards,
     /// `(alias, column)` the output is ordered on, if any.
-    sorted_on: Option<(String, String)>,
+    sorted_on: Option<(Name, Name)>,
 }
 
 impl<'a> Planner<'a> {
@@ -162,13 +162,13 @@ impl<'a> Planner<'a> {
         let table = self
             .catalog
             .table(&tref.table)
-            .ok_or_else(|| PlanError::UnknownTable(tref.table.clone()))?;
+            .ok_or_else(|| PlanError::UnknownTable(tref.table.to_string()))?;
         // Validate predicate columns early so errors surface deterministically.
         for p in spec.predicates_for(&tref.alias) {
             if table.column(&p.column).is_none() {
                 return Err(PlanError::UnknownColumn {
-                    table: tref.table.clone(),
-                    column: p.column.clone(),
+                    table: tref.table.to_string(),
+                    column: p.column.to_string(),
                 });
             }
         }
@@ -341,7 +341,7 @@ impl<'a> Planner<'a> {
             };
         let inner_table = spec
             .table_of_alias(inner_alias)
-            .ok_or_else(|| PlanError::UnknownAlias(inner_alias.clone()))?;
+            .ok_or_else(|| PlanError::UnknownAlias(inner_alias.to_string()))?;
         let width = outer.node.row_width + inner.node.row_width;
         let mut aliases = outer.aliases.clone();
         aliases.extend(inner.aliases.iter().cloned());
@@ -396,10 +396,11 @@ impl<'a> Planner<'a> {
         let mut ndv_product_true = 1.0f64;
         let mut width: u32 = 16;
         for (alias, col) in &spec.group_by {
-            let table_name =
-                spec.table_of_alias(alias).ok_or_else(|| PlanError::UnknownAlias(alias.clone()))?;
+            let table_name = spec
+                .table_of_alias(alias)
+                .ok_or_else(|| PlanError::UnknownAlias(alias.to_string()))?;
             let (_, column) = self.catalog.column(table_name, col).ok_or_else(|| {
-                PlanError::UnknownColumn { table: table_name.to_string(), column: col.clone() }
+                PlanError::UnknownColumn { table: table_name.to_string(), column: col.to_string() }
             })?;
             ndv_product_est = (ndv_product_est * column.ndv as f64).min(1e18);
             ndv_product_true = (ndv_product_true * column.ndv as f64).min(1e18);

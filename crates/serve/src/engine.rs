@@ -106,23 +106,38 @@ pub enum WindowPolicy {
     Drain,
 }
 
+/// Observed records the retrain queue holds before [`Engine::observe`]
+/// drops new ones. A retraining pass blocks the consumer, and a caller that
+/// observes faster than the retrainer consumes would otherwise grow the
+/// queue without bound. The bound is twice the largest burst the
+/// repository's examples and tests observe (4,000 records in
+/// `examples/serving.rs`), so none of them drops; a full queue of TPC-H
+/// records holds about 8 MB.
+const RETRAIN_QUEUE_CAPACITY: usize = 8_192;
+
+/// The open window: its records, and the one ticket state every member
+/// ticket shares. Scoring resolves that state once.
 struct Pending {
     records: Vec<QueryRecord>,
-    tickets: Vec<Arc<TicketState>>,
+    state: Arc<TicketState>,
 }
 
 impl Pending {
-    fn new() -> Self {
-        Pending { records: Vec::new(), tickets: Vec::new() }
+    fn new(capacity: usize) -> Self {
+        Pending { records: Vec::with_capacity(capacity), state: TicketState::new() }
     }
 
+    /// Takes the window, leaving an empty one sized like it: under steady
+    /// traffic the next window fills without regrowing, and a buffer is
+    /// never larger than the traffic that filled the last one.
     fn take(&mut self) -> Pending {
-        std::mem::replace(self, Pending::new())
+        let next = Pending::new(self.records.len());
+        std::mem::replace(self, next)
     }
 }
 
 struct Retrainer {
-    tx: Option<mpsc::Sender<QueryRecord>>,
+    tx: Option<mpsc::SyncSender<QueryRecord>>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -173,7 +188,7 @@ impl Engine {
         Engine {
             handle,
             policy,
-            pending: Mutex::new(Pending::new()),
+            pending: Mutex::new(Pending::new(0)),
             window_seq: AtomicU64::new(0),
             query_seq: AtomicU64::new(0),
             obs: Arc::new(EngineObs::new()),
@@ -207,7 +222,7 @@ impl Engine {
     /// predicts bit-identically to the retrainer's). Warm-start `online`
     /// first if predictions should flow before the first pass.
     pub fn with_retraining(mut self, online: OnlineWmp, catalog: Catalog) -> Self {
-        let (tx, rx) = mpsc::channel::<QueryRecord>();
+        let (tx, rx) = mpsc::sync_channel::<QueryRecord>(RETRAIN_QUEUE_CAPACITY);
         let handle = self.handle.clone();
         let obs = Arc::clone(&self.obs);
         let join = std::thread::spawn(move || {
@@ -275,26 +290,23 @@ impl Engine {
         // Counted before the query enters the pending window (rule 1 of the
         // module docs); the pending lock orders it for window scorers.
         self.obs.submitted.inc();
-        let state = TicketState::new();
-        let ticket = QueryTicket { seq, state: Arc::clone(&state) };
 
-        let (closed, pending_len) = {
+        let (state, closed, pending_len) = {
             let mut pending =
                 self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             pending.records.push(record);
-            pending.tickets.push(state);
-            match self.policy {
-                WindowPolicy::Count(s) if pending.records.len() >= s.max(1) => {
-                    (Some(pending.take()), 0)
-                }
-                _ => (None, pending.records.len()),
-            }
+            let state = Arc::clone(&pending.state);
+            let closed = match self.policy {
+                WindowPolicy::Count(s) if pending.records.len() >= s.max(1) => Some(pending.take()),
+                _ => None,
+            };
+            (state, closed, pending.records.len())
         };
         self.obs.pending.set(pending_len as f64);
         if let Some(window) = closed {
             self.score_window(window);
         }
-        ticket
+        QueryTicket { seq, state }
     }
 
     /// Submits one query as SQL text: parses it under the attached
@@ -353,12 +365,15 @@ impl Engine {
     /// accumulated. Returns the number of tickets resolved (0 when nothing
     /// was pending).
     pub fn drain(&self) -> usize {
-        let window = self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+        let window = {
+            let mut pending =
+                self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            (!pending.records.is_empty()).then(|| pending.take())
+        };
         self.obs.pending.set(0.0);
+        let Some(window) = window else { return 0 };
         let n = window.records.len();
-        if n > 0 {
-            self.score_window(window);
-        }
+        self.score_window(window);
         n
     }
 
@@ -368,7 +383,6 @@ impl Engine {
     }
 
     fn score_window(&self, window: Pending) {
-        debug_assert_eq!(window.records.len(), window.tickets.len());
         // ordering: Relaxed — window ids need uniqueness only.
         let window_id = self.window_seq.fetch_add(1, Ordering::Relaxed);
         let span = wmp_obs::span!(
@@ -386,7 +400,7 @@ impl Engine {
         self.obs.windows.inc();
         self.obs.model_version.set(snapshot.version() as f64);
         self.obs.model_age_seconds.set(snapshot.age().as_secs_f64());
-        let n = window.tickets.len() as u64;
+        let n = window.records.len() as u64;
         // ordering: Release — pairs with the Acquire fence in `stats` (rule
         // 2 of the module docs): the window left `pending` (the caller took
         // it under the lock) before the Relaxed adds below become visible.
@@ -413,25 +427,33 @@ impl Engine {
                 Err(e)
             }
         };
-        for ticket in &window.tickets {
-            ticket.resolve(resolution.clone());
-        }
+        window.state.resolve(resolution);
         drop(span);
     }
 
     /// Feeds one executed query (with its measured resources) to the
     /// telemetry monitors (prediction quality, template drift) and streams
-    /// it to the background retrainer. Returns `false` — and drops the
-    /// record for retraining purposes — when no retrainer is attached or
-    /// its thread has stopped; the query is still counted and monitored, so
-    /// monitoring works on engines that retrain by explicit
-    /// [`Engine::reload`]/[`Engine::install`] instead.
+    /// it to the background retrainer. Returns `true` when the retrainer
+    /// received the record. Returns `false` when no retrainer is attached,
+    /// and also when the record is dropped because the retrainer's bounded
+    /// queue is full or its thread has stopped; a dropped record counts
+    /// toward `wmp_observations_dropped_total`. Either way the query is
+    /// counted and monitored, so monitoring works on engines that retrain
+    /// by explicit [`Engine::reload`]/[`Engine::install`] instead.
+    ///
+    /// With a retrainer attached, every observed query is either received
+    /// or dropped: `wmp_queries_observed_total` equals the `true` returns
+    /// plus `wmp_observations_dropped_total`.
     pub fn observe(&self, record: QueryRecord) -> bool {
         // Account before forwarding: the record is moved into the channel.
         self.obs.observed.inc();
         self.obs.account_observation(self.handle.snapshot().model(), &record);
         let Some(tx) = self.retrainer.as_ref().and_then(|r| r.tx.as_ref()) else { return false };
-        tx.send(record).is_ok()
+        let forwarded = tx.try_send(record).is_ok();
+        if !forwarded {
+            self.obs.observations_dropped.inc();
+        }
+        forwarded
     }
 
     /// Loads a persisted model artifact (see [`LearnedWmp::load_from`]) and
@@ -536,11 +558,45 @@ impl Drop for Engine {
     fn drop(&mut self) {
         // Never strand a waiter: resolve any un-scored tickets with a typed
         // error instead of leaving them blocked forever.
-        let window = self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-        for ticket in &window.tickets {
-            ticket.resolve(Err(MlError::EmptyInput(
-                "Engine dropped with a partial window (call drain() before shutdown)",
-            )));
+        let pending = self.pending.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
+        pending.state.resolve(Err(MlError::EmptyInput(
+            "Engine dropped with a partial window (call drain() before shutdown)",
+        )));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use learnedwmp_core::{ModelKind, TemplateSpec};
+
+    #[test]
+    fn a_full_retrain_queue_drops_and_counts_observations() {
+        let log = wmp_workloads::tpcc::generate(60, 15).unwrap();
+        let model = LearnedWmp::builder()
+            .model(ModelKind::Ridge)
+            .templates(TemplateSpec::PlanKMeans { k: 4, seed: 15 })
+            .fit(&log)
+            .unwrap();
+        let mut engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
+        // A retrainer that never consumes: the queue fills and stays full.
+        let (tx, rx) = mpsc::sync_channel(RETRAIN_QUEUE_CAPACITY);
+        engine.retrainer = Some(Retrainer { tx: Some(tx), join: None });
+
+        let extra = 5;
+        let mut forwarded = 0;
+        for r in log.records.iter().cycle().take(RETRAIN_QUEUE_CAPACITY + extra) {
+            forwarded += u64::from(engine.observe(r.clone()));
         }
+        let dropped = engine.obs.observations_dropped.get();
+        assert_eq!(forwarded, RETRAIN_QUEUE_CAPACITY as u64);
+        assert_eq!(dropped, extra as u64);
+        assert_eq!(engine.stats().observed, forwarded + dropped);
+
+        // A stopped retrainer drops too.
+        drop(rx);
+        assert!(!engine.observe(log.records[0].clone()));
+        assert_eq!(engine.obs.observations_dropped.get(), dropped + 1);
+        assert_eq!(engine.stats().observed, forwarded + dropped + 1);
     }
 }

@@ -352,9 +352,67 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(60, 9).unwrap();
         let model = trained_on(&log, ModelKind::Ridge, 9);
         let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
-        let ticket = engine.submit(log.records[0].clone());
+        let tickets: Vec<QueryTicket> =
+            log.records[..7].iter().map(|r| engine.submit(r.clone())).collect();
         drop(engine);
-        assert!(ticket.wait().is_err(), "no waiter blocks forever on shutdown");
+        for t in &tickets {
+            assert!(
+                matches!(t.wait(), Err(wmp_mlkit::MlError::EmptyInput(_))),
+                "no waiter blocks forever on shutdown: {t:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_windows_tickets_share_one_decision_and_the_next_window_waits() {
+        let log = wmp_workloads::tpcc::generate(120, 12).unwrap();
+        let model = trained_on(&log, ModelKind::Ridge, 12);
+        let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
+        let first: Vec<QueryTicket> =
+            log.records[..10].iter().map(|r| engine.submit(r.clone())).collect();
+        let decision = first[0].try_get().expect("the 10th submission closed the window");
+        for t in &first {
+            assert_eq!(t.try_get(), Some(decision.clone()), "ticket {} disagrees", t.seq());
+        }
+
+        // The next window's tickets stay open until its last member arrives.
+        let mut second: Vec<QueryTicket> =
+            log.records[10..19].iter().map(|r| engine.submit(r.clone())).collect();
+        assert!(second.iter().all(|t| !t.is_resolved()));
+        second.push(engine.submit(log.records[19].clone()));
+        let next = second[0].wait().unwrap();
+        assert_eq!(next.window_id, decision.unwrap().window_id + 1);
+        assert!(second.iter().all(|t| t.try_get() == Some(Ok(next))));
+    }
+
+    #[test]
+    fn draining_an_empty_engine_resolves_nothing() {
+        let log = wmp_workloads::tpcc::generate(60, 13).unwrap();
+        let model = trained_on(&log, ModelKind::Ridge, 13);
+        let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(5));
+        assert_eq!(engine.drain(), 0);
+        let tickets: Vec<QueryTicket> =
+            log.records[..5].iter().map(|r| engine.submit(r.clone())).collect();
+        assert_eq!(engine.drain(), 0, "the full window already closed");
+        let open = engine.submit(log.records[5].clone());
+        assert!(!open.is_resolved(), "a drain of nothing leaves the next window open");
+        assert!(tickets.iter().all(QueryTicket::is_resolved));
+        let stats = engine.stats();
+        assert_eq!((stats.windows, stats.resolved(), stats.pending), (1, 5, 1));
+    }
+
+    #[test]
+    fn a_window_too_large_to_fill_serves_through_drain() {
+        let log = wmp_workloads::tpcc::generate(60, 14).unwrap();
+        let model = trained_on(&log, ModelKind::Ridge, 14);
+        let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(usize::MAX));
+        let tickets: Vec<QueryTicket> =
+            log.records[..3].iter().map(|r| engine.submit(r.clone())).collect();
+        assert!(tickets.iter().all(|t| !t.is_resolved()));
+        assert_eq!(engine.drain(), 3);
+        let decision = tickets[0].wait().unwrap();
+        assert!(tickets.iter().all(|t| t.try_get() == Some(Ok(decision))));
+        assert_eq!(engine.stats().windows, 1);
     }
 
     #[test]

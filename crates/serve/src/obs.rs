@@ -69,6 +69,7 @@ pub(crate) struct EngineObs {
     pub(crate) windows: Arc<Counter>,
     pub(crate) swaps: Arc<Counter>,
     pub(crate) observed: Arc<Counter>,
+    pub(crate) observations_dropped: Arc<Counter>,
     pub(crate) retrains: Arc<Counter>,
     pub(crate) retrain_failures: Arc<Counter>,
     pub(crate) sql_parse_ok: Arc<Counter>,
@@ -114,6 +115,11 @@ impl EngineObs {
             observed: r.counter(
                 "wmp_queries_observed_total",
                 "Executed queries fed back via Engine::observe",
+                &[],
+            ),
+            observations_dropped: r.counter(
+                "wmp_observations_dropped_total",
+                "Observed queries the retrainer never received (its queue was full or it had stopped)",
                 &[],
             ),
             retrains: r.counter(

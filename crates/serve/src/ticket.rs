@@ -1,6 +1,10 @@
 //! Per-query tickets: `Engine::submit` returns immediately with a
 //! [`QueryTicket`]; the ticket resolves when the query's window fills (or is
 //! drained) and the window's collective memory prediction is known.
+//!
+//! Every ticket of one window shares that window's single `TicketState`,
+//! so a submission allocates no state of its own, and scoring resolves the
+//! window once rather than once per member.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -35,6 +39,7 @@ impl WorkloadDecision {
     }
 }
 
+/// The resolution slot of one window, shared by all of its tickets.
 pub(crate) struct TicketState {
     slot: Mutex<Option<MlResult<WorkloadDecision>>>,
     ready: Condvar,

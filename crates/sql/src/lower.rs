@@ -24,10 +24,8 @@
 //! featurizers) treat the pair as "estimate + actual" without caring where
 //! they came from.
 
-use std::collections::HashMap;
-
 use wmp_plan::catalog::Catalog;
-use wmp_plan::query::{Aggregate, CmpOp, JoinEdge, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{Aggregate, CmpOp, JoinEdge, Name, Predicate, QuerySpec, TableRef};
 
 use crate::ast::{ColumnRef, Condition, Literal, SelectItem, SelectStmt};
 use crate::error::{ParseError, SqlResult};
@@ -52,22 +50,13 @@ pub const LIKE_SELECTIVITY: f64 = 0.05;
 /// parseable constructs the plan model cannot express; all span-carrying.
 pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
     let scope = Scope::bind(stmt, catalog)?;
-    let mut spec = QuerySpec {
-        distinct: stmt.distinct,
-        limit: stmt.limit,
-        tables: stmt
-            .from
-            .iter()
-            .map(|f| TableRef { table: f.table.clone(), alias: f.alias.clone() })
-            .collect(),
-        ..QuerySpec::default()
-    };
+    let mut spec = QuerySpec { distinct: stmt.distinct, limit: stmt.limit, ..QuerySpec::default() };
 
     for item in &stmt.items {
         match item {
             SelectItem::Star(_) => {}
             SelectItem::QualifiedStar { qualifier, span } => {
-                scope.alias_table(qualifier, *span)?;
+                scope.table(qualifier, *span)?;
             }
             SelectItem::Column(col) => {
                 scope.resolve(col, catalog)?;
@@ -78,7 +67,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                         let (alias, _, column) = scope.resolve(col, catalog)?;
                         (alias, column)
                     }
-                    None => (String::new(), String::new()),
+                    None => (Name::default(), Name::default()),
                 };
                 spec.aggregates.push(Aggregate { func: *func, table_alias, column });
             }
@@ -107,11 +96,12 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                         })
                     }
                 };
-                spec.predicates.push(predicate(table_alias, column, op, literal.text.clone(), sel));
+                let literal = literal.text.as_str().into();
+                spec.predicates.push(predicate(table_alias, column, op, literal, sel));
             }
             Condition::Between { col, lo, hi, .. } => {
                 let (table_alias, _, column) = scope.resolve(col, catalog)?;
-                let literal = format!("{} AND {}", lo.text, hi.text);
+                let literal = format!("{} AND {}", lo.text, hi.text).into();
                 spec.predicates.push(predicate(
                     table_alias,
                     column,
@@ -133,7 +123,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                     table_alias,
                     column,
                     CmpOp::InList(items.len() as u8),
-                    render_in_list(items),
+                    render_in_list(items).into(),
                     sel,
                 ));
             }
@@ -143,7 +133,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                     table_alias,
                     column,
                     CmpOp::Like,
-                    pattern.text.clone(),
+                    pattern.text.as_str().into(),
                     LIKE_SELECTIVITY,
                 ));
             }
@@ -158,16 +148,11 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
         let (alias, _, column) = scope.resolve(col, catalog)?;
         spec.order_by.push((alias, column));
     }
+    spec.tables = scope.tables;
     Ok(spec)
 }
 
-fn predicate(
-    table_alias: String,
-    column: String,
-    op: CmpOp,
-    literal: String,
-    sel: f64,
-) -> Predicate {
+fn predicate(table_alias: Name, column: Name, op: CmpOp, literal: Name, sel: f64) -> Predicate {
     Predicate { table_alias, column, op, literal, sel_est: sel, sel_true: sel }
 }
 
@@ -180,65 +165,68 @@ fn render_in_list(items: &[Literal]) -> String {
     texts.join(", ")
 }
 
-/// Alias scope built from the FROM clause.
+/// Alias scope built from the FROM clause. It holds one [`Name`] per table
+/// and alias, and every resolved reference shares the alias's `Name`, so a
+/// lowered identifier costs at most one allocation.
 struct Scope {
-    /// alias → table name.
-    by_alias: HashMap<String, String>,
+    /// The FROM bindings in statement order; aliases are unique.
+    tables: Vec<TableRef>,
 }
 
 impl Scope {
     fn bind(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<Scope> {
-        let mut by_alias = HashMap::new();
+        let mut tables: Vec<TableRef> = Vec::with_capacity(stmt.from.len());
         for item in &stmt.from {
             if catalog.table(&item.table).is_none() {
                 return Err(ParseError::UnknownTable { name: item.table.clone(), span: item.span });
             }
-            if by_alias.insert(item.alias.clone(), item.table.clone()).is_some() {
+            if tables.iter().any(|t| *t.alias == *item.alias) {
                 return Err(ParseError::DuplicateAlias {
                     alias: item.alias.clone(),
                     span: item.span,
                 });
             }
+            tables.push(TableRef::new(&item.table, &item.alias));
         }
-        Ok(Scope { by_alias })
+        Ok(Scope { tables })
     }
 
-    fn alias_table(&self, alias: &str, span: crate::error::Span) -> SqlResult<&str> {
-        self.by_alias
-            .get(alias)
-            .map(String::as_str)
+    fn table(&self, alias: &str, span: crate::error::Span) -> SqlResult<&TableRef> {
+        self.tables
+            .iter()
+            .find(|t| *t.alias == *alias)
             .ok_or_else(|| ParseError::UnknownAlias { alias: alias.to_string(), span })
     }
 
     /// Resolves a column reference to `(alias, ndv, column)`.
-    fn resolve(&self, col: &ColumnRef, catalog: &Catalog) -> SqlResult<(String, u64, String)> {
+    fn resolve(&self, col: &ColumnRef, catalog: &Catalog) -> SqlResult<(Name, u64, Name)> {
         match &col.qualifier {
             Some(alias) => {
-                let table = self.alias_table(alias, col.span)?;
-                match catalog.column(table, &col.column) {
-                    Some((_, c)) => Ok((alias.clone(), c.ndv, col.column.clone())),
+                let t = self.table(alias, col.span)?;
+                match catalog.column(&t.table, &col.column) {
+                    Some((_, c)) => Ok((t.alias.clone(), c.ndv, col.column.as_str().into())),
                     None => Err(ParseError::UnknownColumn {
-                        table: table.to_string(),
+                        table: t.table.to_string(),
                         column: col.column.clone(),
                         span: col.span,
                     }),
                 }
             }
             None => {
-                let mut hit: Option<(String, u64)> = None;
-                for (alias, table) in &self.by_alias {
-                    if let Some((_, c)) = catalog.column(table, &col.column) {
+                let mut hit: Option<(&Name, u64)> = None;
+                for t in &self.tables {
+                    if let Some((_, c)) = catalog.column(&t.table, &col.column) {
                         if hit.is_some() {
                             return Err(ParseError::AmbiguousColumn {
                                 column: col.column.clone(),
                                 span: col.span,
                             });
                         }
-                        hit = Some((alias.clone(), c.ndv));
+                        hit = Some((&t.alias, c.ndv));
                     }
                 }
                 match hit {
-                    Some((alias, ndv)) => Ok((alias, ndv, col.column.clone())),
+                    Some((alias, ndv)) => Ok((alias.clone(), ndv, col.column.as_str().into())),
                     None => Err(ParseError::UnknownColumn {
                         table: "<any table in scope>".to_string(),
                         column: col.column.clone(),
@@ -293,18 +281,18 @@ mod tests {
         );
         assert_eq!(spec.tables.len(), 2);
         assert_eq!(spec.joins.len(), 1);
-        assert_eq!(spec.joins[0].left_alias, "o");
+        assert_eq!(&*spec.joins[0].left_alias, "o");
         assert_eq!(spec.predicates.len(), 2);
         assert_eq!(spec.predicates[0].op, CmpOp::Eq);
         assert!((spec.predicates[0].sel_est - 1.0 / 25.0).abs() < 1e-12, "eq uses 1/ndv");
         assert_eq!(spec.predicates[1].op, CmpOp::Between);
-        assert_eq!(spec.predicates[1].literal, "5 AND 10");
+        assert_eq!(&*spec.predicates[1].literal, "5 AND 10");
         assert!((spec.predicates[1].sel_est - BETWEEN_SELECTIVITY).abs() < 1e-12);
-        assert_eq!(spec.group_by, vec![("c".to_string(), "c_nation".to_string())]);
+        assert_eq!(spec.group_by, vec![("c".into(), "c_nation".into())]);
         assert_eq!(spec.order_by.len(), 1);
         assert_eq!(spec.limit, Some(10));
         assert_eq!(spec.aggregates.len(), 1);
-        assert_eq!(spec.aggregates[0].table_alias, "o");
+        assert_eq!(&*spec.aggregates[0].table_alias, "o");
     }
 
     #[test]
@@ -316,7 +304,7 @@ mod tests {
         assert!((spec.predicates[0].sel_est - RANGE_SELECTIVITY).abs() < 1e-12);
         assert_eq!(spec.predicates[1].op, CmpOp::InList(3));
         assert!((spec.predicates[1].sel_est - 3.0 / 1_000.0).abs() < 1e-12, "IN uses k/ndv");
-        assert_eq!(spec.predicates[1].literal, "1, 2, 3");
+        assert_eq!(&*spec.predicates[1].literal, "1, 2, 3");
         assert!((spec.predicates[2].sel_est - LIKE_SELECTIVITY).abs() < 1e-12);
         for p in &spec.predicates {
             assert_eq!(p.sel_est, p.sel_true, "text ingestion has no hidden truth");
@@ -327,8 +315,8 @@ mod tests {
     fn count_star_has_empty_alias_and_column() {
         let spec = lowered("SELECT COUNT(*) FROM orders");
         assert_eq!(spec.aggregates.len(), 1);
-        assert_eq!(spec.aggregates[0].table_alias, "");
-        assert_eq!(spec.aggregates[0].column, "");
+        assert_eq!(&*spec.aggregates[0].table_alias, "");
+        assert_eq!(&*spec.aggregates[0].column, "");
     }
 
     #[test]
@@ -337,8 +325,8 @@ mod tests {
         assert_eq!(spec.joins.len(), 1);
         // Unqualified resolution binds to the table-name aliases.
         let edge = &spec.joins[0];
-        assert_eq!(edge.left_alias, "orders");
-        assert_eq!(edge.right_alias, "customer");
+        assert_eq!(&*edge.left_alias, "orders");
+        assert_eq!(&*edge.right_alias, "customer");
     }
 
     #[test]

@@ -221,8 +221,8 @@ mod tests {
             aggregates: vec![
                 Aggregate {
                     func: AggFunc::Count,
-                    table_alias: String::new(),
-                    column: String::new(),
+                    table_alias: Default::default(),
+                    column: Default::default(),
                 },
                 Aggregate { func: AggFunc::Count, table_alias: "t".into(), column: "a".into() },
             ],
@@ -318,7 +318,7 @@ mod tests {
             aggregates: vec![Aggregate {
                 func: AggFunc::Count,
                 table_alias: "item".into(),
-                column: String::new(),
+                column: Default::default(),
             }],
             distinct: true,
             ..QuerySpec::default()

@@ -31,6 +31,11 @@ pub struct SqlLineError {
 
 /// One executed query: the paper's `q = (e, p, m)` generalized to a
 /// multi-resource label, plus the baseline estimate.
+///
+/// Cloning a record shares its spec's names (see [`wmp_plan::query::Name`]):
+/// a clone allocates the `features` buffer and one buffer per non-empty
+/// `Vec` of the spec, never a string. That is what lets a caller hand
+/// `Engine::submit` an owned copy cheaply.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
     /// Stable query id within the log.

@@ -73,10 +73,10 @@ pub fn draw_eq(alias: &str, col: &Column, rng: &mut StdRng) -> Predicate {
     let sel_est = (1.0 / col.ndv.max(1) as f64 * bind_jitter(rng)).clamp(1e-9, 1.0);
     let sel_true = (sel_est * lognormal(rng, eq_truth_sigma(col))).clamp(1e-9, 1.0);
     Predicate {
-        table_alias: alias.to_string(),
-        column: col.name.clone(),
+        table_alias: alias.into(),
+        column: col.name.as_str().into(),
         op: CmpOp::Eq,
-        literal: literal_for(col, rng),
+        literal: literal_for(col, rng).into(),
         sel_est,
         sel_true,
     }
@@ -89,10 +89,10 @@ pub fn draw_in(alias: &str, col: &Column, k: u8, rng: &mut StdRng) -> Predicate 
     let sel_true = (sel_est * lognormal(rng, eq_truth_sigma(col) * 0.8)).clamp(1e-9, 1.0);
     let items: Vec<String> = (0..k_eff).map(|_| literal_for(col, rng)).collect();
     Predicate {
-        table_alias: alias.to_string(),
-        column: col.name.clone(),
+        table_alias: alias.into(),
+        column: col.name.as_str().into(),
         op: CmpOp::InList(k_eff),
-        literal: items.join(", "),
+        literal: items.join(", ").into(),
         sel_est,
         sel_true,
     }
@@ -105,10 +105,10 @@ pub fn draw_range(alias: &str, col: &Column, frac: f64, rng: &mut StdRng) -> Pre
     let lo = literal_for(col, rng);
     let hi = literal_for(col, rng);
     Predicate {
-        table_alias: alias.to_string(),
-        column: col.name.clone(),
+        table_alias: alias.into(),
+        column: col.name.as_str().into(),
         op: CmpOp::Between,
-        literal: format!("{lo} AND {hi}"),
+        literal: format!("{lo} AND {hi}").into(),
         sel_est,
         sel_true,
     }
@@ -121,10 +121,10 @@ pub fn draw_range(alias: &str, col: &Column, frac: f64, rng: &mut StdRng) -> Pre
 pub fn draw_like(alias: &str, col: &Column, rng: &mut StdRng) -> Predicate {
     let sel_true = 10f64.powf(rng.gen_range(-2.5..-0.8));
     Predicate {
-        table_alias: alias.to_string(),
-        column: col.name.clone(),
+        table_alias: alias.into(),
+        column: col.name.as_str().into(),
         op: CmpOp::Like,
-        literal: format!("'%{}%'", literal_for(col, rng).trim_matches('\'')),
+        literal: format!("'%{}%'", literal_for(col, rng).trim_matches('\'')).into(),
         sel_est: LIKE_DEFAULT_SELECTIVITY,
         sel_true,
     }
@@ -151,7 +151,7 @@ mod tests {
         assert!((p.sel_est / 0.001).ln().abs() < 0.3);
         assert!(p.sel_true > 0.0 && p.sel_true <= 1.0);
         assert_eq!(p.op, CmpOp::Eq);
-        assert_eq!(p.table_alias, "t");
+        assert_eq!(&*p.table_alias, "t");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wmp_plan::error::PlanResult;
-use wmp_plan::query::{AggFunc, Aggregate, JoinEdge, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{AggFunc, Aggregate, JoinEdge, Name, Predicate, QuerySpec, TableRef};
 use wmp_plan::schema::{Column, ColumnType, Distribution, Table};
 use wmp_plan::Catalog;
 
@@ -412,7 +412,7 @@ fn add_dim_predicate(
 /// Group-by candidates available on a template's joined dimensions.
 fn group_candidates(
     dims: &[(&'static str, &'static str, &'static str, &'static str)],
-) -> Vec<(String, String)> {
+) -> Vec<(Name, Name)> {
     let mut out = Vec::new();
     for (table, alias, _, _) in dims {
         // Real TPC-DS groups both at coarse grain (year, category, state) and
@@ -430,7 +430,7 @@ fn group_candidates(
             _ => &[],
         };
         for c in cols {
-            out.push((alias.to_string(), c.to_string()));
+            out.push(((*alias).into(), (*c).into()));
         }
     }
     out
@@ -452,10 +452,10 @@ pub fn instantiate(cat: &Catalog, t: &TpcdsTemplate, id: u64, rng: &mut StdRng) 
     for (table, alias, fk, pk) in &dims {
         tables.push(TableRef::new(table, alias));
         joins.push(JoinEdge {
-            left_alias: f.alias.to_string(),
-            left_col: fk.to_string(),
-            right_alias: alias.to_string(),
-            right_col: pk.to_string(),
+            left_alias: f.alias.into(),
+            left_col: (*fk).into(),
+            right_alias: (*alias).into(),
+            right_col: (*pk).into(),
         });
     }
     let mut predicates = Vec::new();
@@ -478,11 +478,7 @@ pub fn instantiate(cat: &Catalog, t: &TpcdsTemplate, id: u64, rng: &mut StdRng) 
     let mut order_by = Vec::new();
     let mut distinct = false;
     let mut limit = None;
-    let agg = |func, col: &str| Aggregate {
-        func,
-        table_alias: f.alias.to_string(),
-        column: col.to_string(),
-    };
+    let agg = |func, col: &str| Aggregate { func, table_alias: f.alias.into(), column: col.into() };
     match t.shape {
         0 => {
             group_by.push(candidates[struct_rng.gen_range(0..candidates.len())].clone());

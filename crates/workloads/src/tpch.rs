@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use wmp_plan::error::PlanResult;
-use wmp_plan::query::{AggFunc, Aggregate, CmpOp, JoinEdge, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{AggFunc, Aggregate, CmpOp, JoinEdge, Name, Predicate, QuerySpec, TableRef};
 use wmp_plan::schema::{Column, ColumnType, Distribution, Table};
 use wmp_plan::Catalog;
 use wmp_sql::{parse_to_spec, render_sql_dialect, Ansi};
@@ -184,7 +184,7 @@ pub fn catalog() -> Catalog {
 fn one_sided(alias: &str, col: &Column, op: CmpOp, frac: f64, rng: &mut StdRng) -> Predicate {
     let mut p = draw_range(alias, col, frac, rng);
     p.op = op;
-    p.literal = literal_for(col, rng);
+    p.literal = literal_for(col, rng).into();
     p
 }
 
@@ -202,10 +202,10 @@ fn agg(func: AggFunc, alias: &str, column: &str) -> Aggregate {
 }
 
 fn count_star() -> Aggregate {
-    Aggregate { func: AggFunc::Count, table_alias: String::new(), column: String::new() }
+    Aggregate { func: AggFunc::Count, table_alias: Name::default(), column: Name::default() }
 }
 
-fn by(alias: &str, col: &str) -> (String, String) {
+fn by(alias: &str, col: &str) -> (Name, Name) {
     (alias.into(), col.into())
 }
 

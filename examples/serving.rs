@@ -98,6 +98,15 @@ fn main() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
 
+    // The retrain queue holds this example's whole burst, so every
+    // observation reached the retrainer.
+    let dropped = engine
+        .obs_registry()
+        .snapshot()
+        .get("wmp_observations_dropped_total", &[])
+        .and_then(|m| m.as_counter());
+    assert_eq!(dropped, Some(0), "the retrain queue dropped observations");
+
     // --- Close the loop: window predictions drive admission. -------------
     // Reassemble windows: every member ticket carries the same decision, so
     // group actual per-query memory by window id.

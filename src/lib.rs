@@ -76,7 +76,7 @@
 //!     &catalog,
 //! )
 //! .unwrap();
-//! assert_eq!(spec.tables[0].table, "lineitem");
+//! assert_eq!(&*spec.tables[0].table, "lineitem");
 //! assert_eq!(spec.predicates.len(), 1);
 //! ```
 //!

@@ -77,6 +77,7 @@ fn serving_lifecycle_emits_spans_events_and_metrics() {
     assert_eq!(counter("wmp_queries_failed_total"), 0);
     assert_eq!(counter("wmp_windows_scored_total"), (N_QUERIES / WINDOW) as u64);
     assert_eq!(counter("wmp_queries_observed_total"), N_QUERIES as u64);
+    assert_eq!(counter("wmp_observations_dropped_total"), 0);
     assert_eq!(counter("wmp_retrains_total"), 1);
     assert_eq!(counter("wmp_model_swaps_total"), 1);
     let latency = snapshot

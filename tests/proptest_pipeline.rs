@@ -52,7 +52,7 @@ fn arb_star_query() -> impl Strategy<Value = QuerySpec> {
                     sel_true: (sel * 1.5).min(1.0),
                 });
                 if group {
-                    group_by.push((alias.to_string(), attr.to_string()));
+                    group_by.push(((*alias).into(), (*attr).into()));
                 }
             }
             let aggregates = vec![Aggregate {

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use learnedwmp::plan::query::{
-    AggFunc, Aggregate, CmpOp, JoinEdge, Predicate, QuerySpec, TableRef,
+    AggFunc, Aggregate, CmpOp, JoinEdge, Name, Predicate, QuerySpec, TableRef,
 };
 use learnedwmp::sql::{all_dialects, lower, parse, render_sql_dialect};
 
@@ -60,10 +60,10 @@ fn build_predicate(pick: &PredPick, aliases: &[&str; 3], present: &[usize]) -> P
         _ => (CmpOp::Like, format!("'%v{}%'", pick.a)),
     };
     Predicate {
-        table_alias: aliases[table].to_string(),
-        column,
+        table_alias: aliases[table].into(),
+        column: column.into(),
         op,
-        literal,
+        literal: literal.into(),
         sel_est: 0.1,
         sel_true: 0.2,
     }
@@ -114,17 +114,14 @@ fn arb_spec() -> impl Strategy<Value = QuerySpec> {
             let predicates: Vec<Predicate> =
                 preds.iter().map(|p| build_predicate(p, &aliases, &present)).collect();
 
-            let group_by = if group {
-                vec![(aliases[0].to_string(), "l_returnflag".to_string())]
-            } else {
-                vec![]
-            };
+            let group_by =
+                if group { vec![(aliases[0].into(), "l_returnflag".into())] } else { vec![] };
             let aggregates = match agg_idx {
                 0 => vec![],
                 1 => vec![Aggregate {
                     func: AggFunc::Count,
-                    table_alias: String::new(),
-                    column: String::new(),
+                    table_alias: Name::default(),
+                    column: Name::default(),
                 }],
                 2 => vec![Aggregate {
                     func: AggFunc::Sum,
@@ -144,8 +141,8 @@ fn arb_spec() -> impl Strategy<Value = QuerySpec> {
                     },
                     Aggregate {
                         func: AggFunc::Count,
-                        table_alias: String::new(),
-                        column: String::new(),
+                        table_alias: Name::default(),
+                        column: Name::default(),
                     },
                 ],
             };

@@ -39,7 +39,7 @@ fn every_generated_query_obeys_structural_contracts() {
             // SQL renders and mentions every referenced table.
             let sql = r.sql();
             for t in &r.spec.tables {
-                assert!(sql.contains(&t.table), "{sql}");
+                assert!(sql.contains(&*t.table), "{sql}");
             }
         }
     }
