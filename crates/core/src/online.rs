@@ -3,6 +3,8 @@
 //! environment, and periodically retrain so accuracy improves (and tracks
 //! workload drift) over time.
 
+use std::collections::VecDeque;
+
 use wmp_mlkit::{MlError, MlResult};
 use wmp_obs::Level;
 use wmp_plan::{Catalog, ResourceVector};
@@ -47,7 +49,9 @@ pub struct OnlinePolicy {
     /// (re)training.
     pub retrain_every: usize,
     /// Keep at most this many recent queries (sliding window; older history
-    /// ages out so the model tracks drift).
+    /// ages out so the model tracks drift). The window is a ring buffer:
+    /// evicting the oldest query is O(1) whatever the window size, and each
+    /// retrain sees the window's queries in arrival order.
     pub window: usize,
     /// Number of templates for each retraining.
     pub k_templates: usize,
@@ -63,7 +67,7 @@ impl Default for OnlinePolicy {
 pub struct OnlineWmp {
     config: LearnedWmpConfig,
     policy: OnlinePolicy,
-    buffer: Vec<QueryRecord>,
+    buffer: VecDeque<QueryRecord>,
     since_train: usize,
     model: Option<LearnedWmp>,
     retrain_count: usize,
@@ -76,7 +80,7 @@ impl OnlineWmp {
         OnlineWmp {
             config,
             policy,
-            buffer: Vec::new(),
+            buffer: VecDeque::new(),
             since_train: 0,
             model: None,
             retrain_count: 0,
@@ -101,10 +105,9 @@ impl OnlineWmp {
     /// # Errors
     /// Propagates retraining errors.
     pub fn observe(&mut self, record: QueryRecord, catalog: &Catalog) -> MlResult<RetrainOutcome> {
-        self.buffer.push(record);
+        self.buffer.push_back(record);
         if self.buffer.len() > self.policy.window {
-            let drop = self.buffer.len() - self.policy.window;
-            self.buffer.drain(..drop);
+            self.buffer.pop_front();
         }
         self.since_train += 1;
         if self.since_train >= self.policy.retrain_every
@@ -260,6 +263,34 @@ mod tests {
             let _ = online.observe(r.clone(), &log.catalog).unwrap();
         }
         assert_eq!(online.window_len(), 150);
+    }
+
+    #[test]
+    fn retrain_fits_the_last_window_in_arrival_order() {
+        let log = wmp_workloads::tpcc::generate(450, 6).unwrap();
+        let mut online = OnlineWmp::new(config(), policy(10_000, 150));
+        for r in &log.records {
+            let _ = online.observe(r.clone(), &log.catalog).unwrap();
+        }
+        assert_eq!(online.window_len(), 150);
+        online.retrain(&log.catalog).unwrap();
+
+        let last: Vec<&QueryRecord> = log.records[300..].iter().collect();
+        let fresh = LearnedWmp::builder()
+            .model(ModelKind::Xgb)
+            .templates(crate::builder::TemplateSpec::PlanKMeans { k: 10, seed: 42 })
+            .fit_refs(&last, &log.catalog)
+            .unwrap();
+        for probe in log.records.chunks(10).step_by(5) {
+            let probe: Vec<&QueryRecord> = probe.iter().collect();
+            let (a, b) = (
+                online.predict_resources(&probe).unwrap(),
+                fresh.predict_resources(&probe).unwrap(),
+            );
+            for (x, y) in a.as_array().iter().zip(b.as_array()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
     }
 
     #[test]

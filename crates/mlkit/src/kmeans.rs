@@ -52,6 +52,12 @@ impl KMeans {
 
     /// Fits the model and returns the cluster assignment of each input row.
     ///
+    /// Lloyd's loop keeps every row-to-centroid squared distance in a
+    /// transient `n × k` `f64` cache and, after each update step, recomputes
+    /// only the columns of centroids whose bits changed. The cache is freed
+    /// when `fit` returns; at the template learner's 20,000-row sample cap
+    /// with `k = 30` it is 4.8 MB.
+    ///
     /// # Errors
     /// - [`MlError::InvalidHyperparameter`] when `k == 0` or `k > x.rows()`.
     /// - [`MlError::EmptyInput`] when `x` has no rows/columns.
@@ -67,10 +73,11 @@ impl KMeans {
                 "k = {k} must be in 1..={n} (number of samples)"
             )));
         }
+        let mut dist = vec![0.0; n * k];
         let mut best: Option<(f64, Matrix, Vec<usize>, usize)> = None;
         for restart in 0..self.config.n_init.max(1) {
             let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(restart as u64));
-            let (inertia, centroids, labels, iters) = self.run_once(x, &mut rng)?;
+            let (inertia, centroids, labels, iters) = self.run_once(x, &mut rng, &mut dist);
             if best.as_ref().is_none_or(|(bi, ..)| inertia < *bi) {
                 best = Some((inertia, centroids, labels, iters));
             }
@@ -82,22 +89,36 @@ impl KMeans {
         Ok(labels)
     }
 
-    fn run_once(&self, x: &Matrix, rng: &mut StdRng) -> MlResult<(f64, Matrix, Vec<usize>, usize)> {
+    /// One k-means++ seeding and Lloyd's loop. `dist` is the `n × k`
+    /// row-major cache: `dist[i * k + c]` is always `sq_dist(x.row(i),
+    /// centroid c)` for the current centroids. `sq_dist` is symmetric to
+    /// the bit (x − y and y − x square to the same value), so taking the
+    /// argmin from the cache gives exactly [`nearest`]'s labels and
+    /// distances.
+    fn run_once(
+        &self,
+        x: &Matrix,
+        rng: &mut StdRng,
+        dist: &mut [f64],
+    ) -> (f64, Matrix, Vec<usize>, usize) {
         let n = x.rows();
         let d = x.cols();
         let k = self.config.k;
-        let mut centroids = kmeans_pp_init(x, k, rng);
+        let mut centroids = kmeans_pp_init(x, k, rng, dist);
         let mut labels = vec![0usize; n];
+        let mut sums = Matrix::zeros(k, d);
+        let mut counts = vec![0usize; k];
+        let mut moved = Vec::with_capacity(k);
         let mut iters = 0;
         for iter in 0..self.config.max_iter {
             iters = iter + 1;
             // Assignment step.
-            for (i, row) in x.row_iter().enumerate() {
-                labels[i] = nearest(&centroids, row).0;
+            for (label, row_dist) in labels.iter_mut().zip(dist.chunks_exact(k)) {
+                *label = argmin(row_dist).0;
             }
             // Update step.
-            let mut sums = Matrix::zeros(k, d);
-            let mut counts = vec![0usize; k];
+            sums.as_mut_slice().fill(0.0);
+            counts.fill(0);
             for (row, &l) in x.row_iter().zip(&labels) {
                 counts[l] += 1;
                 for (s, v) in sums.row_mut(l).iter_mut().zip(row) {
@@ -105,10 +126,13 @@ impl KMeans {
                 }
             }
             let mut movement = 0.0;
+            moved.clear();
             #[allow(clippy::needless_range_loop)] // c indexes both `counts` and matrix rows
             for c in 0..k {
-                if counts[c] == 0 {
-                    // Empty cluster: reseed on the point farthest from its centroid.
+                let new_c: &[f64] = if counts[c] == 0 {
+                    // Empty cluster: reseed on the point farthest from its
+                    // centroid, measured against the centroids as updated so
+                    // far (so not from the cache).
                     let far = x
                         .row_iter()
                         .enumerate()
@@ -119,17 +143,26 @@ impl KMeans {
                         })
                         .map(|(i, _)| i)
                         .unwrap_or_else(|| rng.gen_range(0..n));
-                    let point = x.row(far).to_vec();
-                    movement += sq_dist(centroids.row(c), &point);
-                    centroids.row_mut(c).copy_from_slice(&point);
+                    x.row(far)
                 } else {
                     let inv = 1.0 / counts[c] as f64;
-                    let mut new_c = sums.row(c).to_vec();
-                    for v in &mut new_c {
+                    let mean = sums.row_mut(c);
+                    for v in mean.iter_mut() {
                         *v *= inv;
                     }
-                    movement += sq_dist(centroids.row(c), &new_c);
-                    centroids.row_mut(c).copy_from_slice(&new_c);
+                    mean
+                };
+                movement += sq_dist(centroids.row(c), new_c);
+                if centroids.row(c).iter().zip(new_c).any(|(a, b)| a.to_bits() != b.to_bits()) {
+                    moved.push(c);
+                    centroids.row_mut(c).copy_from_slice(new_c);
+                }
+            }
+            if !moved.is_empty() {
+                for (row, row_dist) in x.row_iter().zip(dist.chunks_exact_mut(k)) {
+                    for &c in &moved {
+                        row_dist[c] = sq_dist(row, centroids.row(c));
+                    }
                 }
             }
             if movement < self.config.tol {
@@ -138,12 +171,12 @@ impl KMeans {
         }
         // Final assignment + inertia against the final centroids.
         let mut inertia = 0.0;
-        for (i, row) in x.row_iter().enumerate() {
-            let (l, dist) = nearest(&centroids, row);
-            labels[i] = l;
-            inertia += dist;
+        for (label, row_dist) in labels.iter_mut().zip(dist.chunks_exact(k)) {
+            let (l, dl) = argmin(row_dist);
+            *label = l;
+            inertia += dl;
         }
-        Ok((inertia, centroids, labels, iters))
+        (inertia, centroids, labels, iters)
     }
 
     /// Assigns each row of `x` to its nearest learned centroid.
@@ -247,23 +280,45 @@ fn nearest(centroids: &Matrix, row: &[f64]) -> (usize, f64) {
     best
 }
 
+/// The first index of the smallest distance in `dists`: [`nearest`]'s rule
+/// (strict `<` from infinity, so the lowest index wins a tie) applied to a
+/// row of cached distances.
+fn argmin(dists: &[f64]) -> (usize, f64) {
+    let mut best = (0usize, f64::INFINITY);
+    for (c, &d) in dists.iter().enumerate() {
+        if d < best.1 {
+            best = (c, d);
+        }
+    }
+    best
+}
+
 /// k-means++ seeding: first centroid uniform, subsequent centroids sampled
 /// proportionally to squared distance from the nearest chosen centroid.
-fn kmeans_pp_init(x: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
+/// Every row-to-centroid distance it computes lands in the row-major
+/// `n × k` cache `dist`, which it fills completely.
+fn kmeans_pp_init(x: &Matrix, k: usize, rng: &mut StdRng, dist: &mut [f64]) -> Matrix {
     let n = x.rows();
     let d = x.cols();
     let mut centroids = Matrix::zeros(k, d);
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(x.row(first));
-    let mut dist: Vec<f64> = x.row_iter().map(|r| sq_dist(r, centroids.row(0))).collect();
+    let mut closest: Vec<f64> = x
+        .row_iter()
+        .zip(dist.chunks_exact_mut(k))
+        .map(|(r, row_dist)| {
+            row_dist[0] = sq_dist(r, centroids.row(0));
+            row_dist[0]
+        })
+        .collect();
     for c in 1..k {
-        let total: f64 = dist.iter().sum();
+        let total: f64 = closest.iter().sum();
         let chosen = if total <= 0.0 {
             rng.gen_range(0..n)
         } else {
             let mut target = rng.gen::<f64>() * total;
             let mut idx = n - 1;
-            for (i, &w) in dist.iter().enumerate() {
+            for (i, &w) in closest.iter().enumerate() {
                 if target < w {
                     idx = i;
                     break;
@@ -273,8 +328,11 @@ fn kmeans_pp_init(x: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
             idx
         };
         centroids.row_mut(c).copy_from_slice(x.row(chosen));
-        for (di, row) in dist.iter_mut().zip(x.row_iter()) {
+        for ((di, row), row_dist) in
+            closest.iter_mut().zip(x.row_iter()).zip(dist.chunks_exact_mut(k))
+        {
             let nd = sq_dist(row, centroids.row(c));
+            row_dist[c] = nd;
             if nd < *di {
                 *di = nd;
             }
@@ -346,6 +404,219 @@ mod tests {
             }
         }
         (Matrix::from_rows(&rows).unwrap(), truth)
+    }
+
+    fn to_bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The winning restart of [`reference_fit`], with coverage counts
+    /// summed over every restart.
+    struct Reference {
+        labels: Vec<usize>,
+        centroids: Matrix,
+        inertia: f64,
+        iterations: usize,
+        /// Empty-cluster reseeds onto a point no centroid sat on, so the
+        /// reseeded centroid's distances all change.
+        fresh_reseeds: usize,
+        /// Assignment steps that saw two bit-identical centroids.
+        coincident_steps: usize,
+    }
+
+    /// The full-recompute Lloyd's loop `KMeans::fit` ran before the distance
+    /// cache: every row-to-centroid distance recomputed on every pass. The
+    /// cached loop must reproduce it bit for bit.
+    fn reference_fit(config: &KMeansConfig, x: &Matrix) -> Reference {
+        let mut best: Option<Reference> = None;
+        let (mut fresh_reseeds, mut coincident_steps) = (0, 0);
+        for restart in 0..config.n_init.max(1) {
+            let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(restart as u64));
+            let run = reference_run_once(config, x, &mut rng);
+            fresh_reseeds += run.fresh_reseeds;
+            coincident_steps += run.coincident_steps;
+            if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
+                best = Some(run);
+            }
+        }
+        Reference { fresh_reseeds, coincident_steps, ..best.expect("n_init >= 1 restart ran") }
+    }
+
+    fn reference_run_once(config: &KMeansConfig, x: &Matrix, rng: &mut StdRng) -> Reference {
+        let n = x.rows();
+        let d = x.cols();
+        let k = config.k;
+        let mut centroids = reference_pp_init(x, k, rng);
+        let mut labels = vec![0usize; n];
+        let mut iters = 0;
+        let (mut fresh_reseeds, mut coincident_steps) = (0, 0);
+        for iter in 0..config.max_iter {
+            iters = iter + 1;
+            let same =
+                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+            if (0..k).any(|a| (a + 1..k).any(|b| same(centroids.row(a), centroids.row(b)))) {
+                coincident_steps += 1;
+            }
+            // Assignment step.
+            for (i, row) in x.row_iter().enumerate() {
+                labels[i] = nearest(&centroids, row).0;
+            }
+            // Update step.
+            let mut sums = Matrix::zeros(k, d);
+            let mut counts = vec![0usize; k];
+            for (row, &l) in x.row_iter().zip(&labels) {
+                counts[l] += 1;
+                for (s, v) in sums.row_mut(l).iter_mut().zip(row) {
+                    *s += v;
+                }
+            }
+            let mut movement = 0.0;
+            #[allow(clippy::needless_range_loop)]
+            for c in 0..k {
+                if counts[c] == 0 {
+                    let far = x
+                        .row_iter()
+                        .enumerate()
+                        .max_by(|(_, a), (_, b)| {
+                            let da = nearest(&centroids, a).1;
+                            let db = nearest(&centroids, b).1;
+                            da.partial_cmp(&db).expect("finite distances")
+                        })
+                        .map(|(i, _)| i)
+                        .unwrap_or_else(|| rng.gen_range(0..n));
+                    let point = x.row(far).to_vec();
+                    if nearest(&centroids, &point).1 > 0.0 {
+                        fresh_reseeds += 1;
+                    }
+                    movement += sq_dist(centroids.row(c), &point);
+                    centroids.row_mut(c).copy_from_slice(&point);
+                } else {
+                    let inv = 1.0 / counts[c] as f64;
+                    let mut new_c = sums.row(c).to_vec();
+                    for v in &mut new_c {
+                        *v *= inv;
+                    }
+                    movement += sq_dist(centroids.row(c), &new_c);
+                    centroids.row_mut(c).copy_from_slice(&new_c);
+                }
+            }
+            if movement < config.tol {
+                break;
+            }
+        }
+        let mut inertia = 0.0;
+        for (i, row) in x.row_iter().enumerate() {
+            let (l, dist) = nearest(&centroids, row);
+            labels[i] = l;
+            inertia += dist;
+        }
+        Reference { labels, centroids, inertia, iterations: iters, fresh_reseeds, coincident_steps }
+    }
+
+    fn reference_pp_init(x: &Matrix, k: usize, rng: &mut StdRng) -> Matrix {
+        let n = x.rows();
+        let mut centroids = Matrix::zeros(k, x.cols());
+        let first = rng.gen_range(0..n);
+        centroids.row_mut(0).copy_from_slice(x.row(first));
+        let mut dist: Vec<f64> = x.row_iter().map(|r| sq_dist(r, centroids.row(0))).collect();
+        for c in 1..k {
+            let total: f64 = dist.iter().sum();
+            let chosen = if total <= 0.0 {
+                rng.gen_range(0..n)
+            } else {
+                let mut target = rng.gen::<f64>() * total;
+                let mut idx = n - 1;
+                for (i, &w) in dist.iter().enumerate() {
+                    if target < w {
+                        idx = i;
+                        break;
+                    }
+                    target -= w;
+                }
+                idx
+            };
+            centroids.row_mut(c).copy_from_slice(x.row(chosen));
+            for (di, row) in dist.iter_mut().zip(x.row_iter()) {
+                let nd = sq_dist(row, centroids.row(c));
+                if nd < *di {
+                    *di = nd;
+                }
+            }
+        }
+        centroids
+    }
+
+    /// `n` rows drawn from at most `distinct` base points on a coarse grid,
+    /// so many rows repeat exactly; with `jitter`, each row is nudged off
+    /// its base point instead, so runs last longer and only some centroids
+    /// move on each pass. The grid step, 0.7, is not a power of two, so the
+    /// mean of repeated rows can round a bit off their base point; an empty
+    /// cluster then reseeds onto a point no centroid sits on.
+    fn duplicate_heavy(
+        rng: &mut StdRng,
+        n: usize,
+        d: usize,
+        distinct: usize,
+        jitter: bool,
+    ) -> Matrix {
+        let bases: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| (0..d).map(|_| f64::from(rng.gen_range(0..4u32)) * 0.7).collect())
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                let base = &bases[rng.gen_range(0..distinct)];
+                base.iter().map(|&v| if jitter { v + rng.gen::<f64>() * 3.0 } else { v }).collect()
+            })
+            .collect();
+        Matrix::from_rows(&rows).unwrap()
+    }
+
+    #[test]
+    fn cached_lloyd_matches_the_full_recompute_reference_bit_for_bit() {
+        let (mut k_one, mut k_n, mut fresh_reseeds, mut coincident_steps) = (0, 0, 0, 0);
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(1..=24);
+            let d = rng.gen_range(1..=3);
+            let distinct = rng.gen_range(1..=n.min(6));
+            let x = duplicate_heavy(&mut rng, n, d, distinct, case % 3 == 0);
+            let k = match case % 4 {
+                0 => 1,
+                1 => n,
+                // More clusters than distinct points: k-means++ must pick
+                // coincident centroids, which tie and then empty.
+                2 => rng.gen_range(distinct.min(n)..=n),
+                _ => rng.gen_range(1..=n),
+            };
+            let config = KMeansConfig {
+                k,
+                max_iter: if case % 5 == 0 { rng.gen_range(0..=3) } else { 20 },
+                tol: if case % 7 == 0 { 0.0 } else { 1e-6 },
+                n_init: rng.gen_range(1..=3),
+                seed: rng.gen(),
+            };
+            let reference = reference_fit(&config, &x);
+            let mut km = KMeans::new(config.clone());
+            let labels = km.fit(&x).unwrap();
+            assert_eq!(labels, reference.labels, "case {case}: labels");
+            assert_eq!(
+                to_bits(km.centroids().unwrap().as_slice()),
+                to_bits(reference.centroids.as_slice()),
+                "case {case}: centroids"
+            );
+            assert_eq!(km.inertia().to_bits(), reference.inertia.to_bits(), "case {case}: inertia");
+            assert_eq!(km.iterations_run(), reference.iterations, "case {case}: iterations");
+            k_one += usize::from(k == 1);
+            k_n += usize::from(k == n && n > 1);
+            fresh_reseeds += reference.fresh_reseeds;
+            coincident_steps += reference.coincident_steps;
+        }
+        assert!(k_one > 0 && k_n > 0, "k = 1 and k = n must both be covered");
+        assert!(
+            fresh_reseeds > 0,
+            "some case must reseed an empty cluster onto a point off every centroid"
+        );
+        assert!(coincident_steps > 0, "some case must assign against coincident centroids");
     }
 
     #[test]
