@@ -12,7 +12,7 @@
 //! | [`metric_catalog`](MetricCatalog) | registered `wmp_*` metrics ↔ README catalog, naming conventions |
 //! | [`error_enum`](ErrorEnum) | public error enums are `#[non_exhaustive]` with exhaustive `Display` |
 //! | [`codec_tags`](CodecTags) | codec tag tables are unique and append-only; version constants coherent |
-//! | [`bench_schema`](BenchSchema) | committed `BENCH_*.json` files match the `wmp_bench::report` schema |
+//! | [`bench_schema`](BenchSchema) | committed `perfbench/baseline/*.json` results match the metrics and units `BENCHMARK.json` declares |
 //!
 //! Any diagnostic can be suppressed at its site with
 //! `// lint: allow(<rule>, <reason>)` — the reason is mandatory.

@@ -14,8 +14,7 @@ use crate::workspace::Workspace;
 /// return the existing typed errors (`MlError`, `ParseError`, …) instead.
 /// Invariant violations that genuinely cannot be handled may stay as
 /// panics behind a `// lint: allow(no_hot_panic, <why>)` justification.
-/// Test code (`#[cfg(test)]` items, `tests/`, `benches/`, `examples/`)
-/// is exempt.
+/// Test code (`#[cfg(test)]` items, `tests/`, `examples/`) is exempt.
 pub struct NoHotPanic;
 
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];

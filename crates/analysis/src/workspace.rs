@@ -1,5 +1,5 @@
 //! Workspace discovery: which files exist, which crate owns them, and
-//! which of them are production (library) code vs. tests/benches/examples.
+//! which of them are production (library) code vs. tests/examples.
 
 use std::path::{Path, PathBuf};
 
@@ -17,8 +17,6 @@ pub enum FileClass {
     Lib,
     /// Integration tests under `tests/`.
     Test,
-    /// Criterion benches under `benches/`.
-    Bench,
     /// Examples under `examples/`.
     Example,
     /// Binary targets under `src/bin/`.
@@ -45,7 +43,8 @@ impl WsFile {
 }
 
 /// The discovered workspace: Rust sources plus the non-Rust surfaces some
-/// rules check (README catalog, committed bench reports).
+/// rules check (README catalog, the benchmark declaration and its
+/// committed baselines).
 #[derive(Debug)]
 pub struct Workspace {
     /// Workspace root.
@@ -54,8 +53,11 @@ pub struct Workspace {
     pub files: Vec<WsFile>,
     /// `README.md` contents, if present.
     pub readme: Option<String>,
-    /// `(file name, contents)` of committed root-level `BENCH_*.json` files.
-    pub bench_reports: Vec<(String, String)>,
+    /// `BENCHMARK.json` contents, if present.
+    pub benchmark: Option<String>,
+    /// `(path, contents)` of the committed `perfbench/baseline/*.json`
+    /// results, paths relative to the root.
+    pub baselines: Vec<(String, String)>,
 }
 
 impl Workspace {
@@ -87,20 +89,20 @@ impl Workspace {
         collect_crate(root, root, "learnedwmp", &mut files)?;
 
         let readme = std::fs::read_to_string(root.join("README.md")).ok();
-        let mut bench_reports = Vec::new();
-        let mut entries: Vec<PathBuf> =
-            std::fs::read_dir(root)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        entries.sort();
-        for path in entries {
-            let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
-            if let Some(name) = name {
-                if name.starts_with("BENCH_") && name.ends_with(".json") && path.is_file() {
-                    bench_reports.push((name, std::fs::read_to_string(&path)?));
+        let benchmark = std::fs::read_to_string(root.join("BENCHMARK.json")).ok();
+        let mut baselines = Vec::new();
+        if let Ok(dir) = std::fs::read_dir(root.join("perfbench/baseline")) {
+            let mut entries: Vec<PathBuf> = dir.filter_map(|e| e.ok().map(|e| e.path())).collect();
+            entries.sort();
+            for path in entries {
+                if path.extension().is_some_and(|e| e == "json") && path.is_file() {
+                    let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+                    baselines.push((rel.replace('\\', "/"), std::fs::read_to_string(&path)?));
                 }
             }
         }
         files.sort_by(|a, b| a.source.rel.cmp(&b.source.rel));
-        Ok(Workspace { root: root.to_path_buf(), files, readme, bench_reports })
+        Ok(Workspace { root: root.to_path_buf(), files, readme, benchmark, baselines })
     }
 
     /// Iterates library files of hot-path crates.
@@ -120,12 +122,8 @@ fn collect_crate(
     krate: &str,
     out: &mut Vec<WsFile>,
 ) -> std::io::Result<()> {
-    let targets: [(&str, FileClass); 4] = [
-        ("src", FileClass::Lib),
-        ("tests", FileClass::Test),
-        ("benches", FileClass::Bench),
-        ("examples", FileClass::Example),
-    ];
+    let targets: [(&str, FileClass); 3] =
+        [("src", FileClass::Lib), ("tests", FileClass::Test), ("examples", FileClass::Example)];
     for (dir, class) in targets {
         let base = crate_dir.join(dir);
         if !base.is_dir() {

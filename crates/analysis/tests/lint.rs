@@ -19,23 +19,45 @@ fn fixture(name: &str) -> String {
 
 /// A one-file workspace: the fixture masquerades as hot-path library code.
 fn ws_with(rel: &str, text: String) -> Workspace {
-    ws_full(rel, text, None, Vec::new())
+    ws_full(rel, text, None)
 }
 
-fn ws_full(
-    rel: &str,
-    text: String,
-    readme: Option<String>,
-    bench_reports: Vec<(String, String)>,
-) -> Workspace {
+fn ws_full(rel: &str, text: String, readme: Option<String>) -> Workspace {
     let source = SourceFile::parse(PathBuf::from(rel), rel.to_string(), text);
     Workspace {
         root: PathBuf::new(),
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Lib }],
         readme,
-        bench_reports,
+        benchmark: None,
+        baselines: Vec::new(),
     }
 }
+
+/// A small `BENCHMARK.json` declaration the baseline fixtures are checked
+/// against.
+const BENCHMARK: &str = r#"{
+  "workloads": [{"name": "sql_ingest"}, {"name": "record_serve"}],
+  "end_to_end": [
+    {"name": "qps", "unit": "queries/s"},
+    {"name": "setup_s", "unit": "s"},
+    {"name": "peak_rss_mb", "unit": "MB"}
+  ],
+  "per_layer": [{"name": "core.assign_ns", "unit": "ns"}, {"name": "core.fit_ms", "unit": "ms"}]
+}"#;
+
+/// A workspace holding one committed baseline, `perfbench/baseline/<name>`.
+fn ws_baseline(name: &str, text: String) -> Workspace {
+    Workspace {
+        root: PathBuf::new(),
+        files: Vec::new(),
+        readme: None,
+        benchmark: Some(BENCHMARK.to_string()),
+        baselines: vec![(format!("perfbench/baseline/{name}"), text)],
+    }
+}
+
+/// The bad baseline fixture, filed under a name its identity contradicts.
+const BAD_BASELINE: &str = "sql_ingest_sd7_c2-host.untraced.json";
 
 fn run_rule(rule: &dyn Rule, ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -95,7 +117,8 @@ fn no_hot_panic_ignores_test_targets() {
         root: PathBuf::new(),
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Test }],
         readme: None,
-        bench_reports: Vec::new(),
+        benchmark: None,
+        baselines: Vec::new(),
     };
     assert!(run_rule(&NoHotPanic, &ws).is_empty(), "test targets are exempt");
 }
@@ -166,12 +189,7 @@ fn metric_catalog_fixture_spans() {
 | `wmp_fixture_good_total` | counter | cataloged correctly |
 | `wmp_fixture_ghost_total` | counter | never registered |
 ";
-    let ws = ws_full(
-        "crates/serve/src/bad_metrics.rs",
-        text.clone(),
-        Some(readme.to_string()),
-        Vec::new(),
-    );
+    let ws = ws_full("crates/serve/src/bad_metrics.rs", text.clone(), Some(readme.to_string()));
     let diags = run_rule(&MetricCatalog, &ws);
     let by_message = |needle: &str| {
         diags
@@ -196,13 +214,8 @@ fn metric_catalog_fixture_spans() {
 
 #[test]
 fn bench_schema_fixture_spans() {
-    let text = fixture("bad_bench.json");
-    let ws = ws_full(
-        "crates/serve/src/lib.rs",
-        String::new(),
-        None,
-        vec![("BENCH_bad_bench.json".to_string(), text.clone())],
-    );
+    let text = fixture("bad_baseline.json");
+    let ws = ws_baseline(BAD_BASELINE, text.clone());
     let diags = run_rule(&BenchSchema, &ws);
     let by_message = |needle: &str| {
         diags
@@ -211,50 +224,41 @@ fn bench_schema_fixture_spans() {
             .unwrap_or_else(|| panic!("no diagnostic matching {needle:?} in {diags:#?}"))
     };
 
-    assert_eq!(diags.len(), 9, "diagnostics: {diags:#?}");
-    let version = by_message("unsupported schema_version");
-    assert_eq!((version.line, version.col), span_of(&text, "2,", 1));
-    let name = by_message("but the file is named");
-    assert_eq!((name.line, name.col), span_of(&text, "\"other_name\"", 1));
-    let config = by_message("config entry `threads`");
-    assert_eq!((config.line, config.col), span_of(&text, "[1]", 1));
-    let qps = by_message("result `qps` must be a number");
-    assert_eq!((qps.line, qps.col), span_of(&text, "\"fast\"", 1));
-    let zero = by_message("must be finite and positive, got 0");
-    assert_eq!((zero.line, zero.col), span_of(&text, "0,", 1));
-    let infinite = by_message("must be finite and positive, got inf");
-    assert_eq!((infinite.line, infinite.col), span_of(&text, "1e999", 1));
-    assert!(by_message("missing required key `test_mode`").file == "BENCH_bad_bench.json");
-    let _ = by_message("unknown top-level key `extra`");
-    // `ns_per_query` is also absent — accounted inside the same entry diag?
-    // No: missing `ns_per_query` is its own diagnostic only when the entry
-    // parses; here it is one of the nine.
-    let _ = by_message("missing `ns_per_query`");
+    assert_eq!(diags.len(), 7, "diagnostics: {diags:#?}");
+    assert!(diags.iter().all(|d| d.file == format!("perfbench/baseline/{BAD_BASELINE}")));
+    let identity = by_message("but the file is named");
+    assert_eq!((identity.line, identity.col), span_of(&text, "\"ingest_sql_sd7", 1));
+    let workload = by_message("unknown workload `ingest_sql`");
+    assert_eq!((workload.line, workload.col), span_of(&text, "\"ingest_sql\"", 1));
+    let correct = by_message("`correct` is false");
+    // The first `false` is `trace`, which matches the file's suffix.
+    assert_eq!((correct.line, correct.col), span_of(&text, "false", 2));
+    let missing = by_message("end_to_end misses `setup_s` (s)");
+    assert_eq!((missing.line, missing.col), span_of(&text, "{\n    \"qps\"", 1));
+    let unit = by_message("`qps` has unit \"qps\" but BENCHMARK.json declares \"queries/s\"");
+    assert_eq!((unit.line, unit.col), span_of(&text, "\"qps\"", 2));
+    let untraced = by_message("`per_layer` must be null in an untraced result");
+    assert_eq!((untraced.line, untraced.col), span_of(&text, "{\n    \"core.assign_ns\"", 1));
+    let undeclared = by_message("undeclared per-layer metric `core.guess_ns`");
+    assert_eq!((undeclared.line, undeclared.col), span_of(&text, "{\"value\": 12.0", 1));
 }
 
 #[test]
 fn bench_schema_diags_exactly() {
     // Companion to the above: pin the exact multiset of messages so a new
     // spurious diagnostic cannot hide behind `by_message`.
-    let text = fixture("bad_bench.json");
-    let ws = ws_full(
-        "crates/serve/src/lib.rs",
-        String::new(),
-        None,
-        vec![("BENCH_bad_bench.json".to_string(), text)],
-    );
+    let ws = ws_baseline(BAD_BASELINE, fixture("bad_baseline.json"));
     let mut kinds: Vec<&str> = run_rule(&BenchSchema, &ws)
         .iter()
         .map(|d| {
             [
-                ("missing required key `test_mode`", "missing_test_mode"),
-                ("unknown top-level key `extra`", "unknown_extra"),
-                ("unsupported schema_version", "bad_version"),
-                ("but the file is named", "name_mismatch"),
-                ("config entry `threads`", "bad_config"),
-                ("result `qps` must be a number", "bad_qps"),
-                ("result `qps` must be finite and positive", "qps_out_of_range"),
-                ("missing `ns_per_query`", "missing_nspq"),
+                ("but the file is named", "identity_mismatch"),
+                ("unknown workload", "unknown_workload"),
+                ("`correct` is false", "not_correct"),
+                ("end_to_end misses", "missing_metric"),
+                ("has unit", "wrong_unit"),
+                ("must be null in an untraced result", "per_layer_untraced"),
+                ("undeclared per-layer metric", "undeclared_layer"),
             ]
             .iter()
             .find(|(needle, _)| d.message.contains(needle))
@@ -263,40 +267,45 @@ fn bench_schema_diags_exactly() {
         })
         .collect::<Vec<_>>();
     kinds.sort_unstable();
-    // bad_qps and missing_nspq are both present. (qps exists but is a
-    // string; ns_per_query is absent.) The string-typed qps must NOT also
-    // trip the generic "must be numeric" sweep — that would be a double
-    // report. The zero and the overflowing qps are one report each.
+    // The extra `error_rate` end-to-end metric and the declared
+    // `core.assign_ns` layer are fine. An untraced file is not asked for
+    // the declared layers it lacks, and the unknown workload does not also
+    // break the identity prefix.
     assert_eq!(
         kinds,
         [
-            "bad_config",
-            "bad_qps",
-            "bad_version",
-            "missing_nspq",
-            "missing_test_mode",
-            "name_mismatch",
-            "qps_out_of_range",
-            "qps_out_of_range",
-            "unknown_extra",
+            "identity_mismatch",
+            "missing_metric",
+            "not_correct",
+            "per_layer_untraced",
+            "undeclared_layer",
+            "unknown_workload",
+            "wrong_unit",
         ],
     );
 }
 
 #[test]
 fn bench_schema_rejects_empty_results() {
-    let text = r#"{"schema_version": 1, "bench": "empty", "git": "g", "test_mode": false,
- "config": {}, "results": []}"#;
-    let ws = ws_full(
-        "crates/serve/src/lib.rs",
-        String::new(),
-        None,
-        vec![("BENCH_empty.json".to_string(), text.to_string())],
-    );
+    let text = r#"{"identity": "record_serve_sd3_c2-host", "workload": "record_serve",
+ "seed": 3, "trace": true, "correct": true, "failed": 0,
+ "end_to_end": {}, "per_layer": {}}"#;
+    let ws = ws_baseline("record_serve_sd3_c2-host.traced.json", text.to_string());
     let diags = run_rule(&BenchSchema, &ws);
-    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
-    assert_eq!(diags[0].message, "`results` is empty");
-    assert_eq!((diags[0].line, diags[0].col), span_of(text, "[]", 1));
+    let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+    assert_eq!(
+        messages,
+        [
+            "end_to_end misses `qps` (queries/s)",
+            "end_to_end misses `setup_s` (s)",
+            "end_to_end misses `peak_rss_mb` (MB)",
+            "per_layer misses `core.assign_ns` (ns)",
+            "per_layer misses `core.fit_ms` (ms)",
+        ],
+    );
+    let (e2e, layers) = (span_of(text, "{}", 1), span_of(text, "{}", 2));
+    let spans: Vec<(usize, usize)> = diags.iter().map(|d| (d.line, d.col)).collect();
+    assert_eq!(spans, [e2e, e2e, e2e, layers, layers]);
 }
 
 #[test]
@@ -343,7 +352,8 @@ pub fn f(v: &[u8]) -> u8 {
         root: PathBuf::new(),
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Lib }],
         readme: None,
-        bench_reports: Vec::new(),
+        benchmark: None,
+        baselines: Vec::new(),
     };
     let report = wmp_analysis::run_on(&ws, &all_rules());
     // The reason-less directive does NOT suppress, and is itself reported.
@@ -382,7 +392,10 @@ fn workspace_is_clean() {
         .and_then(Path::parent)
         .expect("crates/analysis sits two levels under the root")
         .to_path_buf();
-    let report = wmp_analysis::run(&root, &all_rules()).expect("workspace discovery");
+    let ws = Workspace::discover(&root).expect("workspace discovery");
+    assert!(ws.benchmark.is_some(), "BENCHMARK.json is read");
+    assert!(!ws.baselines.is_empty(), "perfbench/baseline/*.json are read");
+    let report = wmp_analysis::run_on(&ws, &all_rules());
     assert!(report.files_scanned > 100, "suspiciously few files: {}", report.files_scanned);
     assert!(
         report.is_clean(),

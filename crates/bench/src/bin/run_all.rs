@@ -1,6 +1,7 @@
 //! Runs the complete Fig. 4–8 measurement sweep once per dataset and prints
-//! every table plus the paper's headline claims (error reduction vs. DBMS,
-//! training/inference speedups, model-size ratios). Sensitivity sweeps
+//! every table, each LearnedWMP model's per-resource accuracy, and the
+//! paper's headline claims (error reduction vs. DBMS, training/inference
+//! speedups, model-size ratios). Sensitivity sweeps
 //! (Figs. 9–11) and ablations have their own binaries.
 
 use learnedwmp_core::{EvalContext, ModelKind, ModelReport};
@@ -46,6 +47,10 @@ fn main() {
             &["model", "rmse", "mape%", "res_med", "res_iqr", "train_ms", "infer_us", "size_kb"],
             &rows,
         );
+        println!("  per-resource accuracy:");
+        for r in reports.iter().filter(|r| r.approach == "LearnedWMP") {
+            println!("  {:<16} {}", r.tag(), r.resource_summary());
+        }
         all.push((name, reports));
     }
 

@@ -1,14 +1,12 @@
 //! # wmp-bench — the experiment harness
 //!
 //! One binary per figure of the paper's evaluation (§IV): `fig4_rmse`
-//! through `fig11_mape_vs_batch`, plus `ablations` and `run_all`. Criterion
-//! benches (`training`, `inference`, `pipeline`) cover the timing-sensitive
-//! paths. Every binary accepts `--scale <f>` (default 1.0 = the paper's
-//! corpus sizes) and `--seed <n>`.
+//! through `fig11_mape_vs_batch`, plus `ablations` and `run_all`. Every
+//! binary accepts `--scale <f>` (default 1.0 = the paper's corpus sizes)
+//! and `--seed <n>`. Serving, scheduling and retraining timings live in
+//! the repository benchmark, `perfbench/` (declared by `BENCHMARK.json`).
 
 #![warn(missing_docs)]
-
-pub mod report;
 
 use learnedwmp_core::{EvalConfig, ExperimentConfig};
 use wmp_workloads::QueryLog;
@@ -30,32 +28,36 @@ impl Default for Options {
 
 impl Options {
     /// Parses `--scale <f>` and `--seed <n>` from `std::env::args`.
-    /// Unknown arguments abort with a usage message.
+    /// A bad argument aborts with a usage message and exit code 2.
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|msg| usage(&msg))
+    }
+
+    /// Parses an argument list (without the program name). `Err` carries
+    /// the usage error; an empty message is a `--help` request.
+    pub fn parse<I: IntoIterator<Item = S>, S: AsRef<str>>(args: I) -> Result<Self, String> {
         let mut opts = Options::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let value = args.next();
+            let value = value.as_ref().map(AsRef::<str>::as_ref);
+            match arg.as_ref() {
                 "--scale" => {
-                    opts.scale = args
-                        .get(i + 1)
+                    opts.scale = value
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("missing/invalid value for --scale"));
-                    i += 2;
+                        .filter(|s: &f64| *s > 0.0 && *s <= 1.0)
+                        .ok_or("missing/invalid value for --scale (expected a number in (0, 1])")?;
                 }
                 "--seed" => {
-                    opts.seed = args
-                        .get(i + 1)
+                    opts.seed = value
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("missing/invalid value for --seed"));
-                    i += 2;
+                        .ok_or("missing/invalid value for --seed")?;
                 }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown argument: {other}")),
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The experiment configuration at this scale.
@@ -149,6 +151,33 @@ mod tests {
         assert_eq!(o.scale, 1.0);
         let cfg = o.experiment_config();
         assert_eq!(cfg.tpcds.n_queries, 93_000);
+    }
+
+    #[test]
+    fn parse_rejects_scales_outside_the_unit_interval() {
+        let bad: [&[&str]; 7] = [
+            &["--scale", "nan"],
+            &["--scale", "inf"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "1.5"],
+            &["--scale", "abc"],
+            &["--scale"],
+        ];
+        for args in bad {
+            assert!(Options::parse(args).is_err(), "{args:?} accepted");
+        }
+        assert_eq!(Options::parse(["--help"]).unwrap_err(), "", "help is an empty usage error");
+    }
+
+    #[test]
+    fn parse_accepts_scales_in_the_unit_interval_and_seeds() {
+        assert_eq!(Options::parse(["--scale", "0.02"]).unwrap().scale, 0.02);
+        assert_eq!(Options::parse(["--scale", "1"]).unwrap().scale, 1.0);
+        let o = Options::parse(["--seed", "3"]).unwrap();
+        assert_eq!((o.scale, o.seed), (1.0, 3));
+        let none: [&str; 0] = [];
+        assert_eq!(Options::parse(none).unwrap().seed, Options::default().seed);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! - a write tree, [`JsonValue`], whose [`JsonValue::render`] backs the
 //!   metrics JSON renderer, the stderr JSON-lines subscriber, and the
-//!   `BENCH_*.json` perf-trajectory files;
+//!   `perfbench` result files;
 //! - a position-tracking reader, [`parse`], that follows RFC 8259 and
 //!   yields [`Value`]s remembering the 1-based `(line, col)` where they
 //!   start, so schema violations (the `bench_schema` lint) point at the

@@ -2,7 +2,7 @@
 //!
 //! A dependency-free telemetry layer for the LearnedWMP serving stack (the
 //! build environment has no registry access, so — like the vendored
-//! `rand`/`proptest`/`criterion` shims — everything here is hand-rolled
+//! `rand`/`proptest` shims — everything here is hand-rolled
 //! rather than pulled from the `tracing`/`metrics` ecosystems). Three
 //! pillars:
 //!
@@ -27,9 +27,9 @@
 //!
 //! The workspace's one JSON module, [`json`], pairs a writer tree
 //! ([`JsonValue`]) with a positioned RFC 8259 reader ([`json::parse`]). The
-//! writer backs the JSON renderer, the stderr subscriber, and the
-//! `BENCH_*.json` perf-trajectory files emitted by `wmp_bench`; the reader
-//! backs the `wmp_analysis` `bench_schema` lint.
+//! writer backs the JSON renderer, the stderr subscriber, and the result
+//! files `perfbench` writes; the reader backs the `wmp_analysis`
+//! `bench_schema` lint, which checks the committed ones.
 //!
 //! ## Example
 //!
