@@ -11,10 +11,8 @@
 
 use learnedwmp_core::{
     EvalConfig, EvalContext, HistogramMode, LabelMode, LearnedWmp, ModelKind, TemplateSpec,
-    WorkloadPredictor,
 };
 use wmp_bench::{print_table, Benchmarks, Options};
-use wmp_mlkit::metrics::{mape, rmse};
 use wmp_workloads::{QueryLog, QueryRecord};
 
 fn eval_learned_with(
@@ -35,13 +33,10 @@ fn eval_learned_with(
         .seed(cfg.seed)
         .fit_refs(&ctx.train, &log.catalog)
         .expect("training");
-    let preds: Vec<f64> = wmp
-        .predict_resources_many(&ctx.test, &ctx.test_workloads)
-        .expect("prediction")
-        .iter()
-        .map(|r| r.memory_mb)
-        .collect();
-    (rmse(&ctx.y_test, &preds).expect("rmse"), mape(&ctx.y_test, &preds).expect("mape"))
+    let r = ctx
+        .evaluate_predictor(&wmp, "LearnedWMP", "XGB".to_string(), 0.0, 0.0)
+        .expect("evaluation");
+    (r.rmse, r.mape())
 }
 
 /// Clones a log with half of each feature vector zeroed: `keep_counts` keeps

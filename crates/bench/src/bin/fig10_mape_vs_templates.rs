@@ -14,7 +14,7 @@ fn main() {
         for k in (10..=100).step_by(10) {
             let ctx = EvalContext::new(log, EvalConfig { k_templates: k, ..cfg.clone() });
             let r = ctx.evaluate_learned(ModelKind::Xgb).expect("evaluation");
-            rows.push(vec![format!("{k}"), format!("{:.1}", r.mape)]);
+            rows.push(vec![format!("{k}"), format!("{:.1}", r.mape())]);
         }
         print_table(&["k", "mape%"], &rows);
     }

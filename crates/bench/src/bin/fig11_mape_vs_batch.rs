@@ -16,7 +16,7 @@ fn main() {
     for s in [1usize, 2, 3, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50] {
         let ctx = EvalContext::new(log, EvalConfig { batch_size: s, ..cfg.clone() });
         let r = ctx.evaluate_learned(ModelKind::Xgb).expect("evaluation");
-        rows.push(vec![format!("{s}"), format!("{:.1}", r.mape)]);
+        rows.push(vec![format!("{s}"), format!("{:.1}", r.mape())]);
     }
     print_table(&["s", "mape%"], &rows);
     // The paper's s = 1 reference: SingleWMP beats LearnedWMP on single
@@ -26,6 +26,7 @@ fn main() {
     let single = ctx.evaluate_single(ModelKind::Xgb).expect("single");
     println!(
         "  -> at s=1: LearnedWMP-XGB MAPE {:.1}% vs SingleWMP-XGB MAPE {:.1}% (single-query models win at s=1)",
-        learned.mape, single.mape
+        learned.mape(),
+        single.mape()
     );
 }

@@ -3,11 +3,8 @@
 //! bag-of-words, text-mining, and word embeddings — plus the §V DBSCAN
 //! comparison as a bonus row.
 
-use learnedwmp_core::{
-    EvalContext, LearnedWmp, ModelKind, TemplateSpec, TextMode, WorkloadPredictor,
-};
+use learnedwmp_core::{EvalContext, LearnedWmp, ModelKind, TemplateSpec, TextMode};
 use wmp_bench::{print_table, Benchmarks, Options};
-use wmp_mlkit::metrics::{mape, rmse};
 
 fn main() {
     let opts = Options::from_args();
@@ -35,17 +32,14 @@ fn main() {
             .seed(seed)
             .fit_refs(&ctx.train, &log.catalog)
             .expect("training");
-        let preds: Vec<f64> = wmp
-            .predict_resources_many(&ctx.test, &ctx.test_workloads)
-            .expect("prediction")
-            .iter()
-            .map(|r| r.memory_mb)
-            .collect();
+        let r = ctx
+            .evaluate_predictor(&wmp, "LearnedWMP", "XGB".to_string(), 0.0, 0.0)
+            .expect("evaluation");
         rows.push(vec![
             wmp.templates().name().to_string(),
             format!("{}", wmp.templates().n_templates()),
-            format!("{:.1}", rmse(&ctx.y_test, &preds).expect("rmse")),
-            format!("{:.1}", mape(&ctx.y_test, &preds).expect("mape")),
+            format!("{:.1}", r.rmse),
+            format!("{:.1}", r.mape()),
         ]);
     }
     print_table(&["method", "templates", "rmse", "mape%"], &rows);

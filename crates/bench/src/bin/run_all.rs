@@ -34,7 +34,7 @@ fn main() {
                 vec![
                     r.tag(),
                     format!("{:.1}", r.rmse),
-                    format!("{:.1}", r.mape),
+                    format!("{:.1}", r.mape()),
                     format!("{:.1}", s.median),
                     format!("{:.1}", s.iqr()),
                     format!("{:.1}", r.train_ms),

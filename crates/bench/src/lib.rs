@@ -107,9 +107,7 @@ impl Benchmarks {
     /// `(name, log, eval-config)` triples in the paper's dataset order.
     pub fn datasets(&self) -> Vec<(&'static str, &QueryLog, EvalConfig)> {
         let mk = |k: usize| EvalConfig {
-            batch_size: self.cfg.batch_size,
             k_templates: k,
-            train_frac: self.cfg.train_frac,
             seed: self.cfg.split_seed,
             ..EvalConfig::default()
         };

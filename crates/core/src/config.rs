@@ -21,10 +21,6 @@ pub struct ExperimentConfig {
     pub job: DatasetConfig,
     /// TPC-C (paper: 3,958 queries, k ∈ [20, 40] optimal).
     pub tpcc: DatasetConfig,
-    /// Workload batch size `s` (paper: 10).
-    pub batch_size: usize,
-    /// Train fraction (paper: 0.8).
-    pub train_frac: f64,
     /// Split/batching seed.
     pub split_seed: u64,
 }
@@ -36,8 +32,6 @@ impl ExperimentConfig {
             tpcds: DatasetConfig { n_queries: 93_000, k_templates: 100, gen_seed: 1 },
             job: DatasetConfig { n_queries: 2_300, k_templates: 30, gen_seed: 2 },
             tpcc: DatasetConfig { n_queries: 3_958, k_templates: 20, gen_seed: 3 },
-            batch_size: 10,
-            train_frac: 0.8,
             split_seed: 42,
         }
     }
@@ -77,8 +71,10 @@ mod tests {
         assert_eq!(c.tpcds.n_queries, 93_000);
         assert_eq!(c.job.n_queries, 2_300);
         assert_eq!(c.tpcc.n_queries, 3_958);
-        assert_eq!(c.batch_size, 10);
-        assert!((c.train_frac - 0.8).abs() < 1e-12);
+        // The paper's 80/20 split and `s = 10` live in the evaluation
+        // protocol, which every dataset shares.
+        assert_eq!(crate::eval::TRAIN_FRAC, 0.8);
+        assert_eq!(crate::EvalConfig::default().batch_size, 10);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::time::Instant;
 
-use wmp_mlkit::metrics::{mape, residuals, rmse, ResidualSummary};
+use wmp_mlkit::metrics::{mae, mape, residuals, rmse, ResidualSummary};
 use wmp_mlkit::MlResult;
 use wmp_plan::{ResourceKind, ResourceVector, N_RESOURCES};
 use wmp_workloads::{QueryLog, QueryRecord};
@@ -18,6 +18,10 @@ use crate::predictor::WorkloadPredictor;
 use crate::single::{SingleWmp, SingleWmpDbms};
 use crate::workload::{batch_workloads, LabelMode, Workload};
 
+/// Fraction of a log that trains; the rest is held out for testing (the
+/// paper's 80/20 split).
+pub const TRAIN_FRAC: f64 = 0.8;
+
 /// Evaluation protocol parameters.
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
@@ -25,18 +29,12 @@ pub struct EvalConfig {
     pub batch_size: usize,
     /// Number of templates `k` for LearnedWMP.
     pub k_templates: usize,
-    /// Train fraction (paper: 0.8).
-    pub train_frac: f64,
     /// Split / batching seed.
     pub seed: u64,
     /// Label aggregation.
     pub label_mode: LabelMode,
     /// Histogram normalization.
     pub histogram_mode: HistogramMode,
-    /// Per-resource bucket widths for the within-one-bucket metric: a
-    /// prediction "hits" when its absolute error on an axis is at most that
-    /// axis's width (memory MB / CPU ms / IO pages).
-    pub bucket_widths: ResourceVector,
 }
 
 impl Default for EvalConfig {
@@ -44,13 +42,9 @@ impl Default for EvalConfig {
         EvalConfig {
             batch_size: 10,
             k_templates: 30,
-            train_frac: 0.8,
             seed: 42,
             label_mode: LabelMode::Sum,
             histogram_mode: HistogramMode::Counts,
-            // 100 MB matches the serving layer's quality-gauge bucket; CPU
-            // and IO widths are scaled to a 10-query TPC-C-like workload.
-            bucket_widths: ResourceVector::new(100.0, 100.0, 10_000.0),
         }
     }
 }
@@ -65,8 +59,6 @@ pub struct ModelReport {
     pub model: String,
     /// RMSE over test workloads (Fig. 4).
     pub rmse: f64,
-    /// MAPE over test workloads (Figs. 10–11 use this metric).
-    pub mape: f64,
     /// Violin summary of residuals (Fig. 5).
     pub residual_summary: ResidualSummary,
     /// Raw signed residuals `y − ŷ`.
@@ -82,10 +74,9 @@ pub struct ModelReport {
     /// Mean absolute error per resource axis (memory MB / CPU ms /
     /// IO pages), in [`ResourceKind::ALL`] order.
     pub resource_mae: [f64; N_RESOURCES],
-    /// Fraction of test workloads whose per-axis absolute error is within
-    /// one [`EvalConfig::bucket_widths`] bucket, in [`ResourceKind::ALL`]
-    /// order.
-    pub within_one_bucket: [f64; N_RESOURCES],
+    /// Mean absolute percentage error per resource axis, in percent, in
+    /// [`ResourceKind::ALL`] order.
+    pub resource_mape: [f64; N_RESOURCES],
 }
 
 impl ModelReport {
@@ -98,81 +89,30 @@ impl ModelReport {
         }
     }
 
+    /// MAPE over test workloads on the memory axis, in percent (the metric
+    /// of Figs. 10–11).
+    pub fn mape(&self) -> f64 {
+        self.resource_mape[ResourceKind::Memory.index()]
+    }
+
     /// One-line per-resource accuracy summary, e.g.
-    /// `memory MAE 41.2 MB (93% ±1 bucket) | cpu MAE 12.4 ms (88%) | ...`.
+    /// `memory MAE 41.20 MB, MAPE 15.2% | cpu MAE 12.40 ms, MAPE 8.1% | ...`.
     pub fn resource_summary(&self) -> String {
         ResourceKind::ALL
             .iter()
             .map(|kind| {
                 let i = kind.index();
                 format!(
-                    "{} MAE {:.2} {} ({:.0}% ±1 bucket)",
+                    "{} MAE {:.2} {}, MAPE {:.1}%",
                     kind.label(),
                     self.resource_mae[i],
                     kind.unit(),
-                    self.within_one_bucket[i] * 100.0
+                    self.resource_mape[i]
                 )
             })
             .collect::<Vec<_>>()
             .join(" | ")
     }
-}
-
-#[allow(clippy::too_many_arguments)] // one call site; a struct would just rename the fields
-fn report_from_predictions(
-    approach: &'static str,
-    model: String,
-    y: &[f64],
-    preds: &[f64],
-    train_ms: f64,
-    total_train_ms: f64,
-    infer_us_per_workload: f64,
-    model_kb: f64,
-    resource_mae: [f64; N_RESOURCES],
-    within_one_bucket: [f64; N_RESOURCES],
-) -> MlResult<ModelReport> {
-    let res = residuals(y, preds)?;
-    Ok(ModelReport {
-        approach,
-        model,
-        rmse: rmse(y, preds)?,
-        mape: mape(y, preds)?,
-        residual_summary: ResidualSummary::from_residuals(&res)?,
-        residuals: res,
-        train_ms,
-        total_train_ms,
-        infer_us_per_workload,
-        model_kb,
-        resource_mae,
-        within_one_bucket,
-    })
-}
-
-/// Per-axis mean absolute error and within-one-bucket hit rates between
-/// actual and predicted resource vectors.
-fn resource_accuracy(
-    actual: &[ResourceVector],
-    predicted: &[ResourceVector],
-    bucket_widths: ResourceVector,
-) -> ([f64; N_RESOURCES], [f64; N_RESOURCES]) {
-    let n = actual.len().max(1) as f64;
-    let mut mae = [0.0; N_RESOURCES];
-    let mut hits = [0.0; N_RESOURCES];
-    for (a, p) in actual.iter().zip(predicted) {
-        let err = a.abs_diff(*p).as_array();
-        let widths = bucket_widths.as_array();
-        for i in 0..N_RESOURCES {
-            mae[i] += err[i];
-            if err[i] <= widths[i] {
-                hits[i] += 1.0;
-            }
-        }
-    }
-    for i in 0..N_RESOURCES {
-        mae[i] /= n;
-        hits[i] /= n;
-    }
-    (mae, hits)
 }
 
 /// A prepared train/test environment for one benchmark log.
@@ -196,7 +136,7 @@ pub struct EvalContext<'a> {
 impl<'a> EvalContext<'a> {
     /// Splits the log and batches the test partition into workloads.
     pub fn new(log: &'a QueryLog, config: EvalConfig) -> Self {
-        let (train_idx, test_idx) = log.train_test_split(config.train_frac, config.seed);
+        let (train_idx, test_idx) = log.train_test_split(TRAIN_FRAC, config.seed);
         let train: Vec<&QueryRecord> = train_idx.iter().map(|&i| &log.records[i]).collect();
         let test: Vec<&QueryRecord> = test_idx.iter().map(|&i| &log.records[i]).collect();
         let test_workloads = batch_workloads(
@@ -230,23 +170,31 @@ impl<'a> EvalContext<'a> {
         let t0 = Instant::now();
         let vec_preds = predictor.predict_resources_many(&self.test, &self.test_workloads)?;
         let infer_us = t0.elapsed().as_secs_f64() * 1e6 / self.test_workloads.len().max(1) as f64;
+        let mut resource_mae = [0.0; N_RESOURCES];
+        let mut resource_mape = [0.0; N_RESOURCES];
+        for kind in ResourceKind::ALL {
+            let column = |vs: &[ResourceVector]| vs.iter().map(|v| v.get(kind)).collect::<Vec<_>>();
+            let (actual, predicted) = (column(&self.y_test_resources), column(&vec_preds));
+            resource_mae[kind.index()] = mae(&actual, &predicted)?;
+            resource_mape[kind.index()] = mape(&actual, &predicted)?;
+        }
         // Head 0 of every predictor is bit-identical to its scalar memory
-        // path, so the projection preserves the legacy RMSE/MAPE numbers.
+        // path, so the projection preserves the memory-only RMSE/residuals.
         let preds: Vec<f64> = vec_preds.iter().map(|v| v.memory_mb).collect();
-        let (resource_mae, within_one_bucket) =
-            resource_accuracy(&self.y_test_resources, &vec_preds, self.config.bucket_widths);
-        report_from_predictions(
+        let res = residuals(&self.y_test, &preds)?;
+        Ok(ModelReport {
             approach,
             model,
-            &self.y_test,
-            &preds,
+            rmse: rmse(&self.y_test, &preds)?,
+            residual_summary: ResidualSummary::from_residuals(&res)?,
+            residuals: res,
             train_ms,
             total_train_ms,
-            infer_us,
-            predictor.footprint_bytes() as f64 / 1024.0,
+            infer_us_per_workload: infer_us,
+            model_kb: predictor.footprint_bytes() as f64 / 1024.0,
             resource_mae,
-            within_one_bucket,
-        )
+            resource_mape,
+        })
     }
 
     /// Evaluates the SingleWMP-DBMS heuristic baseline.
@@ -335,7 +283,7 @@ mod tests {
         let r = ctx.evaluate_dbms().unwrap();
         assert_eq!(r.tag(), "SingleWMP-DBMS");
         assert!(r.rmse > 0.0);
-        assert!(r.mape > 0.0);
+        assert!(r.mape() > 0.0);
         assert_eq!(r.train_ms, 0.0);
         assert_eq!(r.model_kb, 0.0);
         assert_eq!(r.residuals.len(), 16);
@@ -379,17 +327,51 @@ mod tests {
             .iter()
             .zip(&ctx.y_test)
             .all(|(v, y)| v.memory_mb.to_bits() == y.to_bits()));
-        let r = ctx.evaluate_learned(ModelKind::Ridge).unwrap();
-        for i in 0..N_RESOURCES {
-            assert!(
-                r.resource_mae[i].is_finite() && r.resource_mae[i] > 0.0,
-                "{:?}",
-                r.resource_mae
-            );
-            assert!((0.0..=1.0).contains(&r.within_one_bucket[i]), "{:?}", r.within_one_bucket);
+        let model = LearnedWmp::builder()
+            .model(ModelKind::Ridge)
+            .templates(TemplateSpec::PlanKMeans { k: 12, seed: 42 })
+            .fit_refs(&ctx.train, &log.catalog)
+            .unwrap();
+        let r =
+            ctx.evaluate_predictor(&model, "LearnedWMP", "Ridge".to_string(), 0.0, 0.0).unwrap();
+        let predicted = model.predict_resources_many(&ctx.test, &ctx.test_workloads).unwrap();
+        for kind in ResourceKind::ALL {
+            let i = kind.index();
+            let actual: Vec<f64> = ctx.y_test_resources.iter().map(|v| v.get(kind)).collect();
+            let pred: Vec<f64> = predicted.iter().map(|v| v.get(kind)).collect();
+            assert!(r.resource_mae[i].is_finite() && r.resource_mae[i] > 0.0, "{kind:?}");
+            assert_eq!(r.resource_mae[i].to_bits(), mae(&actual, &pred).unwrap().to_bits());
+            assert_eq!(r.resource_mape[i].to_bits(), mape(&actual, &pred).unwrap().to_bits());
         }
+        assert_eq!(r.mape().to_bits(), r.resource_mape[0].to_bits(), "mape() is the memory axis");
         let summary = r.resource_summary();
         assert!(summary.contains("memory MAE") && summary.contains("cpu MAE"), "{summary}");
+        assert!(summary.contains("MAPE"), "{summary}");
+    }
+
+    /// A predictor whose every prediction is NaN.
+    struct NanPredictor;
+
+    impl WorkloadPredictor for NanPredictor {
+        fn name(&self) -> String {
+            "nan".to_string()
+        }
+
+        fn predict_resources(&self, _queries: &[&QueryRecord]) -> MlResult<ResourceVector> {
+            Ok(ResourceVector::new(f64::NAN, f64::NAN, f64::NAN))
+        }
+
+        fn footprint_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn a_nan_prediction_fails_the_evaluation_instead_of_panicking() {
+        let log = ctx_log();
+        let ctx = EvalContext::new(&log, EvalConfig::default());
+        let err = ctx.evaluate_predictor(&NanPredictor, "Stub", "nan".to_string(), 0.0, 0.0);
+        assert!(matches!(err, Err(wmp_mlkit::MlError::NumericalFailure(_))), "{err:?}");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod workload;
 
 pub use builder::{LearnedWmpBuilder, TemplateSpec};
 pub use config::{DatasetConfig, ExperimentConfig};
-pub use eval::{EvalConfig, EvalContext, ModelReport};
+pub use eval::{EvalConfig, EvalContext, ModelReport, TRAIN_FRAC};
 pub use handle::{ModelSnapshot, PredictorHandle, SwapOutcome};
 pub use histogram::{build_histogram, HistogramMode};
 pub use learned::{LearnedWmp, LearnedWmpConfig, TrainTimings};

@@ -90,7 +90,8 @@ pub fn residuals(y_true: &[f64], y_pred: &[f64]) -> MlResult<Vec<f64>> {
 /// copy of the data. `q` must be in `[0, 1]`.
 ///
 /// # Errors
-/// Returns an error for empty input or `q` outside `[0, 1]`.
+/// Returns an error for empty input, a non-finite value (a NaN or infinite
+/// prediction has no rank), or `q` outside `[0, 1]`.
 pub fn quantile(values: &[f64], q: f64) -> MlResult<f64> {
     if values.is_empty() {
         return Err(MlError::EmptyInput("quantile of empty slice"));
@@ -98,8 +99,11 @@ pub fn quantile(values: &[f64], q: f64) -> MlResult<f64> {
     if !(0.0..=1.0).contains(&q) {
         return Err(MlError::InvalidHyperparameter(format!("quantile q = {q} not in [0, 1]")));
     }
+    if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+        return Err(MlError::NumericalFailure(format!("quantile input holds {bad}")));
+    }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    sorted.sort_by(f64::total_cmp);
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -219,6 +223,15 @@ mod tests {
         assert!((quantile(&v, 0.5).unwrap() - 2.5).abs() < 1e-12);
         assert!(quantile(&v, 1.5).is_err());
         assert!(quantile(&[], 0.5).is_err());
+    }
+
+    #[test]
+    fn non_finite_quantile_input_is_a_numerical_failure() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = quantile(&[1.0, bad, 3.0], 0.5).unwrap_err();
+            assert!(matches!(err, MlError::NumericalFailure(_)), "{bad}: {err:?}");
+            assert!(ResidualSummary::from_residuals(&[bad]).is_err());
+        }
     }
 
     #[test]

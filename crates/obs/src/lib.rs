@@ -18,12 +18,12 @@
 //!    [`Subscriber`]: the no-op default costs one relaxed atomic load per
 //!    call site, [`RingBufferRecorder`] keeps the last N events for tests
 //!    and post-mortems, and [`StderrJsonWriter`] emits JSON lines.
-//! 3. **Monitors** ([`monitor`]) — rolling prediction-quality tracking
-//!    ([`QualityMonitor`]: windowed MAE and within-one-bucket accuracy,
-//!    the paper's §IV accuracy notion) and template-distribution drift
-//!    scoring ([`DriftMonitor`]: total-variation distance between the live
+//! 3. **Monitors** ([`monitor`]) — template-distribution drift scoring
+//!    ([`DriftMonitor`]: total-variation distance between the live
 //!    assignment window and the training distribution — the retraining
-//!    trigger signal the Sibyl direction needs).
+//!    trigger signal the Sibyl direction needs). Prediction error is not
+//!    computed here: the serving engine scores it with `wmp_mlkit::metrics`
+//!    and publishes it through this crate's gauges.
 //!
 //! The workspace's one JSON module, [`json`], pairs a writer tree
 //! ([`JsonValue`]) with a positioned RFC 8259 reader ([`json::parse`]). The
@@ -59,7 +59,7 @@ pub use json::JsonValue;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry, Snapshot,
 };
-pub use monitor::{total_variation, DriftMonitor, QualityMonitor};
+pub use monitor::{total_variation, DriftMonitor};
 pub use trace::{
     clear_subscriber, set_subscriber, tracing_enabled, Event, FieldValue, Level, NoopSubscriber,
     RingBufferRecorder, SpanGuard, StderrJsonWriter, Subscriber,

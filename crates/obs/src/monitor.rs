@@ -1,94 +1,16 @@
-//! Prediction-quality and workload-drift monitors.
+//! Workload-drift monitoring.
 //!
 //! The LinkedIn evaluation study's core operational lesson is that a
-//! learned predictor's error drifts silently as the workload evolves; the
-//! monitors here turn the serving engine's feedback stream into two live
-//! signals:
-//!
-//! - [`QualityMonitor`] — a rolling window of `(predicted, actual)`
-//!   workload-memory pairs, exposing the mean absolute error and the
-//!   paper's within-one-bucket accuracy notion (§IV evaluates predictions
-//!   bucketed into fixed-width memory bins; a prediction "hits" when its
-//!   bin is within one of the actual bin).
-//! - [`DriftMonitor`] — a rolling histogram of live template assignments
-//!   compared (total-variation distance) against the training-time template
-//!   distribution. LearnedWMP predicts from the workload's template
-//!   histogram, so a shift in this distribution is *the* leading indicator
-//!   that retraining is needed (the Sibyl direction's trigger signal).
+//! learned predictor's error drifts silently as the workload evolves.
+//! [`DriftMonitor`] keeps a rolling histogram of live template assignments
+//! and compares it (total-variation distance) against the training-time
+//! template distribution. LearnedWMP predicts from the workload's template
+//! histogram, so a shift in this distribution is *the* leading indicator
+//! that retraining is needed (the Sibyl direction's trigger signal). The
+//! error itself is scored by the serving engine with `wmp_mlkit::metrics`.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// Rolling prediction-quality tracker over the last `capacity`
-/// `(predicted_mb, actual_mb)` workload pairs. All methods are `&self` and
-/// internally synchronized; one instance is shared by the serving path and
-/// the metrics renderer.
-#[derive(Debug)]
-pub struct QualityMonitor {
-    capacity: usize,
-    bucket_mb: f64,
-    samples: Mutex<VecDeque<(f64, f64)>>,
-}
-
-impl QualityMonitor {
-    /// A monitor keeping the last `capacity` pairs, bucketing memory into
-    /// `bucket_mb`-wide bins for the within-one-bucket accuracy.
-    pub fn new(capacity: usize, bucket_mb: f64) -> Self {
-        QualityMonitor {
-            capacity: capacity.max(1),
-            bucket_mb: if bucket_mb > 0.0 { bucket_mb } else { 1.0 },
-            samples: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Records one scored-then-executed workload.
-    pub fn record(&self, predicted_mb: f64, actual_mb: f64) {
-        let mut samples = self.samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if samples.len() == self.capacity {
-            samples.pop_front();
-        }
-        samples.push_back((predicted_mb, actual_mb));
-    }
-
-    /// Pairs currently in the window.
-    pub fn len(&self) -> usize {
-        self.samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
-    /// True when no pair has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Mean absolute error (MB) over the window; `None` while empty.
-    pub fn mae(&self) -> Option<f64> {
-        let samples = self.samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if samples.is_empty() {
-            return None;
-        }
-        let sum: f64 = samples.iter().map(|(p, a)| (p - a).abs()).sum();
-        Some(sum / samples.len() as f64)
-    }
-
-    /// Fraction of window pairs whose predicted memory bin is within one
-    /// bin of the actual bin (the paper's accuracy notion); `None` while
-    /// empty.
-    pub fn within_one_bucket(&self) -> Option<f64> {
-        let samples = self.samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if samples.is_empty() {
-            return None;
-        }
-        let hits = samples
-            .iter()
-            .filter(|(p, a)| {
-                let bp = (p / self.bucket_mb).floor() as i64;
-                let ba = (a / self.bucket_mb).floor() as i64;
-                (bp - ba).abs() <= 1
-            })
-            .count();
-        Some(hits as f64 / samples.len() as f64)
-    }
-}
 
 /// Total-variation distance between two distributions over the same
 /// support: `0.5 * Σ |p_i - q_i|`, in `[0, 1]`. Inputs are normalized
@@ -206,28 +128,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mae_and_bucket_accuracy_track_the_window() {
-        let m = QualityMonitor::new(4, 10.0);
-        assert!(m.mae().is_none());
-        assert!(m.within_one_bucket().is_none());
-        m.record(100.0, 110.0); // |err| 10, buckets 10 vs 11 → hit
-        m.record(100.0, 90.0); // |err| 10, buckets 10 vs 9 → hit
-        m.record(50.0, 90.0); // |err| 40, buckets 5 vs 9 → miss
-        assert!((m.mae().unwrap() - 20.0).abs() < 1e-9);
-        assert!((m.within_one_bucket().unwrap() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quality_window_evicts_oldest() {
-        let m = QualityMonitor::new(2, 1.0);
-        m.record(0.0, 100.0); // error 100 — about to age out
-        m.record(10.0, 10.0);
-        m.record(20.0, 20.0);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.mae().unwrap(), 0.0, "the bad old sample aged out");
-    }
-
-    #[test]
     fn identical_distributions_score_zero() {
         assert_eq!(total_variation(&[1.0, 1.0, 2.0], &[2.0, 2.0, 4.0]), 0.0);
     }
@@ -286,23 +186,18 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_safe() {
-        let m = std::sync::Arc::new(QualityMonitor::new(1000, 10.0));
         let d = std::sync::Arc::new(DriftMonitor::new(vec![1.0; 8], 1000));
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let m = std::sync::Arc::clone(&m);
                 let d = std::sync::Arc::clone(&d);
                 scope.spawn(move || {
                     for i in 0..500 {
-                        m.record(i as f64, (i + t) as f64);
                         d.observe((i + t) % 8);
-                        let _ = m.mae();
                         let _ = d.score();
                     }
                 });
             }
         });
-        assert_eq!(m.len(), 1000);
         assert_eq!(d.len(), 1000);
     }
 }

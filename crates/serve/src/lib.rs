@@ -16,8 +16,8 @@
 //!   while a writer installs a replacement without blocking them.
 //! - Always-on telemetry — every engine counts its traffic in a private
 //!   [`wmp_obs`] registry of `wmp_*` metrics ([`Engine::obs_registry`],
-//!   Prometheus/JSON), with rolling prediction quality (MAE,
-//!   within-one-bucket accuracy) fed by [`Engine::observe`].
+//!   Prometheus/JSON), with rolling per-axis prediction error (MAE and
+//!   MAPE) fed by [`Engine::observe`].
 //!   [`Engine::stats`] reads a [`StatsSnapshot`] (counters plus p50/p99
 //!   window-scoring latency) from the same instruments, and
 //!   [`ObsConfig`] / [`Engine::with_observability`] add a
@@ -421,6 +421,19 @@ mod tests {
         let model = trained_on(&log, ModelKind::Ridge, 11);
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let reference = model.template_distribution(&refs).unwrap();
+        // The quality window's content, computed independently: each batch
+        // of 10 observations re-predicted and summed, in ResourceKind order.
+        let mut predicted = vec![Vec::new(); wmp_plan::N_RESOURCES];
+        let mut actual = predicted.clone();
+        for batch in log.records[..40].chunks(10) {
+            let batch_refs: Vec<&QueryRecord> = batch.iter().collect();
+            let p = model.predict_resources(&batch_refs).unwrap().as_array();
+            let a = batch.iter().map(|r| r.resources).sum::<wmp_plan::ResourceVector>().as_array();
+            for i in 0..wmp_plan::N_RESOURCES {
+                predicted[i].push(p[i]);
+                actual[i].push(a[i]);
+            }
+        }
 
         let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10))
             .with_observability(ObsConfig::default().with_drift_reference(reference));
@@ -447,9 +460,19 @@ mod tests {
             wmp_obs::MetricValue::Histogram(h) => assert_eq!(h.count, 4),
             other => panic!("latency should be a histogram, got {other:?}"),
         }
-        match get("wmp_prediction_mae_mb") {
-            wmp_obs::MetricValue::Gauge(mae) => assert!(mae.is_finite() && mae >= 0.0),
-            other => panic!("mae should be a gauge, got {other:?}"),
+        let gauge = |name: &str, labels: &[(&str, &str)]| {
+            snap.get(name, labels).and_then(|m| m.as_gauge()).unwrap_or_else(|| panic!("{name}"))
+        };
+        let mae_names =
+            ["wmp_prediction_mae_mb", "wmp_prediction_mae_cpu_ms", "wmp_prediction_mae_io_pages"];
+        for kind in wmp_plan::ResourceKind::ALL {
+            let i = kind.index();
+            let mae = wmp_mlkit::metrics::mae(&actual[i], &predicted[i]).unwrap();
+            let mape = wmp_mlkit::metrics::mape(&actual[i], &predicted[i]).unwrap();
+            assert!(mae.is_finite() && mape.is_finite(), "{kind:?}");
+            assert_eq!(gauge(mae_names[i], &[]).to_bits(), mae.to_bits(), "{kind:?} MAE");
+            let mape_gauge = gauge("wmp_prediction_mape_pct", &[("resource", kind.label())]);
+            assert_eq!(mape_gauge.to_bits(), mape.to_bits(), "{kind:?} MAPE");
         }
         match get("wmp_template_drift_score") {
             // 40 live assignments from the training log itself: low drift.
@@ -461,6 +484,7 @@ mod tests {
         let text = snap.to_prometheus();
         assert!(text.contains("wmp_queries_submitted_total 40"));
         assert!(text.contains("wmp_window_score_latency_us_count 4"));
+        assert!(text.contains("wmp_prediction_mape_pct{resource=\"cpu\"}"), "{text}");
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //!   queries are grouped into evaluation batches of 10 (the paper's
 //!   `s = 10`, so the predictor is evaluated in-regime); each batch is
 //!   re-predicted through the current model and compared against the summed
-//!   measured resources, feeding one rolling [`wmp_obs::QualityMonitor`]
-//!   per resource axis, published as `wmp_prediction_mae_mb` /
-//!   `wmp_prediction_mae_cpu_ms` / `wmp_prediction_mae_io_pages` plus
-//!   `wmp_prediction_within_one_bucket_ratio` (memory axis).
+//!   measured resources. One rolling window keeps the last 256 batches'
+//!   `(predicted, actual)` pairs per resource axis, scored by
+//!   [`wmp_mlkit::metrics::mae`] and [`wmp_mlkit::metrics::mape`] and
+//!   published as `wmp_prediction_mae_mb` / `wmp_prediction_mae_cpu_ms` /
+//!   `wmp_prediction_mae_io_pages` plus
+//!   `wmp_prediction_mape_pct{resource="memory|cpu|io"}`.
 //! - **Template drift** — once [`ObsConfig::drift_reference`] supplies the
 //!   training-time template distribution (see
 //!   [`learnedwmp_core::LearnedWmp::template_distribution`]), each observed
@@ -23,20 +25,19 @@
 //!   [`wmp_obs::DriftMonitor`]; the total-variation score is published as
 //!   `wmp_template_drift_score`.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use learnedwmp_core::WorkloadPredictor;
-use wmp_obs::{Counter, DriftMonitor, Gauge, Histogram, QualityMonitor, Registry};
+use wmp_mlkit::metrics::{mae, mape};
+use wmp_obs::{Counter, DriftMonitor, Gauge, Histogram, Registry};
+use wmp_plan::{ResourceKind, ResourceVector, N_RESOURCES};
 use wmp_workloads::QueryRecord;
 
 /// Observed queries per quality evaluation batch.
 const QUALITY_BATCH: usize = 10;
-/// Rolling window (in evaluation batches) for MAE / accuracy.
+/// Rolling window (in evaluation batches) for MAE / MAPE.
 const QUALITY_CAPACITY: usize = 256;
-/// Bin widths for the per-axis within-one-bucket accuracy.
-const QUALITY_BUCKET_MB: f64 = 100.0;
-const QUALITY_BUCKET_CPU_MS: f64 = 100.0;
-const QUALITY_BUCKET_IO_PAGES: f64 = 10_000.0;
 /// Rolling window (in queries) for the live template distribution.
 const DRIFT_CAPACITY: usize = 512;
 
@@ -58,9 +59,39 @@ impl ObsConfig {
     }
 }
 
-/// The engine's registered instruments plus the two rolling monitors. One
-/// instance is shared (via `Arc`) by the submit path, the scoring path, and
-/// the background retrainer thread.
+/// The last [`QUALITY_CAPACITY`] evaluation batches as `(predicted,
+/// actual)` columns, one pair per resource axis in [`ResourceKind::ALL`]
+/// order.
+#[derive(Default)]
+struct QualityWindow {
+    predicted: [VecDeque<f64>; N_RESOURCES],
+    actual: [VecDeque<f64>; N_RESOURCES],
+}
+
+impl QualityWindow {
+    /// Appends one batch, evicting the oldest once the window is full.
+    fn record(&mut self, predicted: ResourceVector, actual: ResourceVector) {
+        let (predicted, actual) = (predicted.as_array(), actual.as_array());
+        for i in 0..N_RESOURCES {
+            if self.actual[i].len() == QUALITY_CAPACITY {
+                self.predicted[i].pop_front();
+                self.actual[i].pop_front();
+            }
+            self.predicted[i].push_back(predicted[i]);
+            self.actual[i].push_back(actual[i]);
+        }
+    }
+
+    /// The `(actual, predicted)` columns of one axis, as slices.
+    fn columns(&mut self, kind: ResourceKind) -> (&[f64], &[f64]) {
+        let i = kind.index();
+        (self.actual[i].make_contiguous(), self.predicted[i].make_contiguous())
+    }
+}
+
+/// The engine's registered instruments plus the quality window and the
+/// drift monitor. One instance is shared (via `Arc`) by the submit path,
+/// the scoring path, and the background retrainer thread.
 pub(crate) struct EngineObs {
     pub(crate) registry: Registry,
     pub(crate) submitted: Arc<Counter>,
@@ -79,14 +110,12 @@ pub(crate) struct EngineObs {
     pub(crate) pending: Arc<Gauge>,
     pub(crate) model_version: Arc<Gauge>,
     pub(crate) model_age_seconds: Arc<Gauge>,
-    mae_mb: Arc<Gauge>,
-    mae_cpu_ms: Arc<Gauge>,
-    mae_io_pages: Arc<Gauge>,
-    within_one_bucket: Arc<Gauge>,
+    /// `wmp_prediction_mae_*`, in [`ResourceKind::ALL`] order.
+    mae: [Arc<Gauge>; N_RESOURCES],
+    /// `wmp_prediction_mape_pct{resource}`, in [`ResourceKind::ALL`] order.
+    mape_pct: [Arc<Gauge>; N_RESOURCES],
     drift_score: Arc<Gauge>,
-    quality: QualityMonitor,
-    quality_cpu: QualityMonitor,
-    quality_io: QualityMonitor,
+    quality: Mutex<QualityWindow>,
     eval_buffer: Mutex<Vec<QueryRecord>>,
     drift: OnceLock<DriftMonitor>,
 }
@@ -144,7 +173,7 @@ impl EngineObs {
             ),
             quality_windows: r.counter(
                 "wmp_quality_windows_total",
-                "Evaluation batches scored by the prediction-quality monitor",
+                "Evaluation batches scored for prediction quality",
                 &[],
             ),
             score_latency: r.histogram(
@@ -167,34 +196,36 @@ impl EngineObs {
                 "Seconds since the currently serving model was installed",
                 &[],
             ),
-            mae_mb: r.gauge(
-                "wmp_prediction_mae_mb",
-                "Rolling mean absolute prediction error (MB) over recent evaluation batches",
-                &[],
-            ),
-            mae_cpu_ms: r.gauge(
-                "wmp_prediction_mae_cpu_ms",
-                "Rolling mean absolute CPU prediction error (ms) over recent evaluation batches",
-                &[],
-            ),
-            mae_io_pages: r.gauge(
-                "wmp_prediction_mae_io_pages",
-                "Rolling mean absolute IO prediction error (pages) over recent evaluation batches",
-                &[],
-            ),
-            within_one_bucket: r.gauge(
-                "wmp_prediction_within_one_bucket_ratio",
-                "Rolling fraction of evaluation batches predicted within one memory bucket",
-                &[],
-            ),
+            mae: [
+                r.gauge(
+                    "wmp_prediction_mae_mb",
+                    "Rolling mean absolute prediction error (MB) over recent evaluation batches",
+                    &[],
+                ),
+                r.gauge(
+                    "wmp_prediction_mae_cpu_ms",
+                    "Rolling mean absolute CPU prediction error (ms) over recent evaluation batches",
+                    &[],
+                ),
+                r.gauge(
+                    "wmp_prediction_mae_io_pages",
+                    "Rolling mean absolute IO prediction error (pages) over recent evaluation batches",
+                    &[],
+                ),
+            ],
+            mape_pct: ResourceKind::ALL.map(|kind| {
+                r.gauge(
+                    "wmp_prediction_mape_pct",
+                    "Rolling mean absolute percentage prediction error (%) over recent evaluation batches",
+                    &[("resource", kind.label())],
+                )
+            }),
             drift_score: r.gauge(
                 "wmp_template_drift_score",
                 "Total-variation distance between live and training template distributions",
                 &[],
             ),
-            quality: QualityMonitor::new(QUALITY_CAPACITY, QUALITY_BUCKET_MB),
-            quality_cpu: QualityMonitor::new(QUALITY_CAPACITY, QUALITY_BUCKET_CPU_MS),
-            quality_io: QualityMonitor::new(QUALITY_CAPACITY, QUALITY_BUCKET_IO_PAGES),
+            quality: Mutex::new(QualityWindow::default()),
             eval_buffer: Mutex::new(Vec::new()),
             drift: OnceLock::new(),
             registry: r,
@@ -210,7 +241,7 @@ impl EngineObs {
     /// Accounts one observed (executed) query: feeds the drift monitor with
     /// its template assignment and, once a full evaluation batch has
     /// accumulated, re-predicts the batch through `model` and scores it
-    /// against the measured memory. Runs on the observer's thread — cheap
+    /// against the measured resources. Runs on the observer's thread — cheap
     /// except once per evaluation batch, when it costs one prediction.
     pub(crate) fn account_observation(&self, model: &dyn WorkloadPredictor, record: &QueryRecord) {
         if let Some(drift) = self.drift.get() {
@@ -234,24 +265,41 @@ impl EngineObs {
         if let Some(batch) = batch {
             let refs: Vec<&QueryRecord> = batch.iter().collect();
             if let Ok(predicted) = model.predict_resources(&refs) {
-                let actual: wmp_plan::ResourceVector = batch.iter().map(|r| r.resources).sum();
-                self.quality.record(predicted.memory_mb, actual.memory_mb);
-                self.quality_cpu.record(predicted.cpu_ms, actual.cpu_ms);
-                self.quality_io.record(predicted.io_pages, actual.io_pages);
+                let actual: ResourceVector = batch.iter().map(|r| r.resources).sum();
+                let mut quality =
+                    self.quality.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                quality.record(predicted, actual);
                 self.quality_windows.inc();
-                if let Some(mae) = self.quality.mae() {
-                    self.mae_mb.set(mae);
-                }
-                if let Some(mae) = self.quality_cpu.mae() {
-                    self.mae_cpu_ms.set(mae);
-                }
-                if let Some(mae) = self.quality_io.mae() {
-                    self.mae_io_pages.set(mae);
-                }
-                if let Some(ratio) = self.quality.within_one_bucket() {
-                    self.within_one_bucket.set(ratio);
+                for kind in ResourceKind::ALL {
+                    let (actual, predicted) = quality.columns(kind);
+                    if let Ok(mae) = mae(actual, predicted) {
+                        self.mae[kind.index()].set(mae);
+                    }
+                    // An axis whose every actual is zero has no MAPE.
+                    if let Ok(mape) = mape(actual, predicted) {
+                        self.mape_pct[kind.index()].set(mape);
+                    }
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quality_window_evicts_oldest() {
+        let mut window = QualityWindow::default();
+        window.record(ResourceVector::new(0.0, 0.0, 0.0), ResourceVector::new(100.0, 1.0, 1.0));
+        for _ in 0..QUALITY_CAPACITY {
+            window.record(ResourceVector::new(10.0, 1.0, 1.0), ResourceVector::new(10.0, 1.0, 1.0));
+        }
+        for kind in ResourceKind::ALL {
+            let (actual, predicted) = window.columns(kind);
+            assert_eq!((actual.len(), predicted.len()), (QUALITY_CAPACITY, QUALITY_CAPACITY));
+            assert_eq!(mae(actual, predicted).unwrap(), 0.0, "{kind:?}: the bad batch aged out");
         }
     }
 }

@@ -6,8 +6,9 @@
 //! in-distribution phase, then shifts the traffic to the heavy statement
 //! mix (templates 6..12). Afterwards it renders the engine's metrics
 //! registry as Prometheus text and JSON — non-zero serving counters,
-//! scoring-latency quantiles, the rolling prediction MAE, and a
-//! template-distribution drift gauge that moved with the shift — plus the
+//! scoring-latency quantiles, the rolling per-axis prediction MAE and MAPE
+//! (`wmp_prediction_mape_pct{resource}`), and a template-distribution drift
+//! gauge that moved with the shift — plus the
 //! structured span/event log captured by a ring-buffer subscriber.
 //!
 //! ```sh

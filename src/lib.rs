@@ -19,7 +19,7 @@
 //! | [`sql`] ([`wmp_sql`]) | SQL front-end: tokenizer, dialect-aware parser, lowering to [`plan`] query specs |
 //! | [`workloads`] ([`wmp_workloads`]) | TPC-DS / JOB / TPC-C / TPC-H style generators and query logs |
 //! | [`text`] ([`wmp_text`]) | SQL tokenization, bag-of-words, text-mining, word embeddings |
-//! | [`obs`] ([`wmp_obs`]) | observability: metrics registry, tracing facade, prediction-quality monitors |
+//! | [`obs`] ([`wmp_obs`]) | observability: metrics registry, tracing facade, drift monitor |
 //!
 //! ## Quickstart
 //!

@@ -70,7 +70,7 @@ fn evaluation_reports_are_reproducible() {
     let r1 = EvalContext::new(&log, cfg.clone()).evaluate_learned(ModelKind::Dt).expect("r1");
     let r2 = EvalContext::new(&log, cfg).evaluate_learned(ModelKind::Dt).expect("r2");
     assert_eq!(r1.rmse, r2.rmse);
-    assert_eq!(r1.mape, r2.mape);
+    assert_eq!(r1.mape(), r2.mape());
     assert_eq!(r1.residuals, r2.residuals);
 }
 

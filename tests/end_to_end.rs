@@ -26,7 +26,7 @@ fn full_sweep_runs_on_every_benchmark() {
         assert_eq!(reports.len(), 5, "DBMS + 2 single + 2 learned");
         for r in &reports {
             assert!(r.rmse.is_finite() && r.rmse >= 0.0, "{}: rmse {}", r.tag(), r.rmse);
-            assert!(r.mape.is_finite() && r.mape >= 0.0);
+            assert!(r.mape().is_finite() && r.mape() >= 0.0);
             assert_eq!(r.residuals.len(), ctx.test_workloads.len());
         }
     }

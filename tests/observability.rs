@@ -88,6 +88,13 @@ fn serving_lifecycle_emits_spans_events_and_metrics() {
     assert!(gauge("wmp_prediction_mae_mb").is_finite());
     assert!(gauge("wmp_prediction_mae_cpu_ms").is_finite());
     assert!(gauge("wmp_prediction_mae_io_pages").is_finite());
+    for resource in ["memory", "cpu", "io"] {
+        let mape = snapshot
+            .get("wmp_prediction_mape_pct", &[("resource", resource)])
+            .and_then(|m| m.as_gauge())
+            .unwrap_or_else(|| panic!("{resource} MAPE"));
+        assert!(mape.is_finite(), "{resource} MAPE {mape}");
+    }
     let drift = gauge("wmp_template_drift_score");
     assert!((0.0..=1.0).contains(&drift), "drift {drift} out of range");
     assert_eq!(gauge("wmp_pending_queries"), 0.0);

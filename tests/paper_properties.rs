@@ -17,7 +17,7 @@ fn batching_improves_learnedwmp_accuracy() {
             &log,
             EvalConfig { batch_size: s, k_templates: 60, ..Default::default() },
         );
-        ctx.evaluate_learned(ModelKind::Xgb).expect("eval").mape
+        ctx.evaluate_learned(ModelKind::Xgb).expect("eval").mape()
     };
     let m1 = mape_at(1);
     let m10 = mape_at(10);
@@ -34,10 +34,10 @@ fn single_query_models_win_at_batch_size_one() {
     let learned = ctx.evaluate_learned(ModelKind::Xgb).expect("learned");
     let single = ctx.evaluate_single(ModelKind::Xgb).expect("single");
     assert!(
-        single.mape < learned.mape,
+        single.mape() < learned.mape(),
         "single {:.1}% must beat learned {:.1}% at s=1",
-        single.mape,
-        learned.mape
+        single.mape(),
+        learned.mape()
     );
 }
 
