@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md §5 calls out:
+//! Ablations of five LearnedWMP design choices, each against the paper's
+//! default configuration (fitted once, printed as the first row):
 //!
 //! 1. label mode — sum vs. max workload labels (paper eq. 1 vs. prose);
 //! 2. histogram normalization — counts vs. frequencies;
@@ -13,29 +14,11 @@ use learnedwmp_core::{
     EvalConfig, EvalContext, HistogramMode, LabelMode, LearnedWmp, ModelKind, TemplateSpec,
 };
 use wmp_bench::{print_table, Benchmarks, Options};
-use wmp_workloads::{QueryLog, QueryRecord};
+use wmp_workloads::QueryLog;
 
-fn eval_learned_with(
-    log: &QueryLog,
-    cfg: &EvalConfig,
-    label_mode: LabelMode,
-    histogram_mode: HistogramMode,
-    templates: TemplateSpec,
-) -> (f64, f64) {
-    let cfg = EvalConfig { label_mode, histogram_mode, ..cfg.clone() };
-    let ctx = EvalContext::new(log, cfg.clone());
-    let wmp = LearnedWmp::builder()
-        .model(ModelKind::Xgb)
-        .templates(templates)
-        .batch_size(cfg.batch_size)
-        .label_mode(label_mode)
-        .histogram_mode(histogram_mode)
-        .seed(cfg.seed)
-        .fit_refs(&ctx.train, &log.catalog)
-        .expect("training");
-    let r = ctx
-        .evaluate_predictor(&wmp, "LearnedWMP", "XGB".to_string(), 0.0, 0.0)
-        .expect("evaluation");
+/// `(rmse, mape%)` of LearnedWMP-XGB with plan-k-means templates on `log`.
+fn eval_xgb(log: &QueryLog, cfg: EvalConfig) -> (f64, f64) {
+    let r = EvalContext::new(log, cfg).evaluate_learned(ModelKind::Xgb).expect("evaluation");
     (r.rmse, r.mape())
 }
 
@@ -54,8 +37,8 @@ fn mask_features(log: &QueryLog, keep_counts: bool) -> QueryLog {
     masked
 }
 
-fn sum_mem(records: &[&QueryRecord]) -> f64 {
-    records.iter().map(|r| r.true_memory_mb()).sum()
+fn sum_mem(log: &QueryLog) -> f64 {
+    log.records.iter().map(|r| r.true_memory_mb()).sum()
 }
 
 fn main() {
@@ -63,62 +46,40 @@ fn main() {
     let benches = Benchmarks::generate(opts.experiment_config());
     let (_, log, cfg) =
         benches.datasets().into_iter().find(|(n, _, _)| *n == "TPC-DS").expect("TPC-DS");
-    let k = cfg.k_templates;
-    let seed = cfg.seed;
-    let km = || TemplateSpec::PlanKMeans { k, seed };
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut push = |name: &str, (rmse, mape): (f64, f64)| {
         rows.push(vec![name.to_string(), format!("{rmse:.1}"), format!("{mape:.1}")]);
     };
 
+    let ctx = EvalContext::new(log, cfg.clone());
+    let r = ctx.evaluate_learned(ModelKind::Xgb).expect("evaluation");
+    push("paper default", (r.rmse, r.mape()));
     // 1. Label mode.
     push(
-        "label=sum (paper prose)",
-        eval_learned_with(log, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
-    push(
         "label=max (paper eq. 1)",
-        eval_learned_with(log, &cfg, LabelMode::Max, HistogramMode::Counts, km()),
+        eval_xgb(log, EvalConfig { label_mode: LabelMode::Max, ..cfg.clone() }),
     );
     // 2. Histogram normalization.
     push(
-        "hist=counts (paper)",
-        eval_learned_with(log, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
-    push(
         "hist=frequencies",
-        eval_learned_with(log, &cfg, LabelMode::Sum, HistogramMode::Frequencies, km()),
+        eval_xgb(log, EvalConfig { histogram_mode: HistogramMode::Frequencies, ..cfg.clone() }),
     );
-    // 3. Clustering algorithm.
-    push(
-        "cluster=kmeans (paper)",
-        eval_learned_with(log, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
-    push(
-        "cluster=dbscan (SV comparison)",
-        eval_learned_with(
-            log,
-            &cfg,
-            LabelMode::Sum,
-            HistogramMode::Counts,
-            TemplateSpec::Dbscan { eps: 1.0, min_pts: 5 },
-        ),
-    );
+    // 3. Clustering algorithm: DBSCAN is not a plan-k-means spec, so it
+    // takes a builder of its own.
+    let dbscan = LearnedWmp::builder()
+        .model(ModelKind::Xgb)
+        .templates(TemplateSpec::Dbscan { eps: 1.0, min_pts: 5 })
+        .batch_size(cfg.batch_size)
+        .seed(cfg.seed)
+        .fit_refs(&ctx.train, &log.catalog)
+        .expect("training");
+    let r = ctx
+        .evaluate_predictor(&dbscan, "LearnedWMP", "XGB".to_string(), 0.0, 0.0)
+        .expect("evaluation");
+    push("cluster=dbscan (SV comparison)", (r.rmse, r.mape()));
     // 4. Feature set.
-    let counts_only = mask_features(log, true);
-    let cards_only = mask_features(log, false);
-    push(
-        "features=count+card (paper)",
-        eval_learned_with(log, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
-    push(
-        "features=counts only",
-        eval_learned_with(&counts_only, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
-    push(
-        "features=cards only",
-        eval_learned_with(&cards_only, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
+    push("features=counts only", eval_xgb(&mask_features(log, true), cfg.clone()));
+    push("features=cards only", eval_xgb(&mask_features(log, false), cfg.clone()));
     // 5. Planner realism: regenerate the same logical corpus without greedy
     // join ordering (FROM-order, left-deep).
     let fixed_order = wmp_workloads::tpcds::generate_with_planner(
@@ -127,24 +88,18 @@ fn main() {
         wmp_plan::PlannerConfig { greedy_join_ordering: false, ..Default::default() },
     )
     .expect("fixed-order generation");
-    push(
-        "planner=greedy (default)",
-        eval_learned_with(log, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
-    push(
-        "planner=from-order",
-        eval_learned_with(&fixed_order, &cfg, LabelMode::Sum, HistogramMode::Counts, km()),
-    );
+    push("planner=from-order", eval_xgb(&fixed_order, cfg));
 
     println!("\nAblations (LearnedWMP-XGB on TPC-DS)");
     print_table(&["configuration", "rmse", "mape%"], &rows);
+    println!(
+        "  paper default: label=sum, hist=counts, cluster=kmeans, features=count+card, planner=greedy"
+    );
 
     // Context: how much memory the two planner modes actually consume.
-    let refs_a: Vec<&QueryRecord> = log.records.iter().collect();
-    let refs_b: Vec<&QueryRecord> = fixed_order.records.iter().collect();
     println!(
         "  note: total true memory greedy = {:.0} MB vs from-order = {:.0} MB",
-        sum_mem(&refs_a),
-        sum_mem(&refs_b)
+        sum_mem(log),
+        sum_mem(&fixed_order)
     );
 }

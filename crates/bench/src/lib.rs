@@ -1,7 +1,9 @@
 //! # wmp-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation (§IV): `fig4_rmse`
-//! through `fig11_mape_vs_batch`, plus `ablations` and `run_all`. Every
+//! The paper's evaluation (§IV) in six binaries: `run_all` prints Figs.
+//! 4–8 from one sweep, `fig9_template_methods`, `fig10_mape_vs_templates`
+//! and `fig11_mape_vs_batch` print one sensitivity figure each, and
+//! `ablations` and `ext_variable_workloads` go beyond the paper. Every
 //! binary accepts `--scale <f>` (default 1.0 = the paper's corpus sizes)
 //! and `--seed <n>`. Serving, scheduling and retraining timings live in
 //! the repository benchmark, `perfbench/` (declared by `BENCHMARK.json`).

@@ -7,7 +7,7 @@
 //! statistics, correlation structure, query templates, and parameter
 //! distributions — and produces a [`log::QueryLog`] of executed queries with
 //! plan features, simulator-measured memory labels, and heuristic estimates.
-//! DESIGN.md §2 documents each substitution.
+//! Each module's own doc documents its substitution.
 
 #![warn(missing_docs)]
 

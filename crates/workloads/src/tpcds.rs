@@ -6,7 +6,7 @@
 //! deterministic derivation of **99 distinct query templates** (fact ×
 //! dimension-subset × query shape), and parameterized instantiation with
 //! realistic predicate mixes (date ranges, skewed category equalities,
-//! IN-lists). The substitution is documented in DESIGN.md §2.
+//! IN-lists). This module doc is the record of that substitution.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

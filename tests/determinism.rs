@@ -1,7 +1,7 @@
 //! Reproducibility: the whole stack — generation, planning, simulation,
 //! template learning, training, prediction — is deterministic in its seeds.
 
-use learnedwmp::core::{EvalConfig, EvalContext, LearnedWmp, ModelKind, TemplateSpec};
+use learnedwmp::core::{EvalConfig, EvalContext, LearnedWmp, ModelKind, ModelReport, TemplateSpec};
 use learnedwmp::workloads::QueryRecord;
 
 #[test]
@@ -67,11 +67,22 @@ fn trained_models_predict_identically_for_fixed_seeds() {
 fn evaluation_reports_are_reproducible() {
     let log = learnedwmp::workloads::job::generate(500, 2).expect("log");
     let cfg = EvalConfig { k_templates: 15, ..Default::default() };
-    let r1 = EvalContext::new(&log, cfg.clone()).evaluate_learned(ModelKind::Dt).expect("r1");
-    let r2 = EvalContext::new(&log, cfg).evaluate_learned(ModelKind::Dt).expect("r2");
-    assert_eq!(r1.rmse, r2.rmse);
-    assert_eq!(r1.mape(), r2.mape());
-    assert_eq!(r1.residuals, r2.residuals);
+    let (a, b) = (EvalContext::new(&log, cfg.clone()), EvalContext::new(&log, cfg));
+    let same = |r1: ModelReport, r2: ModelReport| {
+        let tag = r1.tag();
+        assert_eq!(r1.rmse, r2.rmse, "{tag}");
+        assert_eq!(r1.mape(), r2.mape(), "{tag}");
+        assert_eq!(r1.residuals, r2.residuals, "{tag}");
+        assert_eq!(r1.model_kb, r2.model_kb, "{tag}");
+    };
+    for kind in ModelKind::ALL {
+        same(a.evaluate_learned(kind).expect("r1"), b.evaluate_learned(kind).expect("r2"));
+        // SingleWMP-DNN fits one row per query: seconds even in release,
+        // too slow for the debug test run.
+        if kind != ModelKind::Dnn {
+            same(a.evaluate_single(kind).expect("r1"), b.evaluate_single(kind).expect("r2"));
+        }
+    }
 }
 
 #[test]
