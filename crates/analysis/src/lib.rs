@@ -11,20 +11,19 @@
 //! path, an unjustified atomic ordering, a dashboard metric that silently
 //! drifted out of the docs.
 //!
-//! Run it via the `wmp-lint` binary:
+//! The tier-1 test `tests/lint.rs::workspace_is_clean` runs every rule
+//! over the real tree, so `cargo test` fails on any violation:
 //!
 //! ```text
-//! cargo run --release -p wmp_analysis --bin wmp-lint
+//! cargo test -p wmp_analysis --test lint
 //! ```
 //!
-//! Diagnostics are `file:line:col: [rule] message` lines plus an optional
-//! machine-readable JSON report (`--json <path>`); the process exits
-//! nonzero when any rule fires. Individual sites are suppressed inline
-//! with `// lint: allow(<rule>, <reason>)` — the reason is mandatory and
-//! the directive may sit on the flagged line or alone on the line above.
+//! Its failure message lists one `file:line:col: [rule] message` line per
+//! diagnostic. Individual sites are suppressed inline with
+//! `// lint: allow(<rule>, <reason>)` — the reason is mandatory and the
+//! directive may sit on the flagged line or alone on the line above.
 //!
-//! See [`rules`] for the rule registry and [`run`] for the embedding API
-//! (the integration tests run the whole linter in-process).
+//! See [`rules`] for the rule registry and [`run_on`] for the entry point.
 
 pub mod diag;
 pub mod rules;
@@ -35,19 +34,9 @@ pub use diag::{Diagnostic, Report};
 pub use rules::{all_rules, Rule};
 pub use workspace::Workspace;
 
-/// Runs `rules` over the workspace rooted at `root` and returns the
-/// report: suppressions applied, malformed directives reported, and
-/// diagnostics sorted by `(file, line, col, rule)`.
-///
-/// # Errors
-/// Returns an error when `root` is not a workspace root or a source file
-/// cannot be read.
-pub fn run(root: &std::path::Path, rules: &[Box<dyn Rule>]) -> std::io::Result<Report> {
-    let ws = Workspace::discover(root)?;
-    Ok(run_on(&ws, rules))
-}
-
-/// [`run`] over an already-discovered workspace.
+/// Runs `rules` over `ws` and returns the report: suppressions applied,
+/// malformed directives reported, and diagnostics sorted by
+/// `(file, line, col, rule)`.
 pub fn run_on(ws: &Workspace, rules: &[Box<dyn Rule>]) -> Report {
     let mut diagnostics = Vec::new();
     for rule in rules {
@@ -75,9 +64,5 @@ pub fn run_on(ws: &Workspace, rules: &[Box<dyn Rule>]) -> Report {
     }
     diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    Report {
-        rules: rules.iter().map(|r| r.id()).collect(),
-        files_scanned: ws.files.len(),
-        diagnostics,
-    }
+    Report { files_scanned: ws.files.len(), diagnostics }
 }

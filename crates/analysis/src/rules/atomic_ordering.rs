@@ -27,10 +27,6 @@ impl Rule for AtomicOrdering {
         "atomic_ordering"
     }
 
-    fn summary(&self) -> &'static str {
-        "atomic orderings carry an `// ordering:` justification; bare SeqCst is flagged"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         for file in ws.hot_path_libs() {
             let src = &file.source;

@@ -40,10 +40,6 @@ impl Rule for BenchSchema {
         "bench_schema"
     }
 
-    fn summary(&self) -> &'static str {
-        "committed perfbench/baseline/*.json results match the metrics BENCHMARK.json declares"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         if ws.baselines.is_empty() {
             return;

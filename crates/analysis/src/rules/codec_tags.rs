@@ -24,10 +24,6 @@ impl Rule for CodecTags {
         "codec_tags"
     }
 
-    fn summary(&self) -> &'static str {
-        "codec tag tables and version constants are unique and append-only"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         for file in ws.libs() {
             if !file.source.rel.ends_with("codec.rs") {

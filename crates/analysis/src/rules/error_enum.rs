@@ -22,10 +22,6 @@ impl Rule for ErrorEnum {
         "error_enum"
     }
 
-    fn summary(&self) -> &'static str {
-        "public error enums are #[non_exhaustive] with exhaustive Display"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         for file in ws.libs() {
             let src = &file.source;

@@ -53,10 +53,6 @@ impl Rule for MetricCatalog {
         "metric_catalog"
     }
 
-    fn summary(&self) -> &'static str {
-        "registered wmp_* metrics match the README catalog and naming conventions"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         let mut registered: BTreeMap<String, Registration> = BTreeMap::new();
         for file in ws.libs() {

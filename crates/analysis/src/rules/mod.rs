@@ -1,9 +1,9 @@
 //! The rule registry.
 //!
 //! Every lint implements [`Rule`] and is listed by [`all_rules`] — that
-//! list *is* the registry: `wmp-lint --list` prints it, the CLI's
-//! `--rules` filter validates against it, and the README's "Static
-//! analysis" section documents it. Current rules:
+//! list *is* the registry. The tier-1 test `tests/lint.rs::workspace_is_clean`
+//! runs it over the real tree and checks that the README's "Static
+//! analysis" rule table lists exactly these ids. Current rules:
 //!
 //! | id | checks |
 //! |----|--------|
@@ -38,8 +38,6 @@ use crate::workspace::Workspace;
 pub trait Rule {
     /// Stable identifier used in diagnostics and `lint: allow(...)`.
     fn id(&self) -> &'static str;
-    /// One-line description for `wmp-lint --list`.
-    fn summary(&self) -> &'static str;
     /// Runs the rule, appending violations to `out`. Suppression filtering
     /// happens in the engine; rules report every site they find.
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>);

@@ -25,10 +25,6 @@ impl Rule for NoHotPanic {
         "no_hot_panic"
     }
 
-    fn summary(&self) -> &'static str {
-        "no unwrap/expect/panic!/todo!/unimplemented! in hot-path library code"
-    }
-
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         for file in ws.hot_path_libs() {
             let src = &file.source;

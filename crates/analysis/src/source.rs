@@ -242,11 +242,6 @@ impl SourceFile {
             .map(|(i, &b)| (i, b))
     }
 
-    /// The string literal starting exactly at `offset`, if any.
-    pub fn string_at(&self, offset: usize) -> Option<&StrLit> {
-        self.strings.iter().find(|s| s.offset == offset)
-    }
-
     /// The first string literal at or after `offset` with nothing but
     /// whitespace before it in the masked text (string bodies are blanked
     /// in the mask, so `next_code_byte` cannot land on them).

@@ -47,8 +47,6 @@ impl WsFile {
 /// committed baselines).
 #[derive(Debug)]
 pub struct Workspace {
-    /// Workspace root.
-    pub root: PathBuf,
     /// All analyzed `.rs` files (vendored shims and `target/` excluded).
     pub files: Vec<WsFile>,
     /// `README.md` contents, if present.
@@ -64,18 +62,11 @@ impl Workspace {
     /// Discovers and analyzes the workspace rooted at `root`.
     ///
     /// # Errors
-    /// Returns an error when `root` does not look like the workspace root
-    /// (no `crates/` directory) or a discovered file cannot be read.
+    /// Returns an error when `root` has no `crates/` directory or a
+    /// discovered file cannot be read.
     pub fn discover(root: &Path) -> std::io::Result<Workspace> {
-        let crates_dir = root.join("crates");
-        if !crates_dir.is_dir() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("{} has no crates/ directory — not a workspace root", root.display()),
-            ));
-        }
         let mut files = Vec::new();
-        let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
+        let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.is_dir())
             .collect();
@@ -102,7 +93,7 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.source.rel.cmp(&b.source.rel));
-        Ok(Workspace { root: root.to_path_buf(), files, readme, benchmark, baselines })
+        Ok(Workspace { files, readme, benchmark, baselines })
     }
 
     /// Iterates library files of hot-path crates.

@@ -25,7 +25,6 @@ fn ws_with(rel: &str, text: String) -> Workspace {
 fn ws_full(rel: &str, text: String, readme: Option<String>) -> Workspace {
     let source = SourceFile::parse(PathBuf::from(rel), rel.to_string(), text);
     Workspace {
-        root: PathBuf::new(),
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Lib }],
         readme,
         benchmark: None,
@@ -48,7 +47,6 @@ const BENCHMARK: &str = r#"{
 /// A workspace holding one committed baseline, `perfbench/baseline/<name>`.
 fn ws_baseline(name: &str, text: String) -> Workspace {
     Workspace {
-        root: PathBuf::new(),
         files: Vec::new(),
         readme: None,
         benchmark: Some(BENCHMARK.to_string()),
@@ -114,7 +112,6 @@ fn no_hot_panic_ignores_test_targets() {
     let source =
         SourceFile::parse(PathBuf::from("t.rs"), "crates/serve/tests/bad.rs".to_string(), text);
     let ws = Workspace {
-        root: PathBuf::new(),
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Test }],
         readme: None,
         benchmark: None,
@@ -349,7 +346,6 @@ pub fn f(v: &[u8]) -> u8 {
     let source =
         SourceFile::parse(PathBuf::from("s.rs"), "crates/serve/src/s.rs".to_string(), text.into());
     let ws = Workspace {
-        root: PathBuf::new(),
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Lib }],
         readme: None,
         benchmark: None,
@@ -367,24 +363,9 @@ pub fn f(v: &[u8]) -> u8 {
     );
 }
 
-#[test]
-fn json_report_shape() {
-    let text = fixture("bad_atomic_ordering.rs");
-    let ws = ws_with("crates/serve/src/bad.rs", text);
-    let report = wmp_analysis::run_on(&ws, &all_rules());
-    let json = report.to_json();
-    let doc = wmp_obs::json::parse(&json).expect("report JSON parses");
-    let members = doc.as_object().expect("object");
-    assert_eq!(members.get("schema_version").and_then(|v| v.as_f64()), Some(1.0));
-    assert_eq!(
-        members.get("violations").and_then(|v| v.as_array()).map(<[_]>::len),
-        Some(report.diagnostics.len()),
-    );
-    assert_eq!(members.get("rules").and_then(|v| v.as_array()).map(<[_]>::len), Some(6));
-}
-
-/// The tentpole guarantee: the workspace itself is lint-clean. Every rule
-/// runs over the real tree exactly as `wmp-lint` does in CI.
+/// The workspace itself is lint-clean: every rule runs over the real tree,
+/// and the README's "Static analysis" table documents exactly the rules
+/// that run.
 #[test]
 fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -402,4 +383,18 @@ fn workspace_is_clean() {
         "the workspace must stay lint-clean; violations:\n{}",
         report.diagnostics.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n"),
     );
+
+    let readme = ws.readme.as_deref().expect("README.md is read");
+    let section = readme
+        .split("\n## ")
+        .find(|s| s.starts_with("Static analysis\n"))
+        .expect("README has a \"Static analysis\" section");
+    let mut documented: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split_once('`').map(|(id, _)| id))
+        .collect();
+    let mut registered: Vec<&str> = all_rules().iter().map(|r| r.id()).collect();
+    documented.sort_unstable();
+    registered.sort_unstable();
+    assert_eq!(documented, registered, "the README rule table lists each registered rule once");
 }

@@ -1,6 +1,6 @@
-//! The paper's Figs. 4–8 from one measurement sweep. Per dataset it runs
-//! the DBMS baseline and every learner under SingleWMP and LearnedWMP once,
-//! then prints from those reports:
+//! The paper's evaluation (§IV) from one run. It generates each dataset
+//! once, runs the DBMS baseline and every learner under SingleWMP and
+//! LearnedWMP on it, then prints from those reports:
 //!
 //! - Fig. 4: RMSE and MAPE, and the best LearnedWMP model's error reduction
 //!   vs. the DBMS baseline;
@@ -11,14 +11,33 @@
 //!   histogram-level prediction where SingleWMP makes `s` per-query ones;
 //! - Fig. 8: model size. Ridge is the paper's documented exception (k
 //!   histogram features > plan features);
-//! - each LearnedWMP model's per-resource accuracy.
+//! - each LearnedWMP model's per-resource accuracy;
+//! - the paper's headline claims: error reduction vs. DBMS,
+//!   training/inference speedups and model-size ratios.
 //!
-//! It closes with the paper's headline claims: error reduction vs. DBMS,
-//! training/inference speedups and model-size ratios. Sensitivity sweeps
-//! (Figs. 9–11) and ablations have their own binaries.
+//! Then, all with LearnedWMP-XGB:
+//!
+//! - Fig. 9 (JOB): template-learning methods — the paper's query-plan
+//!   k-means, rule-based, three text-based ones, and §V's DBSCAN;
+//! - Fig. 10 (every dataset): MAPE vs. the number of templates k. The paper
+//!   sees TPC-DS improve toward k = 100, JOB and TPC-C peak at k = 20–40;
+//! - Fig. 11 (TPC-DS): MAPE vs. the batch size s. It falls steeply, then
+//!   flattens; at s = 1 SingleWMP-XGB wins (the paper's closing remark);
+//! - ablations (TPC-DS): label mode, clustering, feature set and planner,
+//!   one at a time against the paper default;
+//! - an extension (TPC-DS, paper §I future work): variable-length workloads.
+//!
+//! A configuration equal to a dataset's own protocol is not fitted again:
+//! its row is that dataset's Fig. 4 LearnedWMP-XGB report.
 
-use learnedwmp_core::{EvalContext, ModelKind, ModelReport};
+use learnedwmp_core::{
+    batch_workloads_variable, EvalConfig, EvalContext, HistogramMode, LabelMode, LearnedWmp,
+    LearnedWmpBuilder, ModelKind, ModelReport, PlanKMeansTemplates, TemplateSpec, TextMode,
+    WorkloadPredictor,
+};
 use wmp_bench::{print_table, Benchmarks, Options};
+use wmp_mlkit::metrics::{mape, rmse};
+use wmp_workloads::QueryLog;
 
 fn dbms(reports: &[ModelReport]) -> &ModelReport {
     reports.iter().find(|r| r.approach == "SingleWMP-DBMS").expect("baseline")
@@ -143,6 +162,228 @@ fn print_figures(name: &str, reports: &[ModelReport]) {
     }
 }
 
+/// One dataset's evaluation context and its Fig. 4–8 reports.
+struct Dataset<'a> {
+    name: &'static str,
+    ctx: EvalContext<'a>,
+    reports: Vec<ModelReport>,
+}
+
+/// Every field of `c`; destructured, so a new protocol field must be added
+/// here before [`Dataset::xgb`] can compare it.
+fn protocol(c: &EvalConfig) -> (usize, usize, u64, LabelMode, HistogramMode) {
+    let EvalConfig { batch_size, k_templates, seed, label_mode, histogram_mode } = *c;
+    (batch_size, k_templates, seed, label_mode, histogram_mode)
+}
+
+impl Dataset<'_> {
+    /// LearnedWMP-XGB under `config` on this dataset's log: the Fig. 4
+    /// report when `config` is the dataset's own protocol, else a fresh
+    /// evaluation.
+    fn xgb(&self, config: EvalConfig) -> ModelReport {
+        if protocol(&config) == protocol(&self.ctx.config) {
+            let learned = self.reports.iter().find(|r| r.tag() == "LearnedWMP-XGB");
+            return learned.expect("Fig. 4 evaluates LearnedWMP-XGB").clone();
+        }
+        xgb_on(self.ctx.log, config)
+    }
+}
+
+/// LearnedWMP-XGB with plan-k-means templates, evaluated on `log`.
+fn xgb_on(log: &QueryLog, config: EvalConfig) -> ModelReport {
+    EvalContext::new(log, config).evaluate_learned(ModelKind::Xgb).expect("evaluation")
+}
+
+/// A LearnedWMP-XGB builder with `spec` templates and `config`'s batch
+/// size and seed.
+fn xgb_builder(config: &EvalConfig, spec: TemplateSpec) -> LearnedWmpBuilder {
+    LearnedWmp::builder()
+        .model(ModelKind::Xgb)
+        .templates(spec)
+        .batch_size(config.batch_size)
+        .seed(config.seed)
+}
+
+/// LearnedWMP-XGB fitted with `spec` templates on `ctx`'s training split,
+/// and its report on `ctx`'s test workloads.
+fn fit_xgb(ctx: &EvalContext, spec: TemplateSpec) -> (LearnedWmp, ModelReport) {
+    let wmp =
+        xgb_builder(&ctx.config, spec).fit_refs(&ctx.train, &ctx.log.catalog).expect("training");
+    let r = ctx
+        .evaluate_predictor(&wmp, "LearnedWMP", "XGB".to_string(), 0.0, 0.0)
+        .expect("evaluation");
+    (wmp, r)
+}
+
+fn print_fig9(d: &Dataset) {
+    let (ctx, k, seed) = (&d.ctx, d.ctx.config.k_templates, d.ctx.config.seed);
+    println!("\nFig. 9 ({}): LearnedWMP-XGB accuracy by template-learning method", d.name);
+    let row = |method: &str, templates: usize, r: &ModelReport| {
+        vec![
+            method.to_string(),
+            format!("{templates}"),
+            format!("{:.1}", r.rmse),
+            format!("{:.1}", r.mape()),
+        ]
+    };
+    // The paper's method is Fig. 4's model; k-means caps k at the number of
+    // training plans.
+    let plan = TemplateSpec::PlanKMeans { k, seed };
+    let mut rows =
+        vec![row(plan.build().name(), k.min(ctx.train.len()), &d.xgb(ctx.config.clone()))];
+    for spec in [
+        TemplateSpec::RuleBased,
+        TemplateSpec::Text { mode: TextMode::BagOfWords, k, seed },
+        TemplateSpec::Text { mode: TextMode::TextMining, k, seed },
+        TemplateSpec::Text { mode: TextMode::Embedding, k, seed },
+        TemplateSpec::Dbscan { eps: 1.0, min_pts: 5 },
+    ] {
+        let (wmp, r) = fit_xgb(ctx, spec);
+        rows.push(row(wmp.templates().name(), wmp.templates().n_templates(), &r));
+    }
+    print_table(&["method", "templates", "rmse", "mape%"], &rows);
+    println!("  -> the paper's query-plan method should lead; rule/text methods trail");
+}
+
+fn print_fig10(d: &Dataset) {
+    println!("\nFig. 10 ({}): MAPE (%) of LearnedWMP-XGB vs number of templates", d.name);
+    let rows: Vec<Vec<String>> = (10..=100)
+        .step_by(10)
+        .map(|k| {
+            let r = d.xgb(EvalConfig { k_templates: k, ..d.ctx.config.clone() });
+            vec![format!("{k}"), format!("{:.1}", r.mape())]
+        })
+        .collect();
+    print_table(&["k", "mape%"], &rows);
+}
+
+fn print_fig11(d: &Dataset) {
+    println!("\nFig. 11 ({}): MAPE (%) of LearnedWMP-XGB vs batch size s", d.name);
+    let at = |s: usize| EvalConfig { batch_size: s, ..d.ctx.config.clone() };
+    let mapes: Vec<(usize, f64)> =
+        [1, 2, 3, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50].map(|s| (s, d.xgb(at(s)).mape())).into();
+    let rows: Vec<Vec<String>> =
+        mapes.iter().map(|(s, mape)| vec![format!("{s}"), format!("{mape:.1}")]).collect();
+    print_table(&["s", "mape%"], &rows);
+    // The paper's s = 1 reference (the sweep's first row): SingleWMP beats
+    // LearnedWMP on single queries because templates quantize away
+    // per-query signal.
+    let single = EvalContext::new(d.ctx.log, at(1)).evaluate_single(ModelKind::Xgb);
+    println!(
+        "  -> at s=1: LearnedWMP-XGB MAPE {:.1}% vs SingleWMP-XGB MAPE {:.1}% (single-query models win at s=1)",
+        mapes[0].1,
+        single.expect("single").mape()
+    );
+}
+
+/// Clones a log with half of each feature vector zeroed: `keep_counts` keeps
+/// the even (count) slots, otherwise the odd (cardinality) slots survive.
+fn mask_features(log: &QueryLog, keep_counts: bool) -> QueryLog {
+    let mut masked = log.clone();
+    for r in &mut masked.records {
+        for (i, v) in r.features.iter_mut().enumerate() {
+            let is_count_slot = i % 2 == 0;
+            if is_count_slot != keep_counts {
+                *v = 0.0;
+            }
+        }
+    }
+    masked
+}
+
+fn sum_mem(log: &QueryLog) -> f64 {
+    log.records.iter().map(|r| r.true_memory_mb()).sum()
+}
+
+fn print_ablations(d: &Dataset, gen_seed: u64) {
+    let (log, cfg) = (d.ctx.log, &d.ctx.config);
+    let row = |name: &str, r: ModelReport| {
+        vec![name.to_string(), format!("{:.1}", r.rmse), format!("{:.1}", r.mape())]
+    };
+    // Planner realism: regenerate the same logical corpus without greedy
+    // join ordering (FROM-order, left-deep).
+    let fixed_order = wmp_workloads::tpcds::generate_with_planner(
+        log.len(),
+        gen_seed,
+        wmp_plan::PlannerConfig { greedy_join_ordering: false, ..Default::default() },
+    )
+    .expect("fixed-order generation");
+    let rows = vec![
+        row("paper default", d.xgb(cfg.clone())),
+        row(
+            "label=max (paper eq. 1)",
+            d.xgb(EvalConfig { label_mode: LabelMode::Max, ..cfg.clone() }),
+        ),
+        // DBSCAN is not a plan-k-means spec, so it takes a builder of its own.
+        row(
+            "cluster=dbscan (SV comparison)",
+            fit_xgb(&d.ctx, TemplateSpec::Dbscan { eps: 1.0, min_pts: 5 }).1,
+        ),
+        row("features=counts only", xgb_on(&mask_features(log, true), cfg.clone())),
+        row("features=cards only", xgb_on(&mask_features(log, false), cfg.clone())),
+        row("planner=from-order", xgb_on(&fixed_order, cfg.clone())),
+    ];
+
+    println!("\nAblations (LearnedWMP-XGB on {})", d.name);
+    print_table(&["configuration", "rmse", "mape%"], &rows);
+    println!(
+        "  paper default: label=sum, hist=counts, cluster=kmeans, features=count+card, planner=greedy"
+    );
+    // Context: how much memory the two planner modes actually consume.
+    println!(
+        "  note: total true memory greedy = {:.0} MB vs from-order = {:.0} MB",
+        sum_mem(log),
+        sum_mem(&fixed_order)
+    );
+}
+
+fn print_extension(d: &Dataset) {
+    let (ctx, cfg) = (&d.ctx, &d.ctx.config);
+    // Variable-size test batches shared by every model.
+    let test_ws = batch_workloads_variable(&ctx.test, 5, 15, 99, LabelMode::Sum);
+    let y: Vec<f64> = test_ws.iter().map(|w| w.y_mb()).collect();
+    let train_ws = batch_workloads_variable(&ctx.train, 5, 15, cfg.seed, LabelMode::Sum);
+    let builder = |k: usize| xgb_builder(cfg, TemplateSpec::PlanKMeans { k, seed: cfg.seed });
+    let (train, catalog) = (&ctx.train, &ctx.log.catalog);
+    let row = |regime: String, m: &dyn WorkloadPredictor| {
+        let preds = m.predict_resources_many(&ctx.test, &test_ws).expect("prediction");
+        let preds: Vec<f64> = preds.iter().map(|r| r.memory_mb).collect();
+        let (rmse, mape) = (rmse(&y, &preds).expect("rmse"), mape(&y, &preds).expect("mape"));
+        vec![regime, format!("{rmse:.1}"), format!("{mape:.1}")]
+    };
+
+    // Fixed-length training (the paper's design), then variable-length
+    // training (the extension) with count and frequency histograms: with a
+    // fixed s every frequency histogram is a scaled count histogram, so
+    // only variable sizes can tell the two apart.
+    let fixed = builder(cfg.k_templates).fit_refs(train, catalog).expect("fixed");
+    let variable =
+        builder(cfg.k_templates).fit_workloads(train, catalog, train_ws.clone()).expect("variable");
+    let frequencies = builder(cfg.k_templates)
+        .histogram_mode(HistogramMode::Frequencies)
+        .fit_workloads(train, catalog, train_ws.clone())
+        .expect("variable frequencies");
+    // Elbow-selected k as a last point.
+    let auto_k =
+        PlanKMeansTemplates::auto_k(train, &[10, 20, 40, 60, 80, 100], cfg.seed).expect("auto k");
+    let auto = builder(auto_k).fit_workloads(train, catalog, train_ws).expect("auto-k training");
+
+    println!(
+        "\nExtension ({}): variable-length workloads (test batches of 5..=15 queries)",
+        d.name
+    );
+    print_table(
+        &["training regime", "rmse", "mape%"],
+        &[
+            row("fixed s=10 (paper)".into(), &fixed),
+            row("variable s in [5,15]".into(), &variable),
+            row("variable s in [5,15], hist=frequencies".into(), &frequencies),
+            row(format!("variable + elbow k={auto_k}"), &auto),
+        ],
+    );
+    println!("  -> training on variable batches should track variable test batches better");
+}
+
 fn main() {
     let opts = Options::from_args();
     let cfg = opts.experiment_config();
@@ -151,7 +392,7 @@ fn main() {
         opts.scale, cfg.tpcds.n_queries, cfg.job.n_queries, cfg.tpcc.n_queries
     );
     let benches = Benchmarks::generate(cfg);
-    let mut all: Vec<(&'static str, Vec<ModelReport>)> = Vec::new();
+    let mut datasets = Vec::new();
     for (name, log, cfg) in benches.datasets() {
         let ctx = EvalContext::new(log, cfg);
         println!(
@@ -164,11 +405,11 @@ fn main() {
         );
         let reports = ctx.evaluate_all(&ModelKind::ALL).expect("evaluation");
         print_figures(name, &reports);
-        all.push((name, reports));
+        datasets.push(Dataset { name, ctx, reports });
     }
 
     println!("\n##### Headline claims");
-    for (name, reports) in &all {
+    for Dataset { name, reports, .. } in &datasets {
         let (dbms, best) = (dbms(reports), best_learned(reports));
         let range = |ratio: fn(&ModelReport, &ModelReport) -> f64| {
             let v: Vec<f64> = pairs(reports).map(|(_, s, l)| ratio(s, l)).collect();
@@ -188,4 +429,11 @@ fn main() {
             size.1,
         );
     }
+
+    let [tpcds, job, _] = &datasets[..] else { unreachable!("three datasets") };
+    print_fig9(job);
+    datasets.iter().for_each(print_fig10);
+    print_fig11(tpcds);
+    print_ablations(tpcds, benches.cfg.tpcds.gen_seed);
+    print_extension(tpcds);
 }

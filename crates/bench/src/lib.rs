@@ -1,19 +1,18 @@
 //! # wmp-bench — the experiment harness
 //!
-//! The paper's evaluation (§IV) in six binaries: `run_all` prints Figs.
-//! 4–8 from one sweep, `fig9_template_methods`, `fig10_mape_vs_templates`
-//! and `fig11_mape_vs_batch` print one sensitivity figure each, and
-//! `ablations` and `ext_variable_workloads` go beyond the paper. Every
-//! binary accepts `--scale <f>` (default 1.0 = the paper's corpus sizes)
-//! and `--seed <n>`. Serving, scheduling and retraining timings live in
-//! the repository benchmark, `perfbench/` (declared by `BENCHMARK.json`).
+//! The paper's evaluation (§IV) in one binary: `run_all` generates each
+//! dataset once and prints Figs. 4–11, then an ablation table and a
+//! variable-length workload extension that go beyond the paper. It accepts
+//! `--scale <f>` (default 1.0 = the paper's corpus sizes) and `--seed <n>`.
+//! Serving, scheduling and retraining timings live in the repository
+//! benchmark, `perfbench/` (declared by `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
 use learnedwmp_core::{EvalConfig, ExperimentConfig};
 use wmp_workloads::QueryLog;
 
-/// Command-line options shared by the figure binaries.
+/// `run_all`'s command-line options.
 #[derive(Debug, Clone, Copy)]
 pub struct Options {
     /// Corpus scale in `(0, 1]`; 1.0 reproduces the paper's sizes.
@@ -74,7 +73,7 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}");
     }
-    eprintln!("usage: <figure-binary> [--scale <0..1>] [--seed <n>]");
+    eprintln!("usage: run_all [--scale <0..1>] [--seed <n>]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
 
