@@ -290,24 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn learned_beats_dbms_on_rmse() {
-        let log = ctx_log();
-        let ctx = EvalContext::new(&log, EvalConfig { k_templates: 12, ..Default::default() });
-        let dbms = ctx.evaluate_dbms().unwrap();
-        let learned = ctx.evaluate_learned(ModelKind::Xgb).unwrap();
-        assert!(
-            learned.rmse < dbms.rmse,
-            "LearnedWMP-XGB ({}) must beat DBMS ({})",
-            learned.rmse,
-            dbms.rmse
-        );
-        assert_eq!(learned.tag(), "LearnedWMP-XGB");
-        assert!(learned.model_kb > 0.0);
-        assert!(learned.train_ms > 0.0);
-        assert!(learned.total_train_ms >= learned.train_ms);
-    }
-
-    #[test]
     fn single_ml_also_reports() {
         let log = ctx_log();
         let ctx = EvalContext::new(&log, EvalConfig::default());
@@ -372,16 +354,5 @@ mod tests {
         let ctx = EvalContext::new(&log, EvalConfig::default());
         let err = ctx.evaluate_predictor(&NanPredictor, "Stub", "nan".to_string(), 0.0, 0.0);
         assert!(matches!(err, Err(wmp_mlkit::MlError::NumericalFailure(_))), "{err:?}");
-    }
-
-    #[test]
-    fn evaluate_all_produces_one_row_per_model() {
-        let log = ctx_log();
-        let ctx = EvalContext::new(&log, EvalConfig { k_templates: 8, ..Default::default() });
-        let rows = ctx.evaluate_all(&[ModelKind::Ridge, ModelKind::Dt]).unwrap();
-        assert_eq!(rows.len(), 5); // DBMS + 2 single + 2 learned
-        let tags: Vec<String> = rows.iter().map(|r| r.tag()).collect();
-        assert!(tags.contains(&"SingleWMP-Ridge".to_string()));
-        assert!(tags.contains(&"LearnedWMP-DT".to_string()));
     }
 }

@@ -433,14 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn all_model_kinds_train() {
-        for kind in ModelKind::ALL {
-            let (_, wmp) = trained(kind);
-            assert_eq!(wmp.config().model, kind);
-        }
-    }
-
-    #[test]
     fn errors_on_empty_or_oversized_batch() {
         let log = wmp_workloads::tpcc::generate(20, 9).unwrap();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();

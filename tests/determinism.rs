@@ -68,19 +68,33 @@ fn evaluation_reports_are_reproducible() {
     let log = learnedwmp::workloads::job::generate(500, 2).expect("log");
     let cfg = EvalConfig { k_templates: 15, ..Default::default() };
     let (a, b) = (EvalContext::new(&log, cfg.clone()), EvalContext::new(&log, cfg));
-    let same = |r1: ModelReport, r2: ModelReport| {
+    // Also checks that each report is sane for its family.
+    let same = |approach: &str, kind: ModelKind, r1: ModelReport, r2: ModelReport| {
         let tag = r1.tag();
+        assert_eq!(tag, format!("{approach}-{}", kind.label()));
+        assert!(r1.rmse.is_finite(), "{tag}: rmse {}", r1.rmse);
+        assert!(
+            r1.model_kb > 0.0 && r1.train_ms > 0.0,
+            "{tag}: {} kB, {} ms",
+            r1.model_kb,
+            r1.train_ms
+        );
+        assert!(r1.total_train_ms >= r1.train_ms, "{tag}");
         assert_eq!(r1.rmse, r2.rmse, "{tag}");
         assert_eq!(r1.mape(), r2.mape(), "{tag}");
         assert_eq!(r1.residuals, r2.residuals, "{tag}");
         assert_eq!(r1.model_kb, r2.model_kb, "{tag}");
     };
     for kind in ModelKind::ALL {
-        same(a.evaluate_learned(kind).expect("r1"), b.evaluate_learned(kind).expect("r2"));
+        let (r1, r2) =
+            (a.evaluate_learned(kind).expect("r1"), b.evaluate_learned(kind).expect("r2"));
+        same("LearnedWMP", kind, r1, r2);
         // SingleWMP-DNN fits one row per query: seconds even in release,
         // too slow for the debug test run.
         if kind != ModelKind::Dnn {
-            same(a.evaluate_single(kind).expect("r1"), b.evaluate_single(kind).expect("r2"));
+            let (r1, r2) =
+                (a.evaluate_single(kind).expect("r1"), b.evaluate_single(kind).expect("r2"));
+            same("SingleWMP", kind, r1, r2);
         }
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end integration: generate → plan → simulate → template → histogram
-//! → train → predict across all three benchmarks and every learner family.
+//! → train → predict across all three benchmarks.
 
 use learnedwmp::core::{EvalConfig, EvalContext, ExperimentConfig, ModelKind};
 use learnedwmp::workloads::QueryLog;
@@ -23,7 +23,18 @@ fn full_sweep_runs_on_every_benchmark() {
     for (log, k) in [(&tpcds, 20), (&job, 20), (&tpcc, 10)] {
         let ctx = EvalContext::new(log, quick_eval_config(k));
         let reports = ctx.evaluate_all(&[ModelKind::Ridge, ModelKind::Xgb]).expect("sweep");
-        assert_eq!(reports.len(), 5, "DBMS + 2 single + 2 learned");
+        let tags: Vec<String> = reports.iter().map(|r| r.tag()).collect();
+        assert_eq!(
+            tags,
+            [
+                "SingleWMP-DBMS",
+                "SingleWMP-Ridge",
+                "SingleWMP-XGB",
+                "LearnedWMP-Ridge",
+                "LearnedWMP-XGB"
+            ],
+            "DBMS + 2 single + 2 learned"
+        );
         for r in &reports {
             assert!(r.rmse.is_finite() && r.rmse >= 0.0, "{}: rmse {}", r.tag(), r.rmse);
             assert!(r.mape().is_finite() && r.mape() >= 0.0);
@@ -58,18 +69,6 @@ fn ml_models_beat_the_dbms_heuristic_on_tpcc() {
 }
 
 #[test]
-fn every_model_kind_works_end_to_end() {
-    let log = learnedwmp::workloads::tpcc::generate(800, 5).expect("tpcc");
-    let ctx = EvalContext::new(&log, quick_eval_config(10));
-    for kind in ModelKind::ALL {
-        let learned = ctx.evaluate_learned(kind).expect("learned");
-        assert!(learned.rmse.is_finite(), "LearnedWMP-{kind}");
-        assert!(learned.model_kb > 0.0);
-        assert!(learned.train_ms > 0.0);
-    }
-}
-
-#[test]
 fn learned_training_is_faster_than_single_for_tree_models() {
     // The s× training-row reduction must show up in wall-clock for the
     // nontrivial learners (the paper's Fig. 6; Ridge is the documented
@@ -86,35 +85,4 @@ fn learned_training_is_faster_than_single_for_tree_models() {
             single.train_ms
         );
     }
-}
-
-#[test]
-fn histogram_dimension_matches_template_count() {
-    use learnedwmp::core::{build_histogram, HistogramMode, PlanKMeansTemplates, TemplateLearner};
-    let log = learnedwmp::workloads::job::generate(400, 2).expect("job");
-    let refs: Vec<_> = log.records.iter().collect();
-    let mut learner = PlanKMeansTemplates::new(15, 42);
-    learner.fit(&refs, &log.catalog).expect("fit");
-    let assigns: Vec<usize> =
-        refs[..10].iter().map(|r| learner.assign(r).expect("assign")).collect();
-    let h =
-        build_histogram(&assigns, learner.n_templates(), HistogramMode::Counts).expect("histogram");
-    assert_eq!(h.len(), 15);
-    assert_eq!(h.iter().sum::<f64>(), 10.0, "paper eq. 8: sum of counts = s");
-}
-
-#[test]
-fn workload_prediction_is_consistent_with_members() {
-    // SingleWMP workload prediction must equal the sum of member predictions
-    // (paper eq. 11), checked through the public facade.
-    use learnedwmp::core::{ResourceVector, SingleWmp, WorkloadPredictor};
-    let log = learnedwmp::workloads::tpcc::generate(600, 9).expect("tpcc");
-    let refs: Vec<_> = log.records.iter().collect();
-    let model = SingleWmp::train(ModelKind::Dt, &refs).expect("train");
-    let total = model.predict_resources(&refs[..7]).expect("workload");
-    let by_parts: ResourceVector = refs[..7]
-        .iter()
-        .map(|r| model.predict_resources(std::slice::from_ref(r)).expect("query"))
-        .sum();
-    assert!(total.abs_diff(by_parts).as_array().iter().all(|d| *d < 1e-9));
 }
