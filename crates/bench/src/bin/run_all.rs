@@ -162,11 +162,13 @@ fn print_figures(name: &str, reports: &[ModelReport]) {
     }
 }
 
-/// One dataset's evaluation context and its Fig. 4–8 reports.
+/// One dataset's evaluation context, its Fig. 4–8 reports and Fig. 4's
+/// fitted LearnedWMP-XGB model.
 struct Dataset<'a> {
     name: &'static str,
     ctx: EvalContext<'a>,
     reports: Vec<ModelReport>,
+    xgb_model: LearnedWmp,
 }
 
 /// Every field of `c`; destructured, so a new protocol field must be added
@@ -191,7 +193,18 @@ impl Dataset<'_> {
 
 /// LearnedWMP-XGB with plan-k-means templates, evaluated on `log`.
 fn xgb_on(log: &QueryLog, config: EvalConfig) -> ModelReport {
-    EvalContext::new(log, config).evaluate_learned(ModelKind::Xgb).expect("evaluation")
+    EvalContext::new(log, config).evaluate_learned(ModelKind::Xgb).expect("evaluation").1
+}
+
+/// Names the metrics a verdict holds on, given whether it holds on rmse
+/// and on mape%.
+fn better_on(rmse: bool, mape: bool) -> &'static str {
+    match (rmse, mape) {
+        (true, true) => "both",
+        (true, false) => "rmse only",
+        (false, true) => "mape% only",
+        (false, false) => "neither",
+    }
 }
 
 /// A LearnedWMP-XGB builder with `spec` templates and `config`'s batch
@@ -229,8 +242,8 @@ fn print_fig9(d: &Dataset) {
     // The paper's method is Fig. 4's model; k-means caps k at the number of
     // training plans.
     let plan = TemplateSpec::PlanKMeans { k, seed };
-    let mut rows =
-        vec![row(plan.build().name(), k.min(ctx.train.len()), &d.xgb(ctx.config.clone()))];
+    let mut results =
+        vec![(plan.build().name().to_string(), k.min(ctx.train.len()), d.xgb(ctx.config.clone()))];
     for spec in [
         TemplateSpec::RuleBased,
         TemplateSpec::Text { mode: TextMode::BagOfWords, k, seed },
@@ -239,10 +252,27 @@ fn print_fig9(d: &Dataset) {
         TemplateSpec::Dbscan { eps: 1.0, min_pts: 5 },
     ] {
         let (wmp, r) = fit_xgb(ctx, spec);
-        rows.push(row(wmp.templates().name(), wmp.templates().n_templates(), &r));
+        results.push((wmp.templates().name().to_string(), wmp.templates().n_templates(), r));
     }
+    let rows: Vec<Vec<String>> = results.iter().map(|(m, t, r)| row(m, *t, r)).collect();
     print_table(&["method", "templates", "rmse", "mape%"], &rows);
-    println!("  -> the paper's query-plan method should lead; rule/text methods trail");
+    let lowest = |metric: fn(&ModelReport) -> f64| {
+        let (method, _, r) = results
+            .iter()
+            .min_by(|a, b| metric(&a.2).total_cmp(&metric(&b.2)))
+            .expect("six methods");
+        format!("{method} ({:.1})", metric(r))
+    };
+    let (plan_name, _, plan_report) = &results[0];
+    let rivals = results[1..].iter().map(|(_, _, r)| r);
+    let beats_all =
+        |metric: fn(&ModelReport) -> f64| rivals.clone().all(|r| metric(plan_report) < metric(r));
+    println!(
+        "  -> lowest rmse: {}; lowest mape%: {}; the paper's method ({plan_name}) leads on {}",
+        lowest(|r| r.rmse),
+        lowest(ModelReport::mape),
+        better_on(beats_all(|r| r.rmse), beats_all(ModelReport::mape)),
+    );
 }
 
 fn print_fig10(d: &Dataset) {
@@ -345,18 +375,16 @@ fn print_extension(d: &Dataset) {
     let train_ws = batch_workloads_variable(&ctx.train, 5, 15, cfg.seed, LabelMode::Sum);
     let builder = |k: usize| xgb_builder(cfg, TemplateSpec::PlanKMeans { k, seed: cfg.seed });
     let (train, catalog) = (&ctx.train, &ctx.log.catalog);
-    let row = |regime: String, m: &dyn WorkloadPredictor| {
+    let score = |m: &dyn WorkloadPredictor| {
         let preds = m.predict_resources_many(&ctx.test, &test_ws).expect("prediction");
         let preds: Vec<f64> = preds.iter().map(|r| r.memory_mb).collect();
-        let (rmse, mape) = (rmse(&y, &preds).expect("rmse"), mape(&y, &preds).expect("mape"));
-        vec![regime, format!("{rmse:.1}"), format!("{mape:.1}")]
+        (rmse(&y, &preds).expect("rmse"), mape(&y, &preds).expect("mape"))
     };
 
-    // Fixed-length training (the paper's design), then variable-length
-    // training (the extension) with count and frequency histograms: with a
-    // fixed s every frequency histogram is a scaled count histogram, so
-    // only variable sizes can tell the two apart.
-    let fixed = builder(cfg.k_templates).fit_refs(train, catalog).expect("fixed");
+    // Fixed-length training (the paper's design, Fig. 4's model), then
+    // variable-length training (the extension) with count and frequency
+    // histograms: with a fixed s every frequency histogram is a scaled
+    // count histogram, so only variable sizes can tell the two apart.
     let variable =
         builder(cfg.k_templates).fit_workloads(train, catalog, train_ws.clone()).expect("variable");
     let frequencies = builder(cfg.k_templates)
@@ -367,21 +395,30 @@ fn print_extension(d: &Dataset) {
     let auto_k =
         PlanKMeansTemplates::auto_k(train, &[10, 20, 40, 60, 80, 100], cfg.seed).expect("auto k");
     let auto = builder(auto_k).fit_workloads(train, catalog, train_ws).expect("auto-k training");
+    let (fixed, variable) = (score(&d.xgb_model), score(&variable));
 
     println!(
         "\nExtension ({}): variable-length workloads (test batches of 5..=15 queries)",
         d.name
     );
-    print_table(
-        &["training regime", "rmse", "mape%"],
-        &[
-            row("fixed s=10 (paper)".into(), &fixed),
-            row("variable s in [5,15]".into(), &variable),
-            row("variable s in [5,15], hist=frequencies".into(), &frequencies),
-            row(format!("variable + elbow k={auto_k}"), &auto),
-        ],
+    let rows: Vec<Vec<String>> = [
+        ("fixed s=10 (paper)".to_string(), fixed),
+        ("variable s in [5,15]".to_string(), variable),
+        ("variable s in [5,15], hist=frequencies".to_string(), score(&frequencies)),
+        (format!("variable + elbow k={auto_k}"), score(&auto)),
+    ]
+    .into_iter()
+    .map(|(regime, (rmse, mape))| vec![regime, format!("{rmse:.1}"), format!("{mape:.1}")])
+    .collect();
+    print_table(&["training regime", "rmse", "mape%"], &rows);
+    println!(
+        "  -> \"variable s in [5,15]\" beats \"fixed s=10 (paper)\" on {} (rmse {:.1} vs {:.1}, mape% {:.1} vs {:.1})",
+        better_on(variable.0 < fixed.0, variable.1 < fixed.1),
+        variable.0,
+        fixed.0,
+        variable.1,
+        fixed.1
     );
-    println!("  -> training on variable batches should track variable test batches better");
 }
 
 fn main() {
@@ -401,11 +438,16 @@ fn main() {
             ctx.train.len(),
             ctx.test.len(),
             ctx.test_workloads.len(),
-            ctx.y_test.iter().sum::<f64>() / ctx.y_test.len().max(1) as f64
+            ctx.y_test_resources.iter().map(|y| y.memory_mb).sum::<f64>()
+                / ctx.y_test_resources.len().max(1) as f64
         );
-        let reports = ctx.evaluate_all(&ModelKind::ALL).expect("evaluation");
+        let (reports, learned) = ctx.evaluate_all(&ModelKind::ALL).expect("evaluation");
         print_figures(name, &reports);
-        datasets.push(Dataset { name, ctx, reports });
+        let xgb_model = learned
+            .into_iter()
+            .find(|m| m.config().model == ModelKind::Xgb)
+            .expect("Fig. 4 fits LearnedWMP-XGB");
+        datasets.push(Dataset { name, ctx, reports, xgb_model });
     }
 
     println!("\n##### Headline claims");

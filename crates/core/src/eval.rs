@@ -127,9 +127,7 @@ pub struct EvalContext<'a> {
     pub test: Vec<&'a QueryRecord>,
     /// Batched test workloads with labels.
     pub test_workloads: Vec<Workload>,
-    /// Test labels `y` per workload (memory axis, MB).
-    pub y_test: Vec<f64>,
-    /// Full per-workload resource labels (memory / CPU / IO).
+    /// Per-workload resource labels (memory / CPU / IO).
     pub y_test_resources: Vec<ResourceVector>,
 }
 
@@ -145,9 +143,8 @@ impl<'a> EvalContext<'a> {
             config.seed.wrapping_add(1),
             config.label_mode,
         );
-        let y_test: Vec<f64> = test_workloads.iter().map(Workload::y_mb).collect();
         let y_test_resources: Vec<ResourceVector> = test_workloads.iter().map(|w| w.y).collect();
-        EvalContext { log, config, train, test, test_workloads, y_test, y_test_resources }
+        EvalContext { log, config, train, test, test_workloads, y_test_resources }
     }
 
     /// Evaluates any predictor — accuracy, timed batched inference, and
@@ -170,22 +167,25 @@ impl<'a> EvalContext<'a> {
         let t0 = Instant::now();
         let vec_preds = predictor.predict_resources_many(&self.test, &self.test_workloads)?;
         let infer_us = t0.elapsed().as_secs_f64() * 1e6 / self.test_workloads.len().max(1) as f64;
+        let column =
+            |vs: &[ResourceVector], kind| vs.iter().map(|v| v.get(kind)).collect::<Vec<_>>();
         let mut resource_mae = [0.0; N_RESOURCES];
         let mut resource_mape = [0.0; N_RESOURCES];
         for kind in ResourceKind::ALL {
-            let column = |vs: &[ResourceVector]| vs.iter().map(|v| v.get(kind)).collect::<Vec<_>>();
-            let (actual, predicted) = (column(&self.y_test_resources), column(&vec_preds));
+            let (actual, predicted) =
+                (column(&self.y_test_resources, kind), column(&vec_preds, kind));
             resource_mae[kind.index()] = mae(&actual, &predicted)?;
             resource_mape[kind.index()] = mape(&actual, &predicted)?;
         }
         // Head 0 of every predictor is bit-identical to its scalar memory
         // path, so the projection preserves the memory-only RMSE/residuals.
-        let preds: Vec<f64> = vec_preds.iter().map(|v| v.memory_mb).collect();
-        let res = residuals(&self.y_test, &preds)?;
+        let actual = column(&self.y_test_resources, ResourceKind::Memory);
+        let preds = column(&vec_preds, ResourceKind::Memory);
+        let res = residuals(&actual, &preds)?;
         Ok(ModelReport {
             approach,
             model,
-            rmse: rmse(&self.y_test, &preds)?,
+            rmse: rmse(&actual, &preds)?,
             residual_summary: ResidualSummary::from_residuals(&res)?,
             residuals: res,
             train_ms,
@@ -205,11 +205,13 @@ impl<'a> EvalContext<'a> {
         self.evaluate_predictor(&SingleWmpDbms, "SingleWMP-DBMS", "heuristic".to_string(), 0.0, 0.0)
     }
 
-    /// Trains and evaluates a LearnedWMP variant with plan-k-means templates.
+    /// Trains and evaluates a LearnedWMP variant with plan-k-means templates,
+    /// returning the fitted model with its report so a caller can reuse the
+    /// fit.
     ///
     /// # Errors
     /// Propagates training/prediction errors.
-    pub fn evaluate_learned(&self, model: ModelKind) -> MlResult<ModelReport> {
+    pub fn evaluate_learned(&self, model: ModelKind) -> MlResult<(LearnedWmp, ModelReport)> {
         let wmp = LearnedWmp::builder()
             .model(model)
             .templates(TemplateSpec::PlanKMeans {
@@ -221,13 +223,14 @@ impl<'a> EvalContext<'a> {
             .histogram_mode(self.config.histogram_mode)
             .seed(self.config.seed)
             .fit_refs(&self.train, &self.log.catalog)?;
-        self.evaluate_predictor(
+        let report = self.evaluate_predictor(
             &wmp,
             "LearnedWMP",
             model.label().to_string(),
             wmp.timings.fit_ms,
             wmp.timings.total_ms(),
-        )
+        )?;
+        Ok((wmp, report))
     }
 
     /// Trains and evaluates a SingleWMP ML variant.
@@ -240,20 +243,27 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Full benchmark sweep: DBMS baseline + every learner under both
-    /// approaches (the content of one subfigure of Figs. 4–8).
+    /// approaches (the content of one subfigure of Figs. 4–8). Returns the
+    /// reports and the fitted LearnedWMP models, in `models` order.
     ///
     /// # Errors
     /// Propagates any model's failure.
-    pub fn evaluate_all(&self, models: &[ModelKind]) -> MlResult<Vec<ModelReport>> {
-        let mut out = Vec::with_capacity(1 + 2 * models.len());
-        out.push(self.evaluate_dbms()?);
+    pub fn evaluate_all(
+        &self,
+        models: &[ModelKind],
+    ) -> MlResult<(Vec<ModelReport>, Vec<LearnedWmp>)> {
+        let mut reports = Vec::with_capacity(1 + 2 * models.len());
+        reports.push(self.evaluate_dbms()?);
         for &m in models {
-            out.push(self.evaluate_single(m)?);
+            reports.push(self.evaluate_single(m)?);
         }
+        let mut learned = Vec::with_capacity(models.len());
         for &m in models {
-            out.push(self.evaluate_learned(m)?);
+            let (wmp, report) = self.evaluate_learned(m)?;
+            reports.push(report);
+            learned.push(wmp);
         }
-        Ok(out)
+        Ok((reports, learned))
     }
 }
 
@@ -272,8 +282,8 @@ mod tests {
         assert_eq!(ctx.train.len(), 640);
         assert_eq!(ctx.test.len(), 160);
         assert_eq!(ctx.test_workloads.len(), 16);
-        assert_eq!(ctx.y_test.len(), 16);
-        assert!(ctx.y_test.iter().all(|y| *y > 0.0));
+        assert_eq!(ctx.y_test_resources.len(), 16);
+        assert!(ctx.y_test_resources.iter().all(|y| y.memory_mb > 0.0));
     }
 
     #[test]
@@ -303,12 +313,6 @@ mod tests {
     fn reports_carry_per_resource_accuracy() {
         let log = ctx_log();
         let ctx = EvalContext::new(&log, EvalConfig { k_templates: 12, ..Default::default() });
-        assert_eq!(ctx.y_test_resources.len(), ctx.y_test.len());
-        assert!(ctx
-            .y_test_resources
-            .iter()
-            .zip(&ctx.y_test)
-            .all(|(v, y)| v.memory_mb.to_bits() == y.to_bits()));
         let model = LearnedWmp::builder()
             .model(ModelKind::Ridge)
             .templates(TemplateSpec::PlanKMeans { k: 12, seed: 42 })

@@ -7,17 +7,25 @@
 //! `GROUP BY` / `ORDER BY` column lists, aggregates, `DISTINCT`, and a
 //! limit. Literals keep their source spelling so a render → parse round
 //! trip is lossless.
+//!
+//! Every node borrows the statement text: literals are slices of it, and a
+//! name is a slice too unless dialect folding or quote unescaping changed
+//! it. Lowering allocates only the names the [`QuerySpec`] keeps.
+//!
+//! [`QuerySpec`]: wmp_plan::query::QuerySpec
+
+use std::borrow::Cow;
 
 use crate::error::Span;
 use wmp_plan::query::AggFunc;
 
 /// A possibly-qualified column reference (`alias.col` or `col`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnRef {
+pub struct ColumnRef<'a> {
     /// The qualifier before the dot, if any.
-    pub qualifier: Option<String>,
+    pub qualifier: Option<Cow<'a, str>>,
     /// The column name.
-    pub column: String,
+    pub column: Cow<'a, str>,
     /// Source span of the whole reference.
     pub span: Span,
 }
@@ -26,34 +34,34 @@ pub struct ColumnRef {
 /// Casts are unwrapped during parsing: `CAST('2020-01-01' AS DATE)` and
 /// `'2020-01-01'::date` both yield the inner literal's spelling.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Literal {
+pub struct Literal<'a> {
     /// Source text of the literal (quotes included for strings).
-    pub text: String,
+    pub text: &'a str,
     /// Source span (of the full cast expression when one was unwrapped).
     pub span: Span,
 }
 
 /// One item of the SELECT list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SelectItem {
+pub enum SelectItem<'a> {
     /// `*`
     Star(Span),
     /// `alias.*`
     QualifiedStar {
         /// The qualifying alias.
-        qualifier: String,
+        qualifier: Cow<'a, str>,
         /// Source span.
         span: Span,
     },
     /// A plain column (projection only; `QuerySpec` carries no projection
     /// list, so lowering validates and drops these).
-    Column(ColumnRef),
+    Column(ColumnRef<'a>),
     /// An aggregate call: `COUNT(*)`, `SUM(alias.col)`, …
     Aggregate {
         /// The function.
         func: AggFunc,
         /// The argument column; `None` for `COUNT(*)`.
-        arg: Option<ColumnRef>,
+        arg: Option<ColumnRef<'a>>,
         /// Source span of the whole call.
         span: Span,
     },
@@ -61,11 +69,11 @@ pub enum SelectItem {
 
 /// A FROM-clause table binding: `table [AS] [alias]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FromItem {
+pub struct FromItem<'a> {
     /// Catalog table name (dialect-folded unless quoted).
-    pub table: String,
+    pub table: Cow<'a, str>,
     /// Binding alias; defaults to the table name when absent.
-    pub alias: String,
+    pub alias: Cow<'a, str>,
     /// Source span of the binding.
     pub span: Span,
 }
@@ -73,13 +81,13 @@ pub struct FromItem {
 /// One conjunct of the WHERE clause (or a `JOIN … ON` condition, which the
 /// parser folds into the same conjunction).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Condition {
+pub enum Condition<'a> {
     /// `a.x = b.y` — an equi-join edge between two column references.
     Join {
         /// Left column.
-        left: ColumnRef,
+        left: ColumnRef<'a>,
         /// Right column.
-        right: ColumnRef,
+        right: ColumnRef<'a>,
         /// Source span.
         span: Span,
     },
@@ -87,47 +95,47 @@ pub enum Condition {
     /// operator mirrored).
     Cmp {
         /// Filtered column.
-        col: ColumnRef,
+        col: ColumnRef<'a>,
         /// Comparison operator: `=`, `<`, `<=`, `>`, `>=` (and `<>` / `!=`,
         /// which lowering rejects as unsupported by the plan model).
         op: &'static str,
         /// Comparand.
-        literal: Literal,
+        literal: Literal<'a>,
         /// Source span.
         span: Span,
     },
     /// `col BETWEEN lo AND hi`.
     Between {
         /// Filtered column.
-        col: ColumnRef,
+        col: ColumnRef<'a>,
         /// Lower bound.
-        lo: Literal,
+        lo: Literal<'a>,
         /// Upper bound.
-        hi: Literal,
+        hi: Literal<'a>,
         /// Source span.
         span: Span,
     },
     /// `col IN (a, b, …)`.
     InList {
         /// Filtered column.
-        col: ColumnRef,
+        col: ColumnRef<'a>,
         /// List items.
-        items: Vec<Literal>,
+        items: Vec<Literal<'a>>,
         /// Source span.
         span: Span,
     },
     /// `col LIKE pattern`.
     Like {
         /// Filtered column.
-        col: ColumnRef,
+        col: ColumnRef<'a>,
         /// Pattern literal.
-        pattern: Literal,
+        pattern: Literal<'a>,
         /// Source span.
         span: Span,
     },
 }
 
-impl Condition {
+impl Condition<'_> {
     /// The span of the whole condition.
     pub fn span(&self) -> Span {
         match self {
@@ -142,20 +150,20 @@ impl Condition {
 
 /// A parsed `SELECT` statement.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SelectStmt {
+pub struct SelectStmt<'a> {
     /// `SELECT DISTINCT`.
     pub distinct: bool,
     /// The SELECT list.
-    pub items: Vec<SelectItem>,
+    pub items: Vec<SelectItem<'a>>,
     /// FROM bindings in source order.
-    pub from: Vec<FromItem>,
+    pub from: Vec<FromItem<'a>>,
     /// The WHERE conjunction (including folded `JOIN … ON` conditions), in
     /// source order.
-    pub conditions: Vec<Condition>,
+    pub conditions: Vec<Condition<'a>>,
     /// GROUP BY columns.
-    pub group_by: Vec<ColumnRef>,
+    pub group_by: Vec<ColumnRef<'a>>,
     /// ORDER BY columns (directions are not modeled).
-    pub order_by: Vec<ColumnRef>,
+    pub order_by: Vec<ColumnRef<'a>>,
     /// `LIMIT n` / `FETCH FIRST n ROWS ONLY`.
     pub limit: Option<u64>,
 }
@@ -167,7 +175,7 @@ mod tests {
     #[test]
     fn condition_span_covers_every_variant() {
         let col = ColumnRef { qualifier: None, column: "c".into(), span: Span::new(1, 2) };
-        let lit = Literal { text: "1".into(), span: Span::new(3, 4) };
+        let lit = Literal { text: "1", span: Span::new(3, 4) };
         let conds = [
             Condition::Join { left: col.clone(), right: col.clone(), span: Span::new(0, 5) },
             Condition::Cmp {

@@ -17,6 +17,8 @@
 //! quoting with `''` escapes, and both limit spellings on input (a Postgres
 //! log may contain ANSI `FETCH FIRST`; rejecting it would be pedantry).
 
+use std::borrow::Cow;
+
 /// Dialect-specific lexical and rendering rules. Implementations are
 /// stateless unit structs; pass `&Ansi` / `&Postgres` / `&MySql`.
 pub trait Dialect: Send + Sync {
@@ -49,12 +51,16 @@ pub trait Dialect: Send + Sync {
         false
     }
 
-    /// Folds an *unquoted* identifier to its catalog form. Quoted
-    /// identifiers always bypass folding. Folding may only lower-case ASCII
-    /// upper-case letters: [`crate::ident_needs_quoting`] skips the call for
-    /// identifiers without one.
-    fn fold_ident(&self, ident: &str) -> String {
-        ident.to_ascii_lowercase()
+    /// Folds an *unquoted* identifier to its catalog form, borrowing
+    /// `ident` when folding changes nothing. Quoted identifiers always
+    /// bypass folding. Folding may only lower-case ASCII upper-case letters
+    /// (keyword matching is ASCII case-insensitive either way).
+    fn fold_ident<'s>(&self, ident: &'s str) -> Cow<'s, str> {
+        if ident.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(ident.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(ident)
+        }
     }
 
     /// Renders the LIMIT clause (with its leading space).
@@ -115,8 +121,8 @@ impl Dialect for MySql {
         true
     }
 
-    fn fold_ident(&self, ident: &str) -> String {
-        ident.to_string()
+    fn fold_ident<'s>(&self, ident: &'s str) -> Cow<'s, str> {
+        Cow::Borrowed(ident)
     }
 }
 
@@ -151,6 +157,8 @@ mod tests {
         assert_eq!(Ansi.fold_ident("Customer"), "customer");
         assert_eq!(Postgres.fold_ident("C_NATION"), "c_nation");
         assert_eq!(MySql.fold_ident("Customer"), "Customer", "MySQL preserves case");
+        assert!(matches!(Ansi.fold_ident("customer"), Cow::Borrowed(_)), "no-op folds borrow");
+        assert!(matches!(MySql.fold_ident("Customer"), Cow::Borrowed(_)));
     }
 
     #[test]

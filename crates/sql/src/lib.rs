@@ -17,6 +17,16 @@
 //! Everything else fails with a typed, span-carrying [`ParseError`] —
 //! a memory predictor must reject what it cannot model, never guess.
 //!
+//! Tokens and the AST borrow the statement text. A token is a byte span
+//! plus a slice of the source; only a quoted identifier with doubled quotes
+//! gets an unescaped copy. An unquoted word is folded under the dialect
+//! only where it becomes a name, and lowering allocates only the names and
+//! vectors the returned [`QuerySpec`] keeps. On perfbench's traced
+//! `sql_ingest` run (TPC-H, seed 7, 2-core VM), [`parse_to_spec`] takes
+//! 6.5 µs and 29.6 allocations per statement (`sql.parse_ns`,
+//! `sql.allocs`), against 13.2 µs and 125.6 when every token and name owned
+//! a `String`.
+//!
 //! ```
 //! use wmp_sql::{parse_to_spec, Postgres};
 //! use wmp_plan::catalog::Catalog;

@@ -28,7 +28,7 @@ use wmp_plan::catalog::Catalog;
 use wmp_plan::query::{Aggregate, CmpOp, JoinEdge, Name, Predicate, QuerySpec, TableRef};
 
 use crate::ast::{ColumnRef, Condition, Literal, SelectItem, SelectStmt};
-use crate::error::{ParseError, SqlResult};
+use crate::error::{ParseError, Span, SqlResult};
 
 /// Selectivity assigned to a single-sided range predicate.
 pub const RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
@@ -48,23 +48,35 @@ pub const LIKE_SELECTIVITY: f64 = 0.05;
 /// [`ParseError::UnknownAlias`], [`ParseError::AmbiguousColumn`],
 /// [`ParseError::DuplicateAlias`], or [`ParseError::Unsupported`] for
 /// parseable constructs the plan model cannot express; all span-carrying.
-pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
-    let scope = Scope::bind(stmt, catalog)?;
-    let mut spec = QuerySpec { distinct: stmt.distinct, limit: stmt.limit, ..QuerySpec::default() };
+pub fn lower(stmt: &SelectStmt<'_>, catalog: &Catalog) -> SqlResult<QuerySpec> {
+    let n_aggregates =
+        stmt.items.iter().filter(|i| matches!(i, SelectItem::Aggregate { .. })).count();
+    let n_joins = stmt.conditions.iter().filter(|c| matches!(c, Condition::Join { .. })).count();
+    let mut spec = QuerySpec {
+        tables: bind(stmt, catalog)?,
+        aggregates: Vec::with_capacity(n_aggregates),
+        joins: Vec::with_capacity(n_joins),
+        predicates: Vec::with_capacity(stmt.conditions.len() - n_joins),
+        group_by: Vec::with_capacity(stmt.group_by.len()),
+        order_by: Vec::with_capacity(stmt.order_by.len()),
+        distinct: stmt.distinct,
+        limit: stmt.limit,
+        ..QuerySpec::default()
+    };
 
     for item in &stmt.items {
         match item {
             SelectItem::Star(_) => {}
             SelectItem::QualifiedStar { qualifier, span } => {
-                scope.table(qualifier, *span)?;
+                table(&spec, qualifier, *span)?;
             }
             SelectItem::Column(col) => {
-                scope.resolve(col, catalog)?;
+                lookup(&spec, col, catalog)?;
             }
             SelectItem::Aggregate { func, arg, .. } => {
                 let (table_alias, column) = match arg {
                     Some(col) => {
-                        let (alias, _, column) = scope.resolve(col, catalog)?;
+                        let (alias, _, column) = resolve(&spec, col, catalog)?;
                         (alias, column)
                     }
                     None => (Name::default(), Name::default()),
@@ -77,12 +89,12 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
     for cond in &stmt.conditions {
         match cond {
             Condition::Join { left, right, .. } => {
-                let (left_alias, _, left_col) = scope.resolve(left, catalog)?;
-                let (right_alias, _, right_col) = scope.resolve(right, catalog)?;
+                let (left_alias, _, left_col) = resolve(&spec, left, catalog)?;
+                let (right_alias, _, right_col) = resolve(&spec, right, catalog)?;
                 spec.joins.push(JoinEdge { left_alias, left_col, right_alias, right_col });
             }
             Condition::Cmp { col, op, literal, span } => {
-                let (table_alias, ndv, column) = scope.resolve(col, catalog)?;
+                let (table_alias, ndv, column) = resolve(&spec, col, catalog)?;
                 let (op, sel) = match *op {
                     "=" => (CmpOp::Eq, eq_selectivity(ndv)),
                     "<" => (CmpOp::Lt, RANGE_SELECTIVITY),
@@ -96,11 +108,11 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                         })
                     }
                 };
-                let literal = literal.text.as_str().into();
+                let literal = literal.text.into();
                 spec.predicates.push(predicate(table_alias, column, op, literal, sel));
             }
             Condition::Between { col, lo, hi, .. } => {
-                let (table_alias, _, column) = scope.resolve(col, catalog)?;
+                let (table_alias, _, column) = resolve(&spec, col, catalog)?;
                 let literal = format!("{} AND {}", lo.text, hi.text).into();
                 spec.predicates.push(predicate(
                     table_alias,
@@ -111,7 +123,7 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                 ));
             }
             Condition::InList { col, items, span } => {
-                let (table_alias, ndv, column) = scope.resolve(col, catalog)?;
+                let (table_alias, ndv, column) = resolve(&spec, col, catalog)?;
                 if items.len() > u8::MAX as usize {
                     return Err(ParseError::Unsupported {
                         what: "IN list longer than 255 items",
@@ -128,12 +140,12 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
                 ));
             }
             Condition::Like { col, pattern, .. } => {
-                let (table_alias, _, column) = scope.resolve(col, catalog)?;
+                let (table_alias, _, column) = resolve(&spec, col, catalog)?;
                 spec.predicates.push(predicate(
                     table_alias,
                     column,
                     CmpOp::Like,
-                    pattern.text.as_str().into(),
+                    pattern.text.into(),
                     LIKE_SELECTIVITY,
                 ));
             }
@@ -141,14 +153,18 @@ pub fn lower(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<QuerySpec> {
     }
 
     for col in &stmt.group_by {
-        let (alias, _, column) = scope.resolve(col, catalog)?;
+        let (alias, _, column) = resolve(&spec, col, catalog)?;
         spec.group_by.push((alias, column));
     }
     for col in &stmt.order_by {
-        let (alias, _, column) = scope.resolve(col, catalog)?;
-        spec.order_by.push((alias, column));
+        let (alias, _) = lookup(&spec, col, catalog)?;
+        // ORDER BY mostly repeats the GROUP BY columns: share their names.
+        let entry = match spec.group_by.iter().find(|(a, c)| a == alias && **c == *col.column) {
+            Some(grouped) => grouped.clone(),
+            None => (alias.clone(), Name::from(&*col.column)),
+        };
+        spec.order_by.push(entry);
     }
-    spec.tables = scope.tables;
     Ok(spec)
 }
 
@@ -160,82 +176,88 @@ fn eq_selectivity(ndv: u64) -> f64 {
     1.0 / ndv.max(1) as f64
 }
 
-fn render_in_list(items: &[Literal]) -> String {
-    let texts: Vec<&str> = items.iter().map(|l| l.text.as_str()).collect();
+fn render_in_list(items: &[Literal<'_>]) -> String {
+    let texts: Vec<&str> = items.iter().map(|l| l.text).collect();
     texts.join(", ")
 }
 
-/// Alias scope built from the FROM clause. It holds one [`Name`] per table
-/// and alias, and every resolved reference shares the alias's `Name`, so a
-/// lowered identifier costs at most one allocation.
-struct Scope {
-    /// The FROM bindings in statement order; aliases are unique.
-    tables: Vec<TableRef>,
+/// The FROM bindings in statement order, each with one [`Name`] for its
+/// table and one for its alias; aliases are unique.
+fn bind(stmt: &SelectStmt<'_>, catalog: &Catalog) -> SqlResult<Vec<TableRef>> {
+    let mut tables: Vec<TableRef> = Vec::with_capacity(stmt.from.len());
+    for item in &stmt.from {
+        if catalog.table(&item.table).is_none() {
+            return Err(ParseError::UnknownTable { name: item.table.to_string(), span: item.span });
+        }
+        if tables.iter().any(|t| *t.alias == *item.alias) {
+            return Err(ParseError::DuplicateAlias {
+                alias: item.alias.to_string(),
+                span: item.span,
+            });
+        }
+        tables.push(TableRef::new(&item.table, &item.alias));
+    }
+    Ok(tables)
 }
 
-impl Scope {
-    fn bind(stmt: &SelectStmt, catalog: &Catalog) -> SqlResult<Scope> {
-        let mut tables: Vec<TableRef> = Vec::with_capacity(stmt.from.len());
-        for item in &stmt.from {
-            if catalog.table(&item.table).is_none() {
-                return Err(ParseError::UnknownTable { name: item.table.clone(), span: item.span });
+/// The FROM binding of `alias` in `spec`.
+fn table<'s>(spec: &'s QuerySpec, alias: &str, span: Span) -> SqlResult<&'s TableRef> {
+    spec.tables
+        .iter()
+        .find(|t| *t.alias == *alias)
+        .ok_or_else(|| ParseError::UnknownAlias { alias: alias.to_string(), span })
+}
+
+/// Resolves a column reference against `spec`'s FROM bindings to the
+/// binding's alias and the column's `ndv`.
+fn lookup<'s>(
+    spec: &'s QuerySpec,
+    col: &ColumnRef<'_>,
+    catalog: &Catalog,
+) -> SqlResult<(&'s Name, u64)> {
+    match &col.qualifier {
+        Some(alias) => {
+            let t = table(spec, alias, col.span)?;
+            match catalog.column(&t.table, &col.column) {
+                Some((_, c)) => Ok((&t.alias, c.ndv)),
+                None => Err(ParseError::UnknownColumn {
+                    table: t.table.to_string(),
+                    column: col.column.to_string(),
+                    span: col.span,
+                }),
             }
-            if tables.iter().any(|t| *t.alias == *item.alias) {
-                return Err(ParseError::DuplicateAlias {
-                    alias: item.alias.clone(),
-                    span: item.span,
-                });
-            }
-            tables.push(TableRef::new(&item.table, &item.alias));
         }
-        Ok(Scope { tables })
-    }
-
-    fn table(&self, alias: &str, span: crate::error::Span) -> SqlResult<&TableRef> {
-        self.tables
-            .iter()
-            .find(|t| *t.alias == *alias)
-            .ok_or_else(|| ParseError::UnknownAlias { alias: alias.to_string(), span })
-    }
-
-    /// Resolves a column reference to `(alias, ndv, column)`.
-    fn resolve(&self, col: &ColumnRef, catalog: &Catalog) -> SqlResult<(Name, u64, Name)> {
-        match &col.qualifier {
-            Some(alias) => {
-                let t = self.table(alias, col.span)?;
-                match catalog.column(&t.table, &col.column) {
-                    Some((_, c)) => Ok((t.alias.clone(), c.ndv, col.column.as_str().into())),
-                    None => Err(ParseError::UnknownColumn {
-                        table: t.table.to_string(),
-                        column: col.column.clone(),
-                        span: col.span,
-                    }),
-                }
-            }
-            None => {
-                let mut hit: Option<(&Name, u64)> = None;
-                for t in &self.tables {
-                    if let Some((_, c)) = catalog.column(&t.table, &col.column) {
-                        if hit.is_some() {
-                            return Err(ParseError::AmbiguousColumn {
-                                column: col.column.clone(),
-                                span: col.span,
-                            });
-                        }
-                        hit = Some((&t.alias, c.ndv));
+        None => {
+            let mut hit: Option<(&Name, u64)> = None;
+            for t in &spec.tables {
+                if let Some((_, c)) = catalog.column(&t.table, &col.column) {
+                    if hit.is_some() {
+                        return Err(ParseError::AmbiguousColumn {
+                            column: col.column.to_string(),
+                            span: col.span,
+                        });
                     }
-                }
-                match hit {
-                    Some((alias, ndv)) => Ok((alias.clone(), ndv, col.column.as_str().into())),
-                    None => Err(ParseError::UnknownColumn {
-                        table: "<any table in scope>".to_string(),
-                        column: col.column.clone(),
-                        span: col.span,
-                    }),
+                    hit = Some((&t.alias, c.ndv));
                 }
             }
+            hit.ok_or_else(|| ParseError::UnknownColumn {
+                table: "<any table in scope>".to_string(),
+                column: col.column.to_string(),
+                span: col.span,
+            })
         }
     }
+}
+
+/// Resolves a column reference to `(alias, ndv, column)`; the alias shares
+/// its binding's [`Name`].
+fn resolve(
+    spec: &QuerySpec,
+    col: &ColumnRef<'_>,
+    catalog: &Catalog,
+) -> SqlResult<(Name, u64, Name)> {
+    let (alias, ndv) = lookup(spec, col, catalog)?;
+    Ok((alias.clone(), ndv, Name::from(&*col.column)))
 }
 
 #[cfg(test)]

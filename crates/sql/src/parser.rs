@@ -24,6 +24,8 @@
 //! the span of the offending construct — a parse front-end for a predictor
 //! must *reject* what it cannot model, never mis-model it silently.
 
+use std::borrow::Cow;
+
 use crate::ast::{ColumnRef, Condition, FromItem, Literal, SelectItem, SelectStmt};
 use crate::dialect::Dialect;
 use crate::error::{ParseError, Span, SqlResult};
@@ -34,19 +36,20 @@ use wmp_plan::query::AggFunc;
 ///
 /// # Errors
 /// Returns a span-carrying [`ParseError`]; never panics on any input.
-pub fn parse(sql: &str, dialect: &dyn Dialect) -> SqlResult<SelectStmt> {
+pub fn parse<'a>(sql: &'a str, dialect: &dyn Dialect) -> SqlResult<SelectStmt<'a>> {
     let tokens = tokenize(sql, dialect)?;
-    Parser { tokens, pos: 0, end: sql.len() }.select()
+    Parser { tokens, pos: 0, end: sql.len(), dialect }.select()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a, 'd> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     end: usize,
+    dialect: &'d dyn Dialect,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a, '_> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
@@ -56,7 +59,11 @@ impl Parser {
 
     fn unexpected(&self, expected: &'static str) -> ParseError {
         match self.peek() {
-            Some(t) => ParseError::UnexpectedToken { expected, found: t.describe(), span: t.span },
+            Some(t) => ParseError::UnexpectedToken {
+                expected,
+                found: t.describe(self.dialect),
+                span: t.span,
+            },
             None => ParseError::UnexpectedEnd { expected, span: self.end_span() },
         }
     }
@@ -99,13 +106,32 @@ impl Parser {
     }
 
     /// A word token used as an identifier (keywords are allowed — context
-    /// decides; `SELECT count FROM counts` is legal SQL).
-    fn ident(&mut self, expected: &'static str) -> SqlResult<(String, Span)> {
+    /// decides; `SELECT count FROM counts` is legal SQL). An unquoted word
+    /// is folded under the dialect; either way the name borrows the
+    /// statement text unless folding or unescaping changed it.
+    fn ident(&mut self, expected: &'static str) -> SqlResult<(Cow<'a, str>, Span)> {
+        let Some(Token { kind: TokenKind::Word { text, quoted }, span }) = self.peek() else {
+            return Err(self.unexpected(expected));
+        };
+        let name = match text {
+            Cow::Borrowed(word) if !quoted => self.dialect.fold_ident(word),
+            // Copies a borrowed name; owned text is a quoted identifier that
+            // had doubled quotes to unescape.
+            text => text.clone(),
+        };
+        let span = *span;
+        self.pos += 1;
+        Ok((name, span))
+    }
+
+    /// Consumes a word whose spelling does not matter (an output name, a
+    /// type name) and returns its span.
+    fn skip_word(&mut self, expected: &'static str) -> SqlResult<Span> {
         match self.peek() {
-            Some(Token { kind: TokenKind::Word { text, .. }, span }) => {
-                let out = (text.clone(), *span);
+            Some(Token { kind: TokenKind::Word { .. }, span }) => {
+                let span = *span;
                 self.pos += 1;
-                Ok(out)
+                Ok(span)
             }
             _ => Err(self.unexpected(expected)),
         }
@@ -113,7 +139,7 @@ impl Parser {
 
     // ---- statement ------------------------------------------------------
 
-    fn select(mut self) -> SqlResult<SelectStmt> {
+    fn select(mut self) -> SqlResult<SelectStmt<'a>> {
         self.expect_kw("SELECT")?;
         let mut stmt = SelectStmt { distinct: self.eat_kw("DISTINCT"), ..Default::default() };
         if !stmt.distinct {
@@ -123,6 +149,7 @@ impl Parser {
         self.expect_kw("FROM")?;
         self.parse_from_list(&mut stmt)?;
         if self.eat_kw("WHERE") {
+            stmt.conditions.reserve(CONJUNCTS);
             self.conjunction(&mut stmt.conditions)?;
         }
         if self.eat_kw("GROUP") {
@@ -153,15 +180,15 @@ impl Parser {
 
     // ---- SELECT list ----------------------------------------------------
 
-    fn select_items(&mut self) -> SqlResult<Vec<SelectItem>> {
-        let mut items = vec![self.select_item()?];
+    fn select_items(&mut self) -> SqlResult<Vec<SelectItem<'a>>> {
+        let mut items = list(self.select_item()?);
         while self.eat_symbol(',') {
             items.push(self.select_item()?);
         }
         Ok(items)
     }
 
-    fn select_item(&mut self) -> SqlResult<SelectItem> {
+    fn select_item(&mut self) -> SqlResult<SelectItem<'a>> {
         if let Some(Token { kind: TokenKind::Symbol('*'), span }) = self.peek() {
             let span = *span;
             self.pos += 1;
@@ -203,12 +230,12 @@ impl Parser {
     /// no projection aliases, and [`crate::render`] never emits them.
     fn select_item_alias(&mut self) -> SqlResult<()> {
         if self.eat_kw("AS") {
-            self.ident("an output name after AS")?;
+            self.skip_word("an output name after AS")?;
         }
         Ok(())
     }
 
-    fn aggregate(&mut self, func: AggFunc, start: Span) -> SqlResult<SelectItem> {
+    fn aggregate(&mut self, func: AggFunc, start: Span) -> SqlResult<SelectItem<'a>> {
         if let Some(t) = self.peek() {
             if t.is_kw("DISTINCT") {
                 return Err(ParseError::Unsupported {
@@ -238,11 +265,12 @@ impl Parser {
 
     // ---- FROM -----------------------------------------------------------
 
-    fn parse_from_list(&mut self, stmt: &mut SelectStmt) -> SqlResult<()> {
-        self.parse_from_item(stmt)?;
+    fn parse_from_list(&mut self, stmt: &mut SelectStmt<'a>) -> SqlResult<()> {
+        stmt.from = list(self.parse_from_item()?);
         loop {
             if self.eat_symbol(',') {
-                self.parse_from_item(stmt)?;
+                let item = self.parse_from_item()?;
+                stmt.from.push(item);
                 continue;
             }
             if let Some(t) = self.peek() {
@@ -253,7 +281,8 @@ impl Parser {
             let explicit_inner = self.eat_kw("INNER");
             let cross = !explicit_inner && self.eat_kw("CROSS");
             if self.eat_kw("JOIN") {
-                self.parse_from_item(stmt)?;
+                let item = self.parse_from_item()?;
+                stmt.from.push(item);
                 if self.eat_kw("ON") {
                     if cross {
                         // CROSS JOIN takes no ON; treat as a plain condition
@@ -276,7 +305,7 @@ impl Parser {
         }
     }
 
-    fn parse_from_item(&mut self, stmt: &mut SelectStmt) -> SqlResult<()> {
+    fn parse_from_item(&mut self) -> SqlResult<FromItem<'a>> {
         if let Some(Token { kind: TokenKind::Symbol('('), span }) = self.peek() {
             return Err(ParseError::Unsupported {
                 what: "derived table (subquery in FROM)",
@@ -302,13 +331,12 @@ impl Parser {
         } else {
             table.clone()
         };
-        stmt.from.push(FromItem { table, alias, span });
-        Ok(())
+        Ok(FromItem { table, alias, span })
     }
 
     // ---- WHERE ----------------------------------------------------------
 
-    fn conjunction(&mut self, out: &mut Vec<Condition>) -> SqlResult<()> {
+    fn conjunction(&mut self, out: &mut Vec<Condition<'a>>) -> SqlResult<()> {
         self.condition(out)?;
         loop {
             if let Some(t) = self.peek() {
@@ -324,7 +352,7 @@ impl Parser {
         }
     }
 
-    fn condition(&mut self, out: &mut Vec<Condition>) -> SqlResult<()> {
+    fn condition(&mut self, out: &mut Vec<Condition<'a>>) -> SqlResult<()> {
         // Parenthesized group: splice its conjuncts into the flat list.
         if self.eat_symbol('(') {
             self.conjunction(out)?;
@@ -339,9 +367,8 @@ impl Parser {
                 return Err(ParseError::Unsupported { what: "EXISTS subquery", span: t.span });
             }
         }
-        let left = self.operand()?;
-        match &left {
-            Operand::Column(col) => self.condition_after_column(col.clone(), out),
+        match self.operand()? {
+            Operand::Column(col) => self.condition_after_column(col, out),
             Operand::Literal(lit) => {
                 // `literal op column`: normalize by mirroring the operator.
                 let op = self.comparison_op()?;
@@ -356,7 +383,7 @@ impl Parser {
                             ">=" => "<=",
                             other => other,
                         };
-                        out.push(Condition::Cmp { col, op: mirrored, literal: lit.clone(), span });
+                        out.push(Condition::Cmp { col, op: mirrored, literal: lit, span });
                         Ok(())
                     }
                     Operand::Literal(other) => Err(ParseError::Unsupported {
@@ -370,8 +397,8 @@ impl Parser {
 
     fn condition_after_column(
         &mut self,
-        col: ColumnRef,
-        out: &mut Vec<Condition>,
+        col: ColumnRef<'a>,
+        out: &mut Vec<Condition<'a>>,
     ) -> SqlResult<()> {
         if let Some(t) = self.peek() {
             if t.is_kw("IS") {
@@ -394,7 +421,7 @@ impl Parser {
                         return Err(ParseError::Unsupported { what: "IN subquery", span: t.span });
                     }
                 }
-                let mut items = vec![self.literal()?];
+                let mut items = list(self.literal()?);
                 while self.eat_symbol(',') {
                     items.push(self.literal()?);
                 }
@@ -448,9 +475,9 @@ impl Parser {
         }
     }
 
-    fn operand(&mut self) -> SqlResult<Operand> {
+    fn operand(&mut self) -> SqlResult<Operand<'a>> {
         match self.peek() {
-            Some(Token { kind: TokenKind::Word { text, quoted }, span }) => {
+            Some(Token { kind: TokenKind::Word { text, quoted }, .. }) => {
                 // CAST(...) and typed literals start with a word too.
                 if !quoted {
                     if text.eq_ignore_ascii_case("CAST") {
@@ -465,7 +492,6 @@ impl Parser {
                         return Ok(Operand::Literal(self.literal()?));
                     }
                 }
-                let _ = span;
                 Ok(Operand::Column(self.column_ref()?))
             }
             Some(Token {
@@ -478,23 +504,16 @@ impl Parser {
 
     /// Parses a literal, unwrapping `CAST(lit AS type)`, `lit::type`, and
     /// `DATE '…'`-style typed literals down to the inner spelling.
-    fn literal(&mut self) -> SqlResult<Literal> {
-        let lit = match self.peek().cloned() {
-            Some(Token { kind: TokenKind::Number(text), span }) => {
+    fn literal(&mut self) -> SqlResult<Literal<'a>> {
+        let Some(&Token { ref kind, span }) = self.peek() else {
+            return Err(self.unexpected("a literal"));
+        };
+        let lit = match *kind {
+            TokenKind::Number(text) | TokenKind::StringLit(text) | TokenKind::Param(text) => {
                 self.pos += 1;
                 Literal { text, span }
             }
-            Some(Token { kind: TokenKind::StringLit(text), span }) => {
-                self.pos += 1;
-                Literal { text, span }
-            }
-            Some(Token { kind: TokenKind::Param(text), span }) => {
-                self.pos += 1;
-                Literal { text, span }
-            }
-            Some(Token { kind: TokenKind::Word { text, quoted: false }, span })
-                if text.eq_ignore_ascii_case("CAST") =>
-            {
+            TokenKind::Word { ref text, quoted: false } if text.eq_ignore_ascii_case("CAST") => {
                 self.pos += 1;
                 self.expect_symbol('(', "'(' after CAST")?;
                 let inner = self.literal()?;
@@ -503,12 +522,10 @@ impl Parser {
                 let close = self.expect_symbol(')', "')' closing CAST")?;
                 Literal { text: inner.text, span: span.merge(close) }
             }
-            Some(Token { kind: TokenKind::Word { text, quoted: false }, span })
-                if is_type_literal_prefix(&text) =>
-            {
+            TokenKind::Word { ref text, quoted: false } if is_type_literal_prefix(text) => {
                 self.pos += 1;
-                match self.peek().cloned() {
-                    Some(Token { kind: TokenKind::StringLit(text), span: lit_span }) => {
+                match self.peek() {
+                    Some(&Token { kind: TokenKind::StringLit(text), span: lit_span }) => {
                         self.pos += 1;
                         Literal { text, span: span.merge(lit_span) }
                     }
@@ -529,7 +546,7 @@ impl Parser {
 
     /// A type name: `word [ ( number {, number} ) ]`.
     fn type_name(&mut self) -> SqlResult<Span> {
-        let (_, mut span) = self.ident("a type name")?;
+        let mut span = self.skip_word("a type name")?;
         if self.eat_symbol('(') {
             loop {
                 match self.peek() {
@@ -547,7 +564,7 @@ impl Parser {
         Ok(span)
     }
 
-    fn column_ref(&mut self) -> SqlResult<ColumnRef> {
+    fn column_ref(&mut self) -> SqlResult<ColumnRef<'a>> {
         let (first, first_span) = self.ident("a column reference")?;
         if self.eat_symbol('.') {
             let (column, col_span) = self.ident("a column after '.'")?;
@@ -557,14 +574,14 @@ impl Parser {
         }
     }
 
-    fn column_list(&mut self) -> SqlResult<Vec<ColumnRef>> {
+    fn column_list(&mut self) -> SqlResult<Vec<ColumnRef<'a>>> {
         if let Some(Token { kind: TokenKind::Number(_), span }) = self.peek() {
             return Err(ParseError::Unsupported {
                 what: "positional column reference",
                 span: *span,
             });
         }
-        let mut cols = vec![self.column_ref()?];
+        let mut cols = list(self.column_ref()?);
         while self.eat_symbol(',') {
             if let Some(Token { kind: TokenKind::Number(_), span }) = self.peek() {
                 return Err(ParseError::Unsupported {
@@ -579,7 +596,7 @@ impl Parser {
 
     /// ORDER BY columns; `ASC`/`DESC` are accepted and discarded (the plan
     /// model does not distinguish sort direction).
-    fn column_list_with_direction(&mut self) -> SqlResult<Vec<ColumnRef>> {
+    fn column_list_with_direction(&mut self) -> SqlResult<Vec<ColumnRef<'a>>> {
         let mut cols = Vec::new();
         loop {
             if let Some(Token { kind: TokenKind::Number(_), span }) = self.peek() {
@@ -615,9 +632,10 @@ impl Parser {
     fn limit_count(&mut self) -> SqlResult<u64> {
         match self.peek() {
             Some(Token { kind: TokenKind::Number(text), span }) => {
-                let n = text
-                    .parse::<u64>()
-                    .map_err(|_| ParseError::InvalidNumber { text: text.clone(), span: *span })?;
+                let n = text.parse::<u64>().map_err(|_| ParseError::InvalidNumber {
+                    text: text.to_string(),
+                    span: *span,
+                })?;
                 self.pos += 1;
                 Ok(n)
             }
@@ -626,9 +644,21 @@ impl Parser {
     }
 }
 
-enum Operand {
-    Column(ColumnRef),
-    Literal(Literal),
+/// A list seeded with its first item, with room for seven more so a list
+/// the size of a rendered statement's (up to eight tables) is allocated once.
+fn list<T>(first: T) -> Vec<T> {
+    let mut items = Vec::with_capacity(8);
+    items.push(first);
+    items
+}
+
+/// Room reserved for the WHERE conjunction; rendered statements carry up
+/// to about ten conjuncts.
+const CONJUNCTS: usize = 12;
+
+enum Operand<'a> {
+    Column(ColumnRef<'a>),
+    Literal(Literal<'a>),
 }
 
 /// Keywords that terminate a FROM item and therefore cannot be bare aliases.
@@ -665,7 +695,7 @@ mod tests {
     use super::*;
     use crate::dialect::{Ansi, MySql, Postgres};
 
-    fn p(sql: &str) -> SelectStmt {
+    fn p(sql: &str) -> SelectStmt<'_> {
         parse(sql, &Ansi).unwrap_or_else(|e| panic!("{sql:?}: {e}"))
     }
 

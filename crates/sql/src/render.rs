@@ -6,8 +6,6 @@
 //!
 //! [`Ansi`]: crate::dialect::Ansi
 
-use std::fmt::Write as _;
-
 use wmp_plan::query::{AggFunc, CmpOp, QuerySpec};
 
 use crate::dialect::Dialect;
@@ -66,12 +64,7 @@ const RESERVED: [&str; 45] = [
 /// the dialect's case folding, look like a plain word, and not collide with
 /// a keyword.
 pub fn ident_needs_quoting(ident: &str, dialect: &dyn Dialect) -> bool {
-    if ident.is_empty() {
-        return true;
-    }
-    // `fold_ident` allocates, so skip it for identifiers it cannot change:
-    // a dialect's folding only ever lower-cases ASCII upper-case letters.
-    if ident.bytes().any(|b| b.is_ascii_uppercase()) && dialect.fold_ident(ident) != ident {
+    if ident.is_empty() || dialect.fold_ident(ident) != ident {
         return true;
     }
     let mut chars = ident.chars();
@@ -85,11 +78,18 @@ pub fn ident_needs_quoting(ident: &str, dialect: &dyn Dialect) -> bool {
 /// Renders `ident`, quoting (with the dialect's quote character, doubled
 /// when embedded) only when a bare spelling would not round-trip.
 pub fn quote_ident(ident: &str, dialect: &dyn Dialect) -> String {
+    let mut out = String::with_capacity(ident.len() + 2);
+    push_ident(&mut out, ident, dialect);
+    out
+}
+
+/// Appends `ident` to `out` as [`quote_ident`] spells it.
+fn push_ident(out: &mut String, ident: &str, dialect: &dyn Dialect) {
     if !ident_needs_quoting(ident, dialect) {
-        return ident.to_string();
+        out.push_str(ident);
+        return;
     }
     let q = dialect.ident_quote();
-    let mut out = String::with_capacity(ident.len() + 2);
     out.push(q);
     for c in ident.chars() {
         if c == q {
@@ -98,11 +98,19 @@ pub fn quote_ident(ident: &str, dialect: &dyn Dialect) -> String {
         out.push(c);
     }
     out.push(q);
-    out
 }
 
-fn qualified(alias: &str, column: &str, dialect: &dyn Dialect) -> String {
-    format!("{}.{}", quote_ident(alias, dialect), quote_ident(column, dialect))
+/// Appends `alias.column`, each part quoted as needed.
+fn push_qualified(out: &mut String, alias: &str, column: &str, dialect: &dyn Dialect) {
+    push_ident(out, alias, dialect);
+    out.push('.');
+    push_ident(out, column, dialect);
+}
+
+/// Appends `head` before the first item of a list (clearing `first`) and
+/// `sep` before every later one.
+fn push_sep(out: &mut String, first: &mut bool, head: &str, sep: &str) {
+    out.push_str(if std::mem::take(first) { head } else { sep });
 }
 
 /// Renders a query spec as a `SELECT` statement in `dialect`'s syntax.
@@ -111,83 +119,89 @@ fn qualified(alias: &str, column: &str, dialect: &dyn Dialect) -> String {
 /// `COUNT` keeps its column argument, and the limit clause uses the
 /// dialect's spelling — the three properties the round-trip property test
 /// ([`crate::parse_to_spec`] ∘ `render_sql_dialect` ≡ identity modulo
-/// selectivities) relies on.
+/// selectivities) relies on. Every part is written straight into the one
+/// output string.
 pub fn render_sql_dialect(q: &QuerySpec, dialect: &dyn Dialect) -> String {
     let mut s = String::with_capacity(256);
     s.push_str("SELECT ");
     if q.distinct {
         s.push_str("DISTINCT ");
     }
-    let mut select_items: Vec<String> = Vec::new();
+    let mut first = true;
     for (alias, col) in &q.group_by {
-        select_items.push(qualified(alias, col, dialect));
+        push_sep(&mut s, &mut first, "", ", ");
+        push_qualified(&mut s, alias, col, dialect);
     }
     for agg in &q.aggregates {
+        push_sep(&mut s, &mut first, "", ", ");
         if agg.func == AggFunc::Count && agg.column.is_empty() {
-            select_items.push("COUNT(*)".to_string());
+            s.push_str("COUNT(*)");
         } else {
-            select_items.push(format!(
-                "{}({})",
-                agg.func.sql(),
-                qualified(&agg.table_alias, &agg.column, dialect)
-            ));
+            s.push_str(agg.func.sql());
+            s.push('(');
+            push_qualified(&mut s, &agg.table_alias, &agg.column, dialect);
+            s.push(')');
         }
     }
-    if select_items.is_empty() {
-        select_items.push(match q.tables.first() {
-            Some(t) => format!("{}.*", quote_ident(&t.alias, dialect)),
-            None => "*".to_string(),
-        });
+    if first {
+        match q.tables.first() {
+            Some(t) => {
+                push_ident(&mut s, &t.alias, dialect);
+                s.push_str(".*");
+            }
+            None => s.push('*'),
+        }
     }
-    s.push_str(&select_items.join(", "));
 
     s.push_str(" FROM ");
-    let froms: Vec<String> = q
-        .tables
-        .iter()
-        .map(|t| {
-            if t.table == t.alias {
-                quote_ident(&t.table, dialect)
-            } else {
-                format!("{} AS {}", quote_ident(&t.table, dialect), quote_ident(&t.alias, dialect))
-            }
-        })
-        .collect();
-    s.push_str(&froms.join(", "));
-
-    let mut conds: Vec<String> = Vec::new();
-    for j in &q.joins {
-        conds.push(format!(
-            "{} = {}",
-            qualified(&j.left_alias, &j.left_col, dialect),
-            qualified(&j.right_alias, &j.right_col, dialect)
-        ));
-    }
-    for p in &q.predicates {
-        let col = qualified(&p.table_alias, &p.column, dialect);
-        match &p.op {
-            CmpOp::InList(_) => conds.push(format!("{col} IN ({})", p.literal)),
-            CmpOp::Between => conds.push(format!("{col} BETWEEN {}", p.literal)),
-            op => conds.push(format!("{col} {} {}", op.sql(), p.literal)),
+    let mut first = true;
+    for t in &q.tables {
+        push_sep(&mut s, &mut first, "", ", ");
+        push_ident(&mut s, &t.table, dialect);
+        if t.table != t.alias {
+            s.push_str(" AS ");
+            push_ident(&mut s, &t.alias, dialect);
         }
     }
-    if !conds.is_empty() {
-        s.push_str(" WHERE ");
-        s.push_str(&conds.join(" AND "));
+
+    let mut first = true;
+    for j in &q.joins {
+        push_sep(&mut s, &mut first, " WHERE ", " AND ");
+        push_qualified(&mut s, &j.left_alias, &j.left_col, dialect);
+        s.push_str(" = ");
+        push_qualified(&mut s, &j.right_alias, &j.right_col, dialect);
+    }
+    for p in &q.predicates {
+        push_sep(&mut s, &mut first, " WHERE ", " AND ");
+        push_qualified(&mut s, &p.table_alias, &p.column, dialect);
+        match &p.op {
+            CmpOp::InList(_) => {
+                s.push_str(" IN (");
+                s.push_str(&p.literal);
+                s.push(')');
+            }
+            CmpOp::Between => {
+                s.push_str(" BETWEEN ");
+                s.push_str(&p.literal);
+            }
+            op => {
+                s.push(' ');
+                s.push_str(op.sql());
+                s.push(' ');
+                s.push_str(&p.literal);
+            }
+        }
     }
 
-    if !q.group_by.is_empty() {
-        s.push_str(" GROUP BY ");
-        let cols: Vec<String> = q.group_by.iter().map(|(a, c)| qualified(a, c, dialect)).collect();
-        s.push_str(&cols.join(", "));
-    }
-    if !q.order_by.is_empty() {
-        s.push_str(" ORDER BY ");
-        let cols: Vec<String> = q.order_by.iter().map(|(a, c)| qualified(a, c, dialect)).collect();
-        s.push_str(&cols.join(", "));
+    for (clause, cols) in [(" GROUP BY ", &q.group_by), (" ORDER BY ", &q.order_by)] {
+        let mut first = true;
+        for (alias, col) in cols {
+            push_sep(&mut s, &mut first, clause, ", ");
+            push_qualified(&mut s, alias, col, dialect);
+        }
     }
     if let Some(n) = q.limit {
-        let _ = write!(s, "{}", dialect.render_limit(n));
+        s.push_str(&dialect.render_limit(n));
     }
     s
 }
@@ -374,6 +388,7 @@ mod tests {
     fn select_star_fallback_without_aggregates() {
         let q = QuerySpec { tables: vec![TableRef::plain("t")], ..QuerySpec::default() };
         assert_eq!(render_sql_dialect(&q, &Ansi), "SELECT t.* FROM t");
+        assert_eq!(render_sql_dialect(&QuerySpec::default(), &Ansi), "SELECT * FROM ");
     }
 
     #[test]

@@ -7,28 +7,34 @@
 //! malformed input produces a typed [`ParseError`] instead of being
 //! silently dropped.
 
+use std::borrow::Cow;
+
 use crate::dialect::Dialect;
 use crate::error::{ParseError, Span, SqlResult};
 
-/// One lexical token.
+/// One lexical token. Every variant borrows the statement text, so lexing
+/// allocates nothing but the token vector (and an unescaped copy of a quoted
+/// identifier with a doubled quote inside).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
-    /// An identifier or keyword. `text` is dialect-folded for unquoted
-    /// words and verbatim (quotes stripped, escapes resolved) for quoted
-    /// ones; keywords are only ever recognized in unquoted words.
+pub enum TokenKind<'a> {
+    /// An identifier or keyword. `text` is the source spelling for unquoted
+    /// words (the parser applies the dialect's folding where a word becomes
+    /// a name) and verbatim for quoted ones (quotes stripped, escapes
+    /// resolved); keywords are only ever recognized in unquoted words.
     Word {
-        /// Resolved identifier text.
-        text: String,
+        /// Identifier text: borrowed, except for a quoted identifier whose
+        /// doubled quotes had to be unescaped.
+        text: Cow<'a, str>,
         /// Whether the word was quoted (quoted words never match keywords
         /// and never case-fold).
         quoted: bool,
     },
     /// A numeric literal, spelled as in the source (`42`, `3.14`).
-    Number(String),
+    Number(&'a str),
     /// A string literal, spelled as in the source including its quotes.
-    StringLit(String),
+    StringLit(&'a str),
     /// A parameter marker (`?`, `$1`).
-    Param(String),
+    Param(&'a str),
     /// Single-character punctuation: `( ) , . * ;`.
     Symbol(char),
     /// A comparison operator: `=`, `<`, `<=`, `>`, `>=`, `<>`, `!=`.
@@ -39,27 +45,29 @@ pub enum TokenKind {
 
 /// A token plus its byte range in the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it sits in the source.
     pub span: Span,
 }
 
-impl Token {
+impl Token<'_> {
     /// True when the token is the unquoted keyword `kw` (case-insensitive).
     /// `kw` must be passed in upper case by convention.
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(&self.kind, TokenKind::Word { text, quoted: false } if text.eq_ignore_ascii_case(kw))
     }
 
-    /// Short description of the token for error messages.
-    pub fn describe(&self) -> String {
+    /// Short description of the token for error messages; an unquoted word
+    /// is shown as `dialect` folds it.
+    pub fn describe(&self, dialect: &dyn Dialect) -> String {
         match &self.kind {
-            TokenKind::Word { text, .. } => text.clone(),
-            TokenKind::Number(n) => n.clone(),
-            TokenKind::StringLit(s) => s.clone(),
-            TokenKind::Param(p) => p.clone(),
+            TokenKind::Word { text, quoted: false } => dialect.fold_ident(text).into_owned(),
+            TokenKind::Word { text, quoted: true } => text.to_string(),
+            TokenKind::Number(text) | TokenKind::StringLit(text) | TokenKind::Param(text) => {
+                (*text).to_string()
+            }
             TokenKind::Symbol(c) => c.to_string(),
             TokenKind::Op(o) => (*o).to_string(),
             TokenKind::DoubleColon => "::".to_string(),
@@ -73,78 +81,86 @@ impl Token {
 /// Returns a span-carrying [`ParseError`] on unterminated strings or quoted
 /// identifiers, empty quoted identifiers, parameter markers the dialect
 /// does not support, and characters outside the grammar.
-pub fn tokenize(sql: &str, dialect: &dyn Dialect) -> SqlResult<Vec<Token>> {
+pub fn tokenize<'a>(sql: &'a str, dialect: &dyn Dialect) -> SqlResult<Vec<Token<'a>>> {
+    let quote = dialect.ident_quote();
+    let double_quote_is_string = dialect.double_quote_is_string();
+    let question_params = dialect.question_params();
+    let dollar_params = dialect.dollar_params();
+    let double_colon_cast = dialect.double_colon_cast();
+
     let bytes = sql.as_bytes();
-    let mut tokens = Vec::new();
+    // Rendered statements average over four bytes per token.
+    let mut tokens = Vec::with_capacity(sql.len() / 3 + 1);
+    let mut push = |kind, start, end| tokens.push(Token { kind, span: Span::new(start, end) });
     let mut i = 0;
     while i < bytes.len() {
         let start = i;
-        let ch = sql[i..].chars().next().expect("in-bounds char");
-        match ch {
-            c if c.is_whitespace() => {
+        let b = bytes[i];
+        if !b.is_ascii() {
+            // Outside ASCII only whitespace and a non-ASCII identifier quote
+            // are lexical; anything else is rejected whole.
+            let c = sql[i..].chars().next().expect("in-bounds char");
+            if c.is_whitespace() {
                 i += c.len_utf8();
+            } else if c == quote {
+                let (text, end) = quoted_ident(sql, i, quote)?;
+                push(TokenKind::Word { text, quoted: true }, i, end);
+                i = end;
+            } else {
+                return Err(ParseError::UnexpectedChar {
+                    ch: c,
+                    span: Span::new(start, start + c.len_utf8()),
+                });
             }
+            continue;
+        }
+        let next = bytes.get(i + 1).copied();
+        match b {
+            // `char::is_whitespace` over ASCII (vertical tab included).
+            b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' => i += 1,
             // -- line comment
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
+            b'-' if next == Some(b'-') => {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
             }
             // /* block comment */ (unterminated runs to end of input; logs
             // get truncated mid-comment and that is not worth an error)
-            '/' if bytes.get(i + 1) == Some(&b'*') => {
+            b'/' if next == Some(b'*') => {
                 i += 2;
                 while i < bytes.len() && !(bytes[i] == b'*' && bytes.get(i + 1) == Some(&b'/')) {
                     i += 1;
                 }
                 i = (i + 2).min(bytes.len());
             }
-            '\'' => {
-                let (text, end) = lex_quoted(sql, i, '\'')
+            b'\'' => {
+                let end = quoted_end(sql, i, '\'')
                     .ok_or(ParseError::UnterminatedString { span: Span::new(i, sql.len()) })?;
-                let _ = text;
-                tokens.push(Token {
-                    kind: TokenKind::StringLit(sql[i..end].to_string()),
-                    span: Span::new(i, end),
-                });
+                push(TokenKind::StringLit(&sql[i..end]), i, end);
                 i = end;
             }
-            '"' if dialect.double_quote_is_string() => {
-                let (_, end) = lex_quoted(sql, i, '"')
+            b'"' if double_quote_is_string => {
+                let end = quoted_end(sql, i, '"')
                     .ok_or(ParseError::UnterminatedString { span: Span::new(i, sql.len()) })?;
-                tokens.push(Token {
-                    kind: TokenKind::StringLit(sql[i..end].to_string()),
-                    span: Span::new(i, end),
-                });
+                push(TokenKind::StringLit(&sql[i..end]), i, end);
                 i = end;
             }
-            c if c == dialect.ident_quote() => {
-                let (inner, end) = lex_quoted(sql, i, c)
-                    .ok_or(ParseError::UnterminatedIdent { span: Span::new(i, sql.len()) })?;
-                if inner.is_empty() {
-                    return Err(ParseError::EmptyIdent { span: Span::new(i, end) });
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Word { text: inner, quoted: true },
-                    span: Span::new(i, end),
-                });
+            _ if u32::from(b) == u32::from(quote) => {
+                let (text, end) = quoted_ident(sql, i, quote)?;
+                push(TokenKind::Word { text, quoted: true }, i, end);
                 i = end;
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut end = i;
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let mut end = i + 1;
                 while end < bytes.len()
                     && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_')
                 {
                     end += 1;
                 }
-                let word = &sql[i..end];
-                tokens.push(Token {
-                    kind: TokenKind::Word { text: dialect.fold_ident(word), quoted: false },
-                    span: Span::new(i, end),
-                });
+                push(TokenKind::Word { text: Cow::Borrowed(&sql[i..end]), quoted: false }, i, end);
                 i = end;
             }
-            c if c.is_ascii_digit() => {
+            b'0'..=b'9' => {
                 let mut end = i;
                 let mut seen_dot = false;
                 while end < bytes.len()
@@ -162,20 +178,14 @@ pub fn tokenize(sql: &str, dialect: &dyn Dialect) -> SqlResult<Vec<Token>> {
                     }
                     end += 1;
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Number(sql[i..end].to_string()),
-                    span: Span::new(i, end),
-                });
+                push(TokenKind::Number(&sql[i..end]), i, end);
                 i = end;
             }
-            '?' if dialect.question_params() => {
-                tokens.push(Token {
-                    kind: TokenKind::Param("?".to_string()),
-                    span: Span::new(i, i + 1),
-                });
+            b'?' if question_params => {
+                push(TokenKind::Param("?"), i, i + 1);
                 i += 1;
             }
-            '$' if dialect.dollar_params() => {
+            b'$' if dollar_params => {
                 let mut end = i + 1;
                 while end < bytes.len() && bytes[end].is_ascii_digit() {
                     end += 1;
@@ -183,46 +193,43 @@ pub fn tokenize(sql: &str, dialect: &dyn Dialect) -> SqlResult<Vec<Token>> {
                 if end == i + 1 {
                     return Err(ParseError::UnexpectedChar { ch: '$', span: Span::new(i, i + 1) });
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Param(sql[i..end].to_string()),
-                    span: Span::new(i, end),
-                });
+                push(TokenKind::Param(&sql[i..end]), i, end);
                 i = end;
             }
-            '(' | ')' | ',' | '.' | '*' | ';' => {
-                tokens.push(Token { kind: TokenKind::Symbol(ch), span: Span::new(i, i + 1) });
+            b'(' | b')' | b',' | b'.' | b'*' | b';' => {
+                push(TokenKind::Symbol(char::from(b)), i, i + 1);
                 i += 1;
             }
-            '=' => {
-                tokens.push(Token { kind: TokenKind::Op("="), span: Span::new(i, i + 1) });
+            b'=' => {
+                push(TokenKind::Op("="), i, i + 1);
                 i += 1;
             }
-            '<' => {
-                let (op, len) = match bytes.get(i + 1) {
+            b'<' => {
+                let (op, len) = match next {
                     Some(b'=') => ("<=", 2),
                     Some(b'>') => ("<>", 2),
                     _ => ("<", 1),
                 };
-                tokens.push(Token { kind: TokenKind::Op(op), span: Span::new(i, i + len) });
+                push(TokenKind::Op(op), i, i + len);
                 i += len;
             }
-            '>' => {
-                let (op, len) = if bytes.get(i + 1) == Some(&b'=') { (">=", 2) } else { (">", 1) };
-                tokens.push(Token { kind: TokenKind::Op(op), span: Span::new(i, i + len) });
+            b'>' => {
+                let (op, len) = if next == Some(b'=') { (">=", 2) } else { (">", 1) };
+                push(TokenKind::Op(op), i, i + len);
                 i += len;
             }
-            '!' if bytes.get(i + 1) == Some(&b'=') => {
-                tokens.push(Token { kind: TokenKind::Op("!="), span: Span::new(i, i + 2) });
+            b'!' if next == Some(b'=') => {
+                push(TokenKind::Op("!="), i, i + 2);
                 i += 2;
             }
-            ':' if dialect.double_colon_cast() && bytes.get(i + 1) == Some(&b':') => {
-                tokens.push(Token { kind: TokenKind::DoubleColon, span: Span::new(i, i + 2) });
+            b':' if double_colon_cast && next == Some(b':') => {
+                push(TokenKind::DoubleColon, i, i + 2);
                 i += 2;
             }
-            c => {
+            _ => {
                 return Err(ParseError::UnexpectedChar {
-                    ch: c,
-                    span: Span::new(start, start + c.len_utf8()),
+                    ch: char::from(b),
+                    span: Span::new(start, start + 1),
                 });
             }
         }
@@ -230,27 +237,46 @@ pub fn tokenize(sql: &str, dialect: &dyn Dialect) -> SqlResult<Vec<Token>> {
     Ok(tokens)
 }
 
-/// Lexes a `quote`-delimited region starting at `start` (which must point at
-/// the opening quote). Doubled quotes escape. Returns the unescaped inner
-/// text and the byte offset one past the closing quote, or `None` when
-/// unterminated.
-fn lex_quoted(sql: &str, start: usize, quote: char) -> Option<(String, usize)> {
-    let mut inner = String::new();
-    let mut chars = sql[start..].char_indices().skip(1).peekable();
-    while let Some((off, c)) = chars.next() {
-        if c == quote {
-            if let Some(&(_, next)) = chars.peek() {
-                if next == quote {
-                    inner.push(quote);
-                    chars.next();
-                    continue;
-                }
-            }
-            return Some((inner, start + off + quote.len_utf8()));
+/// The byte offset one past the closing quote of the `quote`-delimited
+/// region opening at `start`, or `None` when unterminated. Doubled quotes
+/// escape.
+fn quoted_end(sql: &str, start: usize, quote: char) -> Option<usize> {
+    let len = quote.len_utf8();
+    let mut from = start + len;
+    loop {
+        let at = from + sql[from..].find(quote)?;
+        if sql[at + len..].starts_with(quote) {
+            from = at + 2 * len;
+        } else {
+            return Some(at + len);
         }
-        inner.push(c);
     }
-    None
+}
+
+/// Lexes the quoted identifier opening at `start`: its unescaped text
+/// (borrowed unless a doubled quote had to be undone) and the byte offset
+/// one past the closing quote.
+fn quoted_ident(sql: &str, start: usize, quote: char) -> SqlResult<(Cow<'_, str>, usize)> {
+    let end = quoted_end(sql, start, quote)
+        .ok_or(ParseError::UnterminatedIdent { span: Span::new(start, sql.len()) })?;
+    let len = quote.len_utf8();
+    let inner = &sql[start + len..end - len];
+    if inner.is_empty() {
+        return Err(ParseError::EmptyIdent { span: Span::new(start, end) });
+    }
+    if !inner.contains(quote) {
+        return Ok((Cow::Borrowed(inner), end));
+    }
+    // Inside a terminated region every quote is one half of a doubled pair.
+    let mut text = String::with_capacity(inner.len());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        text.push(c);
+        if c == quote {
+            chars.next();
+        }
+    }
+    Ok((Cow::Owned(text), end))
 }
 
 #[cfg(test)]
@@ -258,23 +284,48 @@ mod tests {
     use super::*;
     use crate::dialect::{Ansi, MySql, Postgres};
 
-    fn kinds(sql: &str, d: &dyn Dialect) -> Vec<TokenKind> {
+    fn kinds<'a>(sql: &'a str, d: &dyn Dialect) -> Vec<TokenKind<'a>> {
         tokenize(sql, d).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn words_fold_per_dialect() {
+        // Tokens keep the source spelling; the parser folds a word where it
+        // becomes a name, and error messages show it folded.
         assert_eq!(
             kinds("SELECT C_Nation", &Ansi),
             vec![
-                TokenKind::Word { text: "select".into(), quoted: false },
-                TokenKind::Word { text: "c_nation".into(), quoted: false },
+                TokenKind::Word { text: "SELECT".into(), quoted: false },
+                TokenKind::Word { text: "C_Nation".into(), quoted: false },
             ]
         );
-        assert_eq!(
-            kinds("C_Nation", &MySql),
-            vec![TokenKind::Word { text: "C_Nation".into(), quoted: false }]
-        );
+        let word = &tokenize("C_Nation", &Ansi).unwrap()[0];
+        assert_eq!(word.describe(&Ansi), "c_nation");
+        assert_eq!(word.describe(&Postgres), "c_nation");
+        assert_eq!(word.describe(&MySql), "C_Nation");
+    }
+
+    #[test]
+    fn tokens_borrow_the_statement() {
+        let sql = "SELECT \"Order\", \"a\"\"b\" FROM t WHERE t.a = 'x' AND t.b = 4";
+        let toks = tokenize(sql, &Ansi).unwrap();
+        let owned: Vec<&str> = toks
+            .iter()
+            .filter_map(|t| match &t.kind {
+                TokenKind::Word { text: Cow::Owned(text), .. } => Some(text.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(owned, ["a\"b"], "only the unescaped identifier owns its text");
+    }
+
+    #[test]
+    fn non_ascii_whitespace_separates_and_other_non_ascii_is_rejected() {
+        assert_eq!(kinds("1\u{a0}2\u{2003}3", &Ansi).len(), 3);
+        let e = tokenize("a \u{e9}", &Ansi).unwrap_err();
+        assert_eq!(e, ParseError::UnexpectedChar { ch: '\u{e9}', span: Span::new(2, 4) });
+        // Vertical tab is whitespace too.
+        assert_eq!(kinds("1\x0B2", &Ansi).len(), 2);
     }
 
     #[test]
@@ -296,7 +347,7 @@ mod tests {
 
     #[test]
     fn mysql_double_quote_is_a_string() {
-        assert_eq!(kinds("\"CA\"", &MySql), vec![TokenKind::StringLit("\"CA\"".into())]);
+        assert_eq!(kinds("\"CA\"", &MySql), vec![TokenKind::StringLit("\"CA\"")]);
         // ...but a string under ANSI rules it is not.
         assert_eq!(
             kinds("\"ca\"", &Ansi),
@@ -306,8 +357,8 @@ mod tests {
 
     #[test]
     fn string_literals_keep_source_spelling() {
-        assert_eq!(kinds("'CA'", &Ansi), vec![TokenKind::StringLit("'CA'".into())]);
-        assert_eq!(kinds("'o''brien'", &Ansi), vec![TokenKind::StringLit("'o''brien'".into())]);
+        assert_eq!(kinds("'CA'", &Ansi), vec![TokenKind::StringLit("'CA'")]);
+        assert_eq!(kinds("'o''brien'", &Ansi), vec![TokenKind::StringLit("'o''brien'")]);
     }
 
     #[test]
@@ -319,14 +370,14 @@ mod tests {
                 TokenKind::Symbol('.'),
                 TokenKind::Word { text: "a".into(), quoted: false },
                 TokenKind::Op("="),
-                TokenKind::Number("3.14".into()),
+                TokenKind::Number("3.14"),
             ]
         );
         // A trailing dot stays punctuation, not part of the number.
         assert_eq!(
             kinds("42.x", &Ansi),
             vec![
-                TokenKind::Number("42".into()),
+                TokenKind::Number("42"),
                 TokenKind::Symbol('.'),
                 TokenKind::Word { text: "x".into(), quoted: false },
             ]
@@ -347,10 +398,10 @@ mod tests {
                 TokenKind::Op("="),
             ]
         );
-        assert_eq!(kinds("?", &MySql), vec![TokenKind::Param("?".into())]);
+        assert_eq!(kinds("?", &MySql), vec![TokenKind::Param("?")]);
         assert_eq!(
             kinds("$1 $23", &Postgres),
-            vec![TokenKind::Param("$1".into()), TokenKind::Param("$23".into())]
+            vec![TokenKind::Param("$1"), TokenKind::Param("$23")]
         );
     }
 
@@ -376,10 +427,10 @@ mod tests {
         assert_eq!(
             kinds("SELECT -- trailing\n 1 /* block */ , 2", &Ansi),
             vec![
-                TokenKind::Word { text: "select".into(), quoted: false },
-                TokenKind::Number("1".into()),
+                TokenKind::Word { text: "SELECT".into(), quoted: false },
+                TokenKind::Number("1"),
                 TokenKind::Symbol(','),
-                TokenKind::Number("2".into()),
+                TokenKind::Number("2"),
             ]
         );
         assert!(kinds("/* unterminated", &Ansi).is_empty());

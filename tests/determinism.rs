@@ -87,7 +87,7 @@ fn evaluation_reports_are_reproducible() {
     };
     for kind in ModelKind::ALL {
         let (r1, r2) =
-            (a.evaluate_learned(kind).expect("r1"), b.evaluate_learned(kind).expect("r2"));
+            (a.evaluate_learned(kind).expect("r1").1, b.evaluate_learned(kind).expect("r2").1);
         same("LearnedWMP", kind, r1, r2);
         // SingleWMP-DNN fits one row per query: seconds even in release,
         // too slow for the debug test run.

@@ -22,7 +22,7 @@ fn full_sweep_runs_on_every_benchmark() {
     let (tpcds, job, tpcc) = generate_quick();
     for (log, k) in [(&tpcds, 20), (&job, 20), (&tpcc, 10)] {
         let ctx = EvalContext::new(log, quick_eval_config(k));
-        let reports = ctx.evaluate_all(&[ModelKind::Ridge, ModelKind::Xgb]).expect("sweep");
+        let (reports, _) = ctx.evaluate_all(&[ModelKind::Ridge, ModelKind::Xgb]).expect("sweep");
         let tags: Vec<String> = reports.iter().map(|r| r.tag()).collect();
         assert_eq!(
             tags,
@@ -51,7 +51,7 @@ fn ml_models_beat_the_dbms_heuristic_on_tpcc() {
     let ctx = EvalContext::new(&log, quick_eval_config(12));
     let dbms = ctx.evaluate_dbms().expect("dbms");
     for kind in [ModelKind::Ridge, ModelKind::Dt, ModelKind::Xgb] {
-        let learned = ctx.evaluate_learned(kind).expect("learned");
+        let (_, learned) = ctx.evaluate_learned(kind).expect("learned");
         let single = ctx.evaluate_single(kind).expect("single");
         assert!(
             learned.rmse < dbms.rmse / 2.0,
@@ -76,7 +76,7 @@ fn learned_training_is_faster_than_single_for_tree_models() {
     let log = learnedwmp::workloads::tpcc::generate(3_000, 7).expect("tpcc");
     let ctx = EvalContext::new(&log, quick_eval_config(12));
     for kind in [ModelKind::Xgb, ModelKind::Rf] {
-        let learned = ctx.evaluate_learned(kind).expect("learned");
+        let (_, learned) = ctx.evaluate_learned(kind).expect("learned");
         let single = ctx.evaluate_single(kind).expect("single");
         assert!(
             learned.train_ms < single.train_ms,

@@ -18,10 +18,10 @@ fn batch_size_decides_the_winner() {
         EvalContext::new(&log, EvalConfig { batch_size: s, k_templates: 60, ..Default::default() })
     };
     let ctx1 = ctx_at(1);
-    let m1 = ctx1.evaluate_learned(ModelKind::Xgb).expect("learned").mape();
+    let m1 = ctx1.evaluate_learned(ModelKind::Xgb).expect("learned").1.mape();
     let single = ctx1.evaluate_single(ModelKind::Xgb).expect("single").mape();
     assert!(single < m1, "single {single:.1}% must beat learned {m1:.1}% at s=1");
-    let m10 = ctx_at(10).evaluate_learned(ModelKind::Xgb).expect("learned").mape();
+    let m10 = ctx_at(10).evaluate_learned(ModelKind::Xgb).expect("learned").1.mape();
     assert!(m10 < m1 * 0.8, "MAPE s=10 ({m10:.1}) must beat s=1 ({m1:.1})");
 }
 
@@ -99,7 +99,7 @@ fn ridge_size_exception_holds() {
         &log,
         EvalConfig { k_templates: 40, ..Default::default() }, // 40 > 20 plan features
     );
-    let learned = ctx.evaluate_learned(ModelKind::Ridge).expect("learned");
+    let (_, learned) = ctx.evaluate_learned(ModelKind::Ridge).expect("learned");
     let single = ctx.evaluate_single(ModelKind::Ridge).expect("single");
     assert!(
         learned.model_kb > single.model_kb,
