@@ -428,6 +428,10 @@ fn main() {
         "Generating benchmarks (scale {:.2}): TPC-DS {} / JOB {} / TPC-C {} queries",
         opts.scale, cfg.tpcds.n_queries, cfg.job.n_queries, cfg.tpcc.n_queries
     );
+    println!(
+        "Fits use up to {} cores (available_parallelism); Fig. 6 training times are wall-clock",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
     let benches = Benchmarks::generate(cfg);
     let mut datasets = Vec::new();
     for (name, log, cfg) in benches.datasets() {

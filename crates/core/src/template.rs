@@ -68,14 +68,35 @@ pub trait TemplateLearner: Send + Sync {
 /// representative sample, not every query (keeps TR3 fast on 93k-query logs).
 const MAX_FIT_SAMPLES: usize = 20_000;
 
-fn subsample_rows(rows: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-    if rows.len() <= MAX_FIT_SAMPLES {
-        return rows;
-    }
+/// The plan features of at most [`MAX_FIT_SAMPLES`] of `records`,
+/// standardized by a freshly fitted `scaler`, as one matrix. The rows are
+/// copied once and scaled in place: no per-row or unscaled copy is made.
+///
+/// # Errors
+/// [`MlError::EmptyInput`] for no records, a dimension error for ragged
+/// feature rows.
+fn scaled_sample(records: &[&QueryRecord], scaler: &mut StandardScaler) -> MlResult<Matrix> {
     // Deterministic stride-based thinning preserves template diversity
     // because generators rotate templates round-robin.
-    let stride = rows.len().div_ceil(MAX_FIT_SAMPLES);
-    rows.into_iter().step_by(stride).collect()
+    let stride = records.len().div_ceil(MAX_FIT_SAMPLES).max(1);
+    let n = records.len().div_ceil(stride);
+    let cols = records.first().ok_or(MlError::EmptyInput("template sample"))?.features.len();
+    let mut data = Vec::with_capacity(n * cols);
+    for (i, row) in records.iter().step_by(stride).map(|r| &r.features).enumerate() {
+        if row.len() != cols {
+            return Err(wmp_mlkit::error::dim_mismatch(
+                format!("row {i}.len() == {cols}"),
+                format!("row {i}.len() == {}", row.len()),
+            ));
+        }
+        data.extend_from_slice(row);
+    }
+    let mut x = Matrix::from_vec(n, cols, data)?;
+    scaler.fit(&x)?;
+    for r in 0..x.rows() {
+        scaler.transform_row(x.row_mut(r))?;
+    }
+    Ok(x)
 }
 
 /// Standardizes `features` with `scaler` and hands the scaled row to `f`.
@@ -132,10 +153,7 @@ impl PlanKMeansTemplates {
         if records.is_empty() {
             return Err(MlError::EmptyInput("PlanKMeansTemplates::auto_k"));
         }
-        let rows = subsample_rows(records.iter().map(|r| r.features.clone()).collect());
-        let x = Matrix::from_rows(&rows)?;
-        let mut scaler = StandardScaler::new();
-        let xs = scaler.fit_transform(&x)?;
+        let xs = scaled_sample(records, &mut StandardScaler::new())?;
         let curve = wmp_mlkit::kmeans::elbow_curve(&xs, candidates, seed)?;
         wmp_mlkit::kmeans::pick_elbow(&curve)
     }
@@ -159,9 +177,7 @@ impl TemplateLearner for PlanKMeansTemplates {
         if records.is_empty() {
             return Err(MlError::EmptyInput("PlanKMeansTemplates::fit"));
         }
-        let rows = subsample_rows(records.iter().map(|r| r.features.clone()).collect());
-        let x = Matrix::from_rows(&rows)?;
-        let xs = self.scaler.fit_transform(&x)?;
+        let xs = scaled_sample(records, &mut self.scaler)?;
         let k = self.k.min(xs.rows());
         let mut km = KMeans::new(KMeansConfig {
             k,

@@ -1,6 +1,6 @@
 //! Random Forest regressor — bootstrap-aggregated trees with per-node feature
-//! subsampling (the paper's "RF" learner, §III-B4). Trees are grown in
-//! parallel with scoped threads.
+//! subsampling (the paper's "RF" learner, §III-B4). Trees are grown on up to
+//! `n_threads` cores through [`crate::parallel::map_indexed`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -9,6 +9,7 @@ use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::grow::{grow_tree, GrowParams, Tree};
 use crate::linalg::Matrix;
+use crate::parallel;
 use crate::traits::{Footprint, Regressor};
 
 /// Hyper-parameters for [`RandomForest`].
@@ -31,7 +32,8 @@ pub struct RandomForestConfig {
     pub max_bins: usize,
     /// RNG seed (bootstrap + feature sampling).
     pub seed: u64,
-    /// Number of worker threads (1 = sequential).
+    /// Most worker threads to grow trees on, counting the caller
+    /// (1 = sequential); also bounded by `available_parallelism()`.
     pub n_threads: usize,
 }
 
@@ -139,34 +141,21 @@ impl Regressor for RandomForest {
             feature_subsample,
         };
 
+        // Each tree has an independent seed, so the forest does not depend
+        // on the worker count. Each worker reuses one bootstrap buffer.
         let n_trees = self.config.n_trees;
-        let n_threads = self.config.n_threads.max(1).min(n_trees);
         let seed = self.config.seed;
-        let mut trees: Vec<Option<Tree>> = vec![None; n_trees];
-        // Grow trees in parallel: chunk the output slice across scoped threads;
-        // each tree has an independent seed so results do not depend on the
-        // thread count.
-        std::thread::scope(|scope| {
-            let chunk = n_trees.div_ceil(n_threads);
-            let binned = &binned;
-            let params = &params;
-            for (ti, slot_chunk) in trees.chunks_mut(chunk).enumerate() {
-                let first_tree = ti * chunk;
-                scope.spawn(move || {
-                    for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                        let tree_idx = first_tree + off;
-                        let tree_seed =
-                            seed.wrapping_add(tree_idx as u64).wrapping_mul(0x9E37_79B9);
-                        let mut rng = StdRng::seed_from_u64(tree_seed);
-                        // Bootstrap sample (with replacement).
-                        let mut rows: Vec<u32> =
-                            (0..n).map(|_| rng.gen_range(0..n) as u32).collect();
-                        *slot = Some(grow_tree(binned, y, &mut rows, params, tree_seed ^ 0xABCD));
-                    }
-                });
-            }
+        let mut bootstrap: Vec<Vec<u32>> = (0..parallel::workers(n_trees, self.config.n_threads))
+            .map(|_| Vec::with_capacity(n))
+            .collect();
+        self.trees = parallel::map_indexed(n_trees, &mut bootstrap, |tree_idx, rows| {
+            let tree_seed = seed.wrapping_add(tree_idx as u64).wrapping_mul(0x9E37_79B9);
+            let mut rng = StdRng::seed_from_u64(tree_seed);
+            // Bootstrap sample (with replacement).
+            rows.clear();
+            rows.extend((0..n).map(|_| rng.gen_range(0..n) as u32));
+            grow_tree(&binned, y, rows, &params, tree_seed ^ 0xABCD)
         });
-        self.trees = trees.into_iter().map(|t| t.expect("every tree slot filled")).collect();
         self.n_features = x.cols();
         Ok(())
     }

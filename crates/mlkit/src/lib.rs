@@ -14,6 +14,10 @@
 //! (k-means++ + elbow method) and [`dbscan::dbscan`]. Evaluation lives in
 //! [`metrics`] (RMSE, MAPE, residual summaries) and model-size accounting in
 //! [`traits::Footprint`].
+//!
+//! Fits that split into independent units (k-means restarts, `MultiHead`
+//! heads, forest trees) run them on up to `available_parallelism()` cores
+//! through [`parallel::map_indexed`], bit-identically to a serial fit.
 
 #![warn(missing_docs)]
 
@@ -30,6 +34,7 @@ pub mod linalg;
 pub mod metrics;
 pub mod mlp;
 pub mod multi;
+pub mod parallel;
 pub mod pca;
 pub mod ridge;
 pub mod scaler;

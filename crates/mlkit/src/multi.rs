@@ -5,20 +5,23 @@
 //! scalar — each fit produces one response surface. To predict a vector of
 //! resource targets (memory / CPU / IO) with those families, `MultiHead`
 //! holds one independent head per target and fans [`Regressor::fit_multi`] /
-//! [`Regressor::predict_row_multi`] out across them. Models with a natural
-//! multi-output formulation (ridge regression solves every target against the
-//! same factorized design matrix) implement the trait methods directly and do
-//! not need this wrapper.
+//! [`Regressor::predict_row_multi`] out across them; `fit_multi` fits the
+//! heads on up to `available_parallelism()` cores ([`crate::parallel`]).
+//! Models with a natural multi-output formulation (ridge regression solves
+//! every target against the same factorized design matrix) implement the
+//! trait methods directly and do not need this wrapper.
 //!
 //! Head 0 is always the primary target: scalar [`Regressor::predict_row`] on
 //! a `MultiHead` answers from head 0, which keeps single-target call sites
 //! working unchanged when a pipeline is upgraded to vector labels.
 
 use std::io::{Read, Write};
+use std::sync::Mutex;
 
 use crate::codec as c;
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::linalg::Matrix;
+use crate::parallel;
 use crate::traits::{Footprint, Regressor};
 
 /// Decoder for one persisted head payload: the caller knows the concrete
@@ -126,10 +129,17 @@ impl Regressor for MultiHead {
                 format!("{} target columns", targets.len()),
             ));
         }
-        for (head, y) in self.heads.iter_mut().zip(targets) {
-            head.fit(x, y)?;
-        }
-        Ok(())
+        // Heads are independent fits: run them on up to
+        // `available_parallelism()` cores. The error returned is the first
+        // failing head's, in head order.
+        let heads: Vec<Mutex<&mut Box<dyn Regressor>>> =
+            self.heads.iter_mut().map(Mutex::new).collect();
+        let mut workers = vec![(); parallel::workers(heads.len(), usize::MAX)];
+        parallel::map_indexed(heads.len(), &mut workers, |i, ()| {
+            heads[i].lock().expect("each head is locked once, by its own unit").fit(x, &targets[i])
+        })
+        .into_iter()
+        .collect()
     }
 
     fn predict_row(&self, row: &[f64]) -> MlResult<f64> {
@@ -168,6 +178,8 @@ impl Regressor for MultiHead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest::{RandomForest, RandomForestConfig};
+    use crate::gbdt::{GradientBoosting, GradientBoostingConfig};
     use crate::ridge::Ridge;
     use crate::tree::DecisionTree;
 
@@ -197,6 +209,57 @@ mod tests {
         assert!((out[2] - 0.0).abs() < 1e-5, "head 2: {}", out[2]);
         // Scalar predict_row answers from head 0.
         assert_eq!(m.predict_row(&[10.0, 0.0]).unwrap().to_bits(), out[0].to_bits());
+    }
+
+    /// Builds one unfitted head, identically on every call.
+    type BuildHead = fn() -> Box<dyn Regressor>;
+
+    /// One head builder per family under test.
+    fn families() -> [(&'static str, BuildHead); 3] {
+        [
+            ("xgb", || {
+                Box::new(GradientBoosting::new(GradientBoostingConfig {
+                    n_estimators: 20,
+                    ..GradientBoostingConfig::default()
+                }))
+            }),
+            ("dt", || Box::new(DecisionTree::default_config())),
+            ("rf", || {
+                Box::new(RandomForest::new(RandomForestConfig { n_trees: 6, ..Default::default() }))
+            }),
+        ]
+    }
+
+    #[test]
+    fn parallel_heads_match_serial_solo_fits_bit_for_bit() {
+        let (x, targets) = training_data();
+        for (family, build) in families() {
+            let mut m = MultiHead::new((0..3).map(|_| build()).collect()).unwrap();
+            m.fit_multi(&x, &targets).unwrap();
+            for (t, y) in targets.iter().enumerate() {
+                let mut solo = build();
+                solo.fit(&x, y).unwrap();
+                for row in x.row_iter() {
+                    let together = m.predict_row_multi(row).unwrap()[t];
+                    let alone = solo.predict_row(row).unwrap();
+                    assert_eq!(together.to_bits(), alone.to_bits(), "{family} head {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_failing_head_reports_its_error() {
+        let (x, mut targets) = training_data();
+        targets[1].truncate(39);
+        targets[2].truncate(38);
+        for (family, build) in families() {
+            let mut m = MultiHead::new((0..3).map(|_| build()).collect()).unwrap();
+            let err = m.fit_multi(&x, &targets).unwrap_err();
+            let head_1 = build().fit(&x, &targets[1]).unwrap_err();
+            assert_eq!(err.to_string(), head_1.to_string(), "{family}");
+            assert_ne!(err.to_string(), build().fit(&x, &targets[2]).unwrap_err().to_string());
+        }
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //! independence assumptions *wrong* in controlled, benchmark-specific ways —
 //! the root cause of the paper's weak state-of-practice baseline.
 
-use std::collections::HashMap;
-
 /// Correlation and skew model for a database instance.
 ///
 /// - **Predicate correlation** `rho ∈ [0, 1]` between two columns of the same
@@ -13,31 +11,54 @@ use std::collections::HashMap;
 /// - **Join skew** `> 0`: multiplier on the true join output relative to the
 ///   estimator's `1 / max(ndv)` guess (JOB-style correlated joins have
 ///   skew ≫ 1, i.e. the estimator under-estimates).
+///
+/// A catalog declares a handful of each, and the planner looks them up for
+/// every candidate join edge and predicate pair, so entries live in small
+/// vectors scanned with borrowed names: a lookup allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelationModel {
-    predicate_rho: HashMap<(String, String, String), f64>,
-    join_skew: HashMap<(String, String, String, String), f64>,
+    predicate_rho: Vec<([String; 3], f64)>,
+    join_skew: Vec<([String; 4], f64)>,
 }
 
-fn pair_key(table: &str, col_a: &str, col_b: &str) -> (String, String, String) {
-    // Canonical order so lookups are symmetric.
+/// `(table, col_a, col_b)` in canonical order, so lookups are symmetric.
+fn pair_key<'a>(table: &'a str, col_a: &'a str, col_b: &'a str) -> [&'a str; 3] {
     if col_a <= col_b {
-        (table.to_string(), col_a.to_string(), col_b.to_string())
+        [table, col_a, col_b]
     } else {
-        (table.to_string(), col_b.to_string(), col_a.to_string())
+        [table, col_b, col_a]
     }
 }
 
-fn join_key(
-    table_a: &str,
-    col_a: &str,
-    table_b: &str,
-    col_b: &str,
-) -> (String, String, String, String) {
+/// `(table_a, col_a, table_b, col_b)` in canonical order.
+fn join_key<'a>(
+    table_a: &'a str,
+    col_a: &'a str,
+    table_b: &'a str,
+    col_b: &'a str,
+) -> [&'a str; 4] {
     if (table_a, col_a) <= (table_b, col_b) {
-        (table_a.to_string(), col_a.to_string(), table_b.to_string(), col_b.to_string())
+        [table_a, col_a, table_b, col_b]
     } else {
-        (table_b.to_string(), col_b.to_string(), table_a.to_string(), col_a.to_string())
+        [table_b, col_b, table_a, col_a]
+    }
+}
+
+/// Index of the entry stored under `key`, if any.
+fn position<const N: usize>(entries: &[([String; N], f64)], key: [&str; N]) -> Option<usize> {
+    entries.iter().position(|(k, _)| k.iter().zip(key).all(|(a, b)| a == b))
+}
+
+/// The value stored under `key`, if any.
+fn lookup<const N: usize>(entries: &[([String; N], f64)], key: [&str; N]) -> Option<f64> {
+    position(entries, key).map(|i| entries[i].1)
+}
+
+/// Stores `value` under `key`, replacing an earlier declaration.
+fn declare<const N: usize>(entries: &mut Vec<([String; N], f64)>, key: [&str; N], value: f64) {
+    match position(entries, key) {
+        Some(i) => entries[i].1 = value,
+        None => entries.push((key.map(str::to_string), value)),
     }
 }
 
@@ -49,12 +70,12 @@ impl CorrelationModel {
 
     /// Declares correlation `rho` between two columns of `table`.
     pub fn set_predicate_correlation(&mut self, table: &str, col_a: &str, col_b: &str, rho: f64) {
-        self.predicate_rho.insert(pair_key(table, col_a, col_b), rho.clamp(0.0, 1.0));
+        declare(&mut self.predicate_rho, pair_key(table, col_a, col_b), rho.clamp(0.0, 1.0));
     }
 
     /// Correlation between two columns (0 when undeclared).
     pub fn predicate_correlation(&self, table: &str, col_a: &str, col_b: &str) -> f64 {
-        self.predicate_rho.get(&pair_key(table, col_a, col_b)).copied().unwrap_or(0.0)
+        lookup(&self.predicate_rho, pair_key(table, col_a, col_b)).unwrap_or(0.0)
     }
 
     /// Declares a join-skew multiplier for an equi-join edge.
@@ -66,12 +87,12 @@ impl CorrelationModel {
         col_b: &str,
         skew: f64,
     ) {
-        self.join_skew.insert(join_key(table_a, col_a, table_b, col_b), skew.max(1e-6));
+        declare(&mut self.join_skew, join_key(table_a, col_a, table_b, col_b), skew.max(1e-6));
     }
 
     /// Join-skew multiplier (1 when undeclared: estimator assumption holds).
     pub fn join_skew(&self, table_a: &str, col_a: &str, table_b: &str, col_b: &str) -> f64 {
-        self.join_skew.get(&join_key(table_a, col_a, table_b, col_b)).copied().unwrap_or(1.0)
+        lookup(&self.join_skew, join_key(table_a, col_a, table_b, col_b)).unwrap_or(1.0)
     }
 }
 
@@ -132,6 +153,9 @@ mod tests {
         assert_eq!(m.predicate_correlation("t", "b", "a"), 0.8);
         assert_eq!(m.predicate_correlation("t", "a", "c"), 0.0);
         assert_eq!(m.predicate_correlation("u", "a", "b"), 0.0);
+        // A later declaration of the same pair, in either order, replaces it.
+        m.set_predicate_correlation("t", "b", "a", 0.3);
+        assert_eq!(m.predicate_correlation("t", "a", "b"), 0.3);
     }
 
     #[test]
@@ -141,6 +165,8 @@ mod tests {
         assert_eq!(m.join_skew("t", "id", "u", "t_id"), 3.5);
         assert_eq!(m.join_skew("u", "t_id", "t", "id"), 3.5);
         assert_eq!(m.join_skew("t", "id", "v", "t_id"), 1.0);
+        m.set_join_skew("u", "t_id", "t", "id", 2.0);
+        assert_eq!(m.join_skew("t", "id", "u", "t_id"), 2.0);
     }
 
     #[test]

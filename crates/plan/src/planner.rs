@@ -229,7 +229,7 @@ impl<'a> Planner<'a> {
         fragments: &[Fragment],
     ) -> PlanResult<(usize, usize, Fragment)> {
         // All candidate (i, j, edge) combinations where an edge connects i and j.
-        let mut best: Option<(f64, usize, usize, usize, bool)> = None; // (est, i, j, edge_idx, i_is_left)
+        let mut best: Option<(Cards, usize, usize, usize)> = None; // (joined, i, j, edge_idx)
         for (ei, edge) in spec.joins.iter().enumerate() {
             let li = fragments.iter().position(|f| f.aliases.contains(&edge.left_alias));
             let ri = fragments.iter().position(|f| f.aliases.contains(&edge.right_alias));
@@ -252,31 +252,19 @@ impl<'a> Planner<'a> {
                 fragments[li].cards,
                 fragments[ri].cards,
             )?;
-            let candidate = (joined.est, li, ri, ei, true);
             let better = match (&best, self.config.greedy_join_ordering) {
                 (None, _) => true,
-                (Some((b, ..)), true) => joined.est < *b,
+                (Some((b, ..)), true) => joined.est < b.est,
                 // Non-greedy: keep the first (FROM-order) connected edge.
                 (Some(_), false) => false,
             };
             if better {
-                best = Some(candidate);
+                best = Some((joined, li, ri, ei));
             }
         }
 
-        if let Some((_, li, ri, ei, _)) = best {
-            let edge = &spec.joins[ei];
-            let joined_cards = join_cards(
-                self.catalog,
-                spec,
-                &edge.left_alias,
-                &edge.left_col,
-                &edge.right_alias,
-                &edge.right_col,
-                fragments[li].cards,
-                fragments[ri].cards,
-            )?;
-            let frag = self.build_join(spec, &fragments[li], &fragments[ri], ei, joined_cards)?;
+        if let Some((joined, li, ri, ei)) = best {
+            let frag = self.build_join(spec, &fragments[li], &fragments[ri], ei, joined)?;
             Ok((li, ri, frag))
         } else {
             // No connecting edge: cross join the two smallest fragments.

@@ -445,10 +445,14 @@ impl Engine {
     /// or dropped: `wmp_queries_observed_total` equals the `true` returns
     /// plus `wmp_observations_dropped_total`.
     pub fn observe(&self, record: QueryRecord) -> bool {
-        // Account before forwarding: the record is moved into the channel.
+        // Account before forwarding. The quality buffer keeps the record, so
+        // it is cloned only when a retrainer channel takes the original.
         self.obs.observed.inc();
-        self.obs.account_observation(self.handle.snapshot().model(), &record);
-        let Some(tx) = self.retrainer.as_ref().and_then(|r| r.tx.as_ref()) else { return false };
+        let Some(tx) = self.retrainer.as_ref().and_then(|r| r.tx.as_ref()) else {
+            self.obs.account_observation(self.handle.snapshot().model(), record);
+            return false;
+        };
+        self.obs.account_observation(self.handle.snapshot().model(), record.clone());
         let forwarded = tx.try_send(record).is_ok();
         if !forwarded {
             self.obs.observations_dropped.inc();

@@ -241,11 +241,12 @@ impl EngineObs {
     /// Accounts one observed (executed) query: feeds the drift monitor with
     /// its template assignment and, once a full evaluation batch has
     /// accumulated, re-predicts the batch through `model` and scores it
-    /// against the measured resources. Runs on the observer's thread — cheap
-    /// except once per evaluation batch, when it costs one prediction.
-    pub(crate) fn account_observation(&self, model: &dyn WorkloadPredictor, record: &QueryRecord) {
+    /// against the measured resources. The record moves into the batch.
+    /// Runs on the observer's thread — cheap except once per evaluation
+    /// batch, when it costs one prediction.
+    pub(crate) fn account_observation(&self, model: &dyn WorkloadPredictor, record: QueryRecord) {
         if let Some(drift) = self.drift.get() {
-            if let Ok(Some(template)) = model.assign_template(record) {
+            if let Ok(Some(template)) = model.assign_template(&record) {
                 drift.observe(template);
                 if let Some(score) = drift.score() {
                     self.drift_score.set(score);
@@ -255,7 +256,7 @@ impl EngineObs {
         let batch = {
             let mut buffer =
                 self.eval_buffer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            buffer.push(record.clone());
+            buffer.push(record);
             if buffer.len() >= QUALITY_BATCH {
                 Some(std::mem::take(&mut *buffer))
             } else {
