@@ -13,6 +13,7 @@
 //! | [`error_enum`](ErrorEnum) | public error enums are `#[non_exhaustive]` with exhaustive `Display` |
 //! | [`codec_tags`](CodecTags) | codec tag tables are unique and append-only; version constants coherent |
 //! | [`bench_schema`](BenchSchema) | committed `perfbench/baseline/*.json` results match the metrics and units `BENCHMARK.json` declares |
+//! | [`dead_module`](DeadModule) | every library `pub mod` and `[dependencies]` entry is named somewhere |
 //!
 //! Any diagnostic can be suppressed at its site with
 //! `// lint: allow(<rule>, <reason>)` — the reason is mandatory.
@@ -20,6 +21,7 @@
 mod atomic_ordering;
 mod bench_schema;
 mod codec_tags;
+mod dead_module;
 mod error_enum;
 mod metric_catalog;
 mod no_hot_panic;
@@ -27,6 +29,7 @@ mod no_hot_panic;
 pub use atomic_ordering::AtomicOrdering;
 pub use bench_schema::BenchSchema;
 pub use codec_tags::CodecTags;
+pub use dead_module::DeadModule;
 pub use error_enum::ErrorEnum;
 pub use metric_catalog::MetricCatalog;
 pub use no_hot_panic::NoHotPanic;
@@ -52,5 +55,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(ErrorEnum),
         Box::new(CodecTags),
         Box::new(BenchSchema),
+        Box::new(DeadModule),
     ]
 }

@@ -43,14 +43,17 @@ impl WsFile {
 }
 
 /// The discovered workspace: Rust sources plus the non-Rust surfaces some
-/// rules check (README catalog, the benchmark declaration and its
-/// committed baselines).
-#[derive(Debug)]
+/// rules check (README catalog, crate manifests, the benchmark declaration
+/// and its committed baselines).
+#[derive(Debug, Default)]
 pub struct Workspace {
     /// All analyzed `.rs` files (vendored shims and `target/` excluded).
     pub files: Vec<WsFile>,
     /// `README.md` contents, if present.
     pub readme: Option<String>,
+    /// `(path, contents)` of each crate's `Cargo.toml`, paths relative to
+    /// the root (`Cargo.toml` for the facade crate).
+    pub manifests: Vec<(String, String)>,
     /// `BENCHMARK.json` contents, if present.
     pub benchmark: Option<String>,
     /// `(path, contents)` of the committed `perfbench/baseline/*.json`
@@ -66,6 +69,7 @@ impl Workspace {
     /// discovered file cannot be read.
     pub fn discover(root: &Path) -> std::io::Result<Workspace> {
         let mut files = Vec::new();
+        let mut manifests = Vec::new();
         let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.is_dir())
@@ -75,9 +79,15 @@ impl Workspace {
             let krate =
                 crate_dir.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
             collect_crate(root, &crate_dir, &krate, &mut files)?;
+            manifests.push(format!("crates/{krate}/Cargo.toml"));
         }
         // The facade crate lives at the repository root.
         collect_crate(root, root, "learnedwmp", &mut files)?;
+        manifests.push("Cargo.toml".to_string());
+        let manifests = manifests
+            .into_iter()
+            .filter_map(|rel| std::fs::read_to_string(root.join(&rel)).ok().map(|text| (rel, text)))
+            .collect();
 
         let readme = std::fs::read_to_string(root.join("README.md")).ok();
         let benchmark = std::fs::read_to_string(root.join("BENCHMARK.json")).ok();
@@ -93,7 +103,7 @@ impl Workspace {
             }
         }
         files.sort_by(|a, b| a.source.rel.cmp(&b.source.rel));
-        Ok(Workspace { files, readme, benchmark, baselines })
+        Ok(Workspace { files, readme, manifests, benchmark, baselines })
     }
 
     /// Iterates library files of hot-path crates.

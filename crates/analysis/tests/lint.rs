@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 
 use wmp_analysis::rules::{
-    AtomicOrdering, BenchSchema, CodecTags, ErrorEnum, MetricCatalog, NoHotPanic,
+    AtomicOrdering, BenchSchema, CodecTags, DeadModule, ErrorEnum, MetricCatalog, NoHotPanic,
 };
 use wmp_analysis::source::SourceFile;
 use wmp_analysis::workspace::{FileClass, Workspace, WsFile};
@@ -27,8 +27,7 @@ fn ws_full(rel: &str, text: String, readme: Option<String>) -> Workspace {
     Workspace {
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Lib }],
         readme,
-        benchmark: None,
-        baselines: Vec::new(),
+        ..Workspace::default()
     }
 }
 
@@ -47,10 +46,9 @@ const BENCHMARK: &str = r#"{
 /// A workspace holding one committed baseline, `perfbench/baseline/<name>`.
 fn ws_baseline(name: &str, text: String) -> Workspace {
     Workspace {
-        files: Vec::new(),
-        readme: None,
         benchmark: Some(BENCHMARK.to_string()),
         baselines: vec![(format!("perfbench/baseline/{name}"), text)],
+        ..Workspace::default()
     }
 }
 
@@ -113,9 +111,7 @@ fn no_hot_panic_ignores_test_targets() {
         SourceFile::parse(PathBuf::from("t.rs"), "crates/serve/tests/bad.rs".to_string(), text);
     let ws = Workspace {
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Test }],
-        readme: None,
-        benchmark: None,
-        baselines: Vec::new(),
+        ..Workspace::default()
     };
     assert!(run_rule(&NoHotPanic, &ws).is_empty(), "test targets are exempt");
 }
@@ -305,6 +301,61 @@ fn bench_schema_rejects_empty_results() {
     assert_eq!(spans, [e2e, e2e, e2e, layers, layers]);
 }
 
+/// The `dead_module` fixtures as one workspace: `orphan` names only
+/// itself, `reexported` is reached only through `lib.rs`'s `pub use`, a
+/// second crate names `named` by path, and `reexported` uses `wmp_used`.
+fn ws_dead_module() -> Workspace {
+    let files = [
+        ("crates/fixture/src/lib.rs", fixture("bad_dead_module.rs")),
+        ("crates/fixture/src/named.rs", "pub fn h() {}\n".to_string()),
+        ("crates/fixture/src/orphan.rs", "pub fn f() -> u8 {\n    crate::orphan::g()\n}\n".into()),
+        ("crates/fixture/src/reexported.rs", "pub struct Thing(pub wmp_used::Helper);\n".into()),
+        ("crates/other/src/lib.rs", "pub use wmp_fixture::named;\n".to_string()),
+    ];
+    Workspace {
+        files: files
+            .into_iter()
+            .map(|(rel, text)| WsFile {
+                source: SourceFile::parse(PathBuf::from(rel), rel.to_string(), text),
+                krate: rel.split('/').nth(1).unwrap_or_default().to_string(),
+                class: FileClass::Lib,
+            })
+            .collect(),
+        manifests: vec![("crates/fixture/Cargo.toml".to_string(), fixture("bad_dead_module.toml"))],
+        ..Workspace::default()
+    }
+}
+
+#[test]
+fn dead_module_flags_the_orphan_module_only() {
+    let text = fixture("bad_dead_module.rs");
+    let diags: Vec<Diagnostic> = run_rule(&DeadModule, &ws_dead_module())
+        .into_iter()
+        .filter(|d| d.file.ends_with(".rs"))
+        .collect();
+    // `named` (named by another crate), `reexported` (only `pub use`) and
+    // the `#[cfg(test)]` module must not fire.
+    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
+    assert_eq!(diags[0].file, "crates/fixture/src/lib.rs");
+    assert_eq!((diags[0].line, diags[0].col), span_of(&text, "orphan;", 1));
+    assert!(diags[0].message.contains("`pub mod orphan` is dead"), "{}", diags[0]);
+    assert_eq!(diags[0].rule, "dead_module");
+}
+
+#[test]
+fn dead_module_flags_an_unused_dependency() {
+    let text = fixture("bad_dead_module.toml");
+    let diags: Vec<Diagnostic> = run_rule(&DeadModule, &ws_dead_module())
+        .into_iter()
+        .filter(|d| d.file.ends_with("Cargo.toml"))
+        .collect();
+    // `wmp_used` is named in `src/`; `[dev-dependencies]` are not checked.
+    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
+    assert_eq!(diags[0].file, "crates/fixture/Cargo.toml");
+    assert_eq!((diags[0].line, diags[0].col), span_of(&text, "unused-dep", 1));
+    assert!(diags[0].message.contains("`unused-dep` is unused"), "{}", diags[0]);
+}
+
 #[test]
 fn suppression_reaches_next_code_line_only() {
     let text = "\
@@ -347,9 +398,7 @@ pub fn f(v: &[u8]) -> u8 {
         SourceFile::parse(PathBuf::from("s.rs"), "crates/serve/src/s.rs".to_string(), text.into());
     let ws = Workspace {
         files: vec![WsFile { source, krate: "serve".to_string(), class: FileClass::Lib }],
-        readme: None,
-        benchmark: None,
-        baselines: Vec::new(),
+        ..Workspace::default()
     };
     let report = wmp_analysis::run_on(&ws, &all_rules());
     // The reason-less directive does NOT suppress, and is itself reported.

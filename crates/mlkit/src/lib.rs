@@ -29,16 +29,13 @@ pub mod forest;
 pub mod gbdt;
 pub mod grow;
 pub mod kmeans;
-pub mod knn;
 pub mod linalg;
 pub mod metrics;
 pub mod mlp;
 pub mod multi;
 pub mod parallel;
-pub mod pca;
 pub mod ridge;
 pub mod scaler;
-pub mod search;
 pub mod traits;
 pub mod tree;
 
