@@ -9,7 +9,7 @@
 //! allocation.
 //!
 //! The format of each *model* (which fields, in which order) lives next to
-//! the model itself (`Ridge::write_params`, `Tree::write_to`, ...); this
+//! the model itself (`Ridge::write_params`, `Forest::write_tree`, ...); this
 //! module only fixes how scalars, strings, vectors, and matrices are laid
 //! out. The container format (magic, versioning, checksums) is defined by
 //! `learnedwmp_core::codec`.

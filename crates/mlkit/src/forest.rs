@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
-use crate::grow::{grow_tree, GrowParams, Tree};
+use crate::grow::{Forest, GrowParams};
 use crate::linalg::Matrix;
 use crate::parallel;
 use crate::traits::{Footprint, Regressor};
@@ -56,14 +56,14 @@ impl Default for RandomForestConfig {
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     config: RandomForestConfig,
-    trees: Vec<Tree>,
+    trees: Forest,
     n_features: usize,
 }
 
 impl RandomForest {
     /// Creates an unfitted forest.
     pub fn new(config: RandomForestConfig) -> Self {
-        RandomForest { config, trees: Vec::new(), n_features: 0 }
+        RandomForest { config, trees: Forest::default(), n_features: 0 }
     }
 
     /// Unfitted forest with default hyper-parameters.
@@ -73,12 +73,12 @@ impl RandomForest {
 
     /// Number of fitted trees.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.trees.n_trees()
     }
 
     /// Total node count across the ensemble.
     pub fn total_nodes(&self) -> usize {
-        self.trees.iter().map(Tree::n_nodes).sum()
+        self.trees.n_nodes()
     }
 
     /// Deserializes a model written by [`Regressor::save_params`].
@@ -100,10 +100,12 @@ impl RandomForest {
         };
         let n_features = c::read_usize(r)?;
         let n = c::read_len(r, "forest trees")?;
-        let mut trees = Vec::with_capacity(n);
+        let mut trees = Forest::default();
         for _ in 0..n {
-            trees.push(Tree::read_from(r)?);
+            trees.read_tree(r)?;
         }
+        trees.check_features(n_features)?;
+        trees.shrink_to_fit();
         Ok(RandomForest { config, trees, n_features })
     }
 }
@@ -148,20 +150,26 @@ impl Regressor for RandomForest {
         let mut bootstrap: Vec<Vec<u32>> = (0..parallel::workers(n_trees, self.config.n_threads))
             .map(|_| Vec::with_capacity(n))
             .collect();
-        self.trees = parallel::map_indexed(n_trees, &mut bootstrap, |tree_idx, rows| {
+        let grown = parallel::map_indexed(n_trees, &mut bootstrap, |tree_idx, rows| {
             let tree_seed = seed.wrapping_add(tree_idx as u64).wrapping_mul(0x9E37_79B9);
             let mut rng = StdRng::seed_from_u64(tree_seed);
             // Bootstrap sample (with replacement).
             rows.clear();
             rows.extend((0..n).map(|_| rng.gen_range(0..n) as u32));
-            grow_tree(&binned, y, rows, &params, tree_seed ^ 0xABCD)
+            let mut tree = Forest::default();
+            tree.grow(&binned, y, rows, &params, tree_seed ^ 0xABCD);
+            tree
         });
+        self.trees = Forest::default();
+        for tree in &grown {
+            self.trees.append(tree);
+        }
         self.n_features = x.cols();
         Ok(())
     }
 
     fn predict_row(&self, row: &[f64]) -> MlResult<f64> {
-        if self.trees.is_empty() {
+        if self.trees.n_trees() == 0 {
             return Err(MlError::NotFitted("RandomForest"));
         }
         if row.len() != self.n_features {
@@ -170,8 +178,8 @@ impl Regressor for RandomForest {
                 format!("row.len() == {}", row.len()),
             ));
         }
-        let sum: f64 = self.trees.iter().map(|t| t.predict_row(row)).sum();
-        Ok(sum / self.trees.len() as f64)
+        let sum: f64 = self.trees.leaf_values(row).sum();
+        Ok(sum / self.trees.n_trees() as f64)
     }
 
     fn name(&self) -> &'static str {
@@ -192,9 +200,9 @@ impl Regressor for RandomForest {
         c::write_u64(w, self.config.seed)?;
         c::write_usize(w, self.config.n_threads)?;
         c::write_usize(w, self.n_features)?;
-        c::write_usize(w, self.trees.len())?;
-        for tree in &self.trees {
-            tree.write_to(w)?;
+        c::write_usize(w, self.trees.n_trees())?;
+        for t in 0..self.trees.n_trees() {
+            self.trees.write_tree(t, w)?;
         }
         Ok(())
     }
@@ -294,5 +302,34 @@ mod tests {
         assert_eq!(rf.n_trees(), 4);
         assert!(rf.footprint_bytes() > 4 * 24);
         assert_eq!(rf.num_parameters(), rf.total_nodes());
+    }
+
+    /// 21 trees fill one walk block and pad the next; the reference sums
+    /// the trees in order before dividing, as the forest always has.
+    #[test]
+    fn flat_walk_matches_the_recursive_reference() {
+        use crate::grow::reference::{awkward_rows, training_data, RefTree};
+        let (x, y) = training_data(300, 2);
+        for max_depth in 0..=10 {
+            let mut rf = RandomForest::new(RandomForestConfig {
+                n_trees: 21,
+                max_depth,
+                max_features: Some(2),
+                min_samples_split: 2,
+                min_samples_leaf: 1,
+                ..Default::default()
+            });
+            rf.fit(&x, &y).unwrap();
+            assert!(rf.trees.max_depth() <= max_depth);
+            let reference = RefTree::all(&rf.trees);
+            for row in awkward_rows(&reference, x.cols(), 300, max_depth as u64) {
+                let sum: f64 = reference.iter().map(|t| t.predict(&row)).sum();
+                assert_eq!(
+                    rf.predict_row(&row).unwrap().to_bits(),
+                    (sum / reference.len() as f64).to_bits(),
+                    "max_depth {max_depth}, row {row:?}"
+                );
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
-use crate::grow::{grow_tree, GrowParams, Tree};
+use crate::grow::{Forest, GrowParams};
 use crate::linalg::Matrix;
 use crate::traits::{Footprint, Regressor};
 
@@ -68,14 +68,14 @@ impl Default for GradientBoostingConfig {
 pub struct GradientBoosting {
     config: GradientBoostingConfig,
     base_score: f64,
-    trees: Vec<Tree>,
+    trees: Forest,
     n_features: usize,
 }
 
 impl GradientBoosting {
     /// Creates an unfitted booster.
     pub fn new(config: GradientBoostingConfig) -> Self {
-        GradientBoosting { config, base_score: 0.0, trees: Vec::new(), n_features: 0 }
+        GradientBoosting { config, base_score: 0.0, trees: Forest::default(), n_features: 0 }
     }
 
     /// Unfitted booster with default hyper-parameters.
@@ -85,12 +85,12 @@ impl GradientBoosting {
 
     /// Number of boosting rounds actually performed.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.trees.n_trees()
     }
 
     /// Total node count across the ensemble.
     pub fn total_nodes(&self) -> usize {
-        self.trees.iter().map(Tree::n_nodes).sum()
+        self.trees.n_nodes()
     }
 
     /// Deserializes a model written by [`Regressor::save_params`].
@@ -116,10 +116,12 @@ impl GradientBoosting {
         let base_score = c::read_f64(r)?;
         let n_features = c::read_usize(r)?;
         let n = c::read_len(r, "boosting trees")?;
-        let mut trees = Vec::with_capacity(n);
+        let mut trees = Forest::default();
         for _ in 0..n {
-            trees.push(Tree::read_from(r)?);
+            trees.read_tree(r)?;
         }
+        trees.check_features(n_features)?;
+        trees.shrink_to_fit();
         Ok(GradientBoosting { config, base_score, trees, n_features })
     }
 }
@@ -170,7 +172,7 @@ impl Regressor for GradientBoosting {
         };
         self.base_score = y.iter().sum::<f64>() / n as f64;
         self.n_features = x.cols();
-        self.trees.clear();
+        self.trees = Forest::default();
 
         let mut rng = StdRng::seed_from_u64(c.seed);
         let mut pred = vec![self.base_score; n];
@@ -188,12 +190,11 @@ impl Regressor for GradientBoosting {
             } else {
                 &mut all_rows
             };
-            let tree = grow_tree(&binned, &residual, rows, &params, c.seed ^ round as u64);
+            self.trees.grow(&binned, &residual, rows, &params, c.seed ^ round as u64);
             // Accumulate shrunken predictions over *all* rows.
             for (i, p) in pred.iter_mut().enumerate() {
-                *p += c.learning_rate * tree.predict_row(x.row(i));
+                *p += c.learning_rate * self.trees.predict_tree(round, x.row(i));
             }
-            self.trees.push(tree);
             if c.tol > 0.0 {
                 let mse =
                     y.iter().zip(&pred).map(|(t, p)| (t - p) * (t - p)).sum::<f64>() / n as f64;
@@ -208,7 +209,7 @@ impl Regressor for GradientBoosting {
     }
 
     fn predict_row(&self, row: &[f64]) -> MlResult<f64> {
-        if self.trees.is_empty() {
+        if self.trees.n_trees() == 0 {
             return Err(MlError::NotFitted("GradientBoosting"));
         }
         if row.len() != self.n_features {
@@ -217,11 +218,8 @@ impl Regressor for GradientBoosting {
                 format!("row.len() == {}", row.len()),
             ));
         }
-        let mut p = self.base_score;
-        for t in &self.trees {
-            p += self.config.learning_rate * t.predict_row(row);
-        }
-        Ok(p)
+        let lr = self.config.learning_rate;
+        Ok(self.trees.leaf_values(row).fold(self.base_score, |p, v| p + lr * v))
     }
 
     fn name(&self) -> &'static str {
@@ -243,9 +241,9 @@ impl Regressor for GradientBoosting {
         c::write_f64(w, self.config.tol)?;
         c::write_f64(w, self.base_score)?;
         c::write_usize(w, self.n_features)?;
-        c::write_usize(w, self.trees.len())?;
-        for tree in &self.trees {
-            tree.write_to(w)?;
+        c::write_usize(w, self.trees.n_trees())?;
+        for t in 0..self.trees.n_trees() {
+            self.trees.write_tree(t, w)?;
         }
         Ok(())
     }
@@ -376,5 +374,35 @@ mod tests {
         a.fit(&x, &y).unwrap();
         b.fit(&x, &y).unwrap();
         assert_eq!(a.predict(&x).unwrap(), b.predict(&x).unwrap());
+    }
+
+    /// 37 rounds fill two walk blocks and pad a third; the reference adds
+    /// each shrunken tree to the base score in round order.
+    #[test]
+    fn flat_walk_matches_the_recursive_reference() {
+        use crate::grow::reference::{awkward_rows, training_data, RefTree};
+        let (x, y) = training_data(300, 3);
+        for max_depth in 0..=10 {
+            let mut gb = GradientBoosting::new(GradientBoostingConfig {
+                n_estimators: 37,
+                max_depth,
+                subsample: 0.8,
+                min_samples_split: 2,
+                min_samples_leaf: 1,
+                ..Default::default()
+            });
+            gb.fit(&x, &y).unwrap();
+            assert!(gb.trees.max_depth() <= max_depth);
+            let lr = gb.config.learning_rate;
+            let reference = RefTree::all(&gb.trees);
+            for row in awkward_rows(&reference, x.cols(), 300, max_depth as u64) {
+                let expect = reference.iter().fold(gb.base_score, |p, t| p + lr * t.predict(&row));
+                assert_eq!(
+                    gb.predict_row(&row).unwrap().to_bits(),
+                    expect.to_bits(),
+                    "max_depth {max_depth}, row {row:?}"
+                );
+            }
+        }
     }
 }

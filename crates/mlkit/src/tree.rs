@@ -2,7 +2,7 @@
 
 use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
-use crate::grow::{grow_tree, GrowParams, Tree};
+use crate::grow::{Forest, GrowParams};
 use crate::linalg::Matrix;
 use crate::traits::{Footprint, Regressor};
 
@@ -29,7 +29,8 @@ impl Default for DecisionTreeConfig {
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     config: DecisionTreeConfig,
-    tree: Option<Tree>,
+    /// The fitted tree, a forest of one.
+    tree: Option<Forest>,
     n_features: usize,
 }
 
@@ -46,12 +47,12 @@ impl DecisionTree {
 
     /// Node count of the fitted tree (0 before fit); drives the footprint.
     pub fn n_nodes(&self) -> usize {
-        self.tree.as_ref().map_or(0, Tree::n_nodes)
+        self.tree.as_ref().map_or(0, Forest::n_nodes)
     }
 
     /// Leaf count of the fitted tree (0 before fit).
     pub fn n_leaves(&self) -> usize {
-        self.tree.as_ref().map_or(0, Tree::n_leaves)
+        self.tree.as_ref().map_or(0, Forest::n_leaves)
     }
 
     /// Deserializes a model written by [`Regressor::save_params`].
@@ -68,7 +69,15 @@ impl DecisionTree {
             max_bins: c::read_usize(r)?,
         };
         let n_features = c::read_usize(r)?;
-        let tree = if c::read_bool(r)? { Some(Tree::read_from(r)?) } else { None };
+        let tree = if c::read_bool(r)? {
+            let mut tree = Forest::default();
+            tree.read_tree(r)?;
+            tree.check_features(n_features)?;
+            tree.shrink_to_fit();
+            Some(tree)
+        } else {
+            None
+        };
         Ok(DecisionTree { config, tree, n_features })
     }
 }
@@ -110,7 +119,9 @@ impl Regressor for DecisionTree {
             feature_subsample: None,
         };
         let mut rows: Vec<u32> = (0..x.rows() as u32).collect();
-        self.tree = Some(grow_tree(&binned, y, &mut rows, &params, 0));
+        let mut tree = Forest::default();
+        tree.grow(&binned, y, &mut rows, &params, 0);
+        self.tree = Some(tree);
         self.n_features = x.cols();
         Ok(())
     }
@@ -123,7 +134,7 @@ impl Regressor for DecisionTree {
                 format!("row.len() == {}", row.len()),
             ));
         }
-        Ok(tree.predict_row(row))
+        Ok(tree.predict_tree(0, row))
     }
 
     fn name(&self) -> &'static str {
@@ -139,7 +150,7 @@ impl Regressor for DecisionTree {
         c::write_usize(w, self.n_features)?;
         c::write_bool(w, self.tree.is_some())?;
         if let Some(tree) = &self.tree {
-            tree.write_to(w)?;
+            tree.write_tree(0, w)?;
         }
         Ok(())
     }
@@ -236,5 +247,30 @@ mod tests {
         deep.fit(&x, &y).unwrap();
         assert!(deep.footprint_bytes() > shallow.footprint_bytes());
         assert!(shallow.n_leaves() <= 4);
+    }
+
+    #[test]
+    fn flat_walk_matches_the_recursive_reference() {
+        use crate::grow::reference::{awkward_rows, training_data, RefTree};
+        let (x, y) = training_data(300, 1);
+        for max_depth in 0..=10 {
+            let mut dt = DecisionTree::new(DecisionTreeConfig {
+                max_depth,
+                min_samples_split: 2,
+                min_samples_leaf: 1,
+                ..Default::default()
+            });
+            dt.fit(&x, &y).unwrap();
+            let forest = dt.tree.as_ref().unwrap();
+            assert!(forest.max_depth() <= max_depth);
+            let reference = RefTree::all(forest);
+            for row in awkward_rows(&reference, x.cols(), 300, max_depth as u64) {
+                assert_eq!(
+                    dt.predict_row(&row).unwrap().to_bits(),
+                    reference[0].predict(&row).to_bits(),
+                    "max_depth {max_depth}, row {row:?}"
+                );
+            }
+        }
     }
 }
