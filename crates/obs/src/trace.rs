@@ -101,14 +101,6 @@ impl FieldValue {
             _ => None,
         }
     }
-
-    /// The field as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            FieldValue::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 impl From<u64> for FieldValue {

@@ -16,15 +16,15 @@
 //!
 //! The pieces compose orthogonally: a [`wmp_sim::Cluster`] capacity model,
 //! a [`PlacementPolicy`] (first-fit / best-fit / prediction-aware with
-//! headroom), a [`DemandSource`] (nominal constant, live predictor,
-//! serving [`wmp_serve::Engine`], or oracle), and the [`replay()`] driver
-//! that streams [`wmp_workloads::QueryLog`] chunks through
-//! window → predict → place → complete in virtual time. Everything is
-//! deterministic in its seeds: same inputs, bit-identical report.
+//! headroom), a [`DemandSource`] (nominal constant, live predictor — a
+//! serving engine's hot-swappable [`learnedwmp_core::PredictorHandle`]
+//! included — or oracle), and the [`replay()`] driver that streams
+//! [`wmp_workloads::QueryLog`] chunks through window → predict → place →
+//! complete in virtual time. Everything is deterministic in its seeds: same
+//! inputs, bit-identical report.
 
 #![warn(missing_docs)]
 
-mod obs;
 pub mod policy;
 pub mod replay;
 pub mod report;

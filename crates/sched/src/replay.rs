@@ -6,16 +6,15 @@
 //! *actual* demand is the summed measured resources of the chunk's queries;
 //! its *decision* demand is whatever the configured [`DemandSource`]
 //! believes — a nominal constant (the no-prediction baseline), a live
-//! predictor, a serving [`Engine`]'s current model, or the truth itself
-//! (the oracle upper bound). Arrival ticks come from a seeded
-//! [`ArrivalProcess`], so a replay is a pure function of
+//! predictor (a serving engine's `PredictorHandle` tracks its hot swaps),
+//! or the truth itself (the oracle upper bound). Arrival ticks come from a
+//! seeded [`ArrivalProcess`], so a replay is a pure function of
 //! `(log, source, scheduler config, replay config)` — the determinism the
 //! replay tests rely on.
 
 use learnedwmp_core::WorkloadPredictor;
 use wmp_mlkit::MlResult;
 use wmp_plan::ResourceVector;
-use wmp_serve::Engine;
 use wmp_workloads::{ArrivalProcess, QueryLog, QueryRecord};
 
 use rand::rngs::StdRng;
@@ -30,11 +29,11 @@ pub enum DemandSource<'a> {
     /// practice (provision every window identically).
     Nominal(ResourceVector),
     /// A predictor consulted per window via
-    /// [`WorkloadPredictor::predict_resources`].
+    /// [`WorkloadPredictor::predict_resources`]. A serving engine's
+    /// [`PredictorHandle`](learnedwmp_core::PredictorHandle)
+    /// (`engine.handle()`) serves its current model, so predictions track
+    /// mid-replay model swaps.
     Predictor(&'a dyn WorkloadPredictor),
-    /// A serving engine's hot-swappable current model, consulted via
-    /// [`Engine::predict_now`] — predictions track mid-replay model swaps.
-    Engine(&'a Engine),
     /// The true summed demand (perfect-information upper bound).
     Oracle,
 }
@@ -45,7 +44,6 @@ impl DemandSource<'_> {
         match self {
             DemandSource::Nominal(_) => "nominal",
             DemandSource::Predictor(_) => "predicted",
-            DemandSource::Engine(_) => "engine",
             DemandSource::Oracle => "oracle",
         }
     }
@@ -55,7 +53,6 @@ impl DemandSource<'_> {
         match self {
             DemandSource::Nominal(v) => Ok(*v),
             DemandSource::Predictor(p) => p.predict_resources(queries),
-            DemandSource::Engine(e) => e.predict_now(queries),
             DemandSource::Oracle => Ok(actual),
         }
     }

@@ -29,7 +29,7 @@ impl Default for CostModel {
 /// `PartialEq` compares every field including the `f64` accumulators, so
 /// two runs with identical inputs must produce *identical* reports — the
 /// determinism contract the replay tests pin down.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 #[must_use = "a schedule report is the outcome of the run — inspect or persist it"]
 pub struct ScheduleReport {
     /// Placement policy name.

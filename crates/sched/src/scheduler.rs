@@ -31,12 +31,10 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 use wmp_plan::ResourceVector;
 use wmp_sim::Cluster;
 
-use crate::obs::SchedObs;
 use crate::policy::PlacementPolicy;
 use crate::report::{CostModel, Integrals, ScheduleReport};
 use crate::sla::SlaClass;
@@ -125,19 +123,9 @@ pub struct Scheduler {
     /// How many entries of `overrunning` are set.
     overrun_executors: usize,
     integrals: Integrals,
-    obs: Option<SchedObs>,
-    // Outcome counters (mirrored into the report).
-    workloads: usize,
-    queries: usize,
-    placed_direct: usize,
-    placed_deferred: usize,
-    rejected: usize,
-    sla_violations: usize,
-    sla_penalty: f64,
-    overflow_events: usize,
-    total_deferral_ticks: u64,
-    max_deferral_ticks: u64,
-    makespan: u64,
+    /// Every outcome, counted once in the report's own fields;
+    /// [`Scheduler::report`] adds what `integrals` yields.
+    tally: ScheduleReport,
 }
 
 impl Scheduler {
@@ -147,6 +135,12 @@ impl Scheduler {
     pub fn new(cluster: Cluster, policy: Box<dyn PlacementPolicy>) -> Self {
         let overrunning: Vec<bool> =
             cluster.executors().iter().map(|e| e.actual_overruns().any()).collect();
+        let tally = ScheduleReport {
+            policy: policy.name().to_string(),
+            demand_source: "direct".to_string(),
+            executors: cluster.len(),
+            ..ScheduleReport::default()
+        };
         Scheduler {
             cluster,
             policy,
@@ -159,18 +153,7 @@ impl Scheduler {
             overrun_executors: overrunning.iter().filter(|&&o| o).count(),
             overrunning,
             integrals: Integrals::default(),
-            obs: None,
-            workloads: 0,
-            queries: 0,
-            placed_direct: 0,
-            placed_deferred: 0,
-            rejected: 0,
-            sla_violations: 0,
-            sla_penalty: 0.0,
-            overflow_events: 0,
-            total_deferral_ticks: 0,
-            max_deferral_ticks: 0,
-            makespan: 0,
+            tally,
         }
     }
 
@@ -183,12 +166,6 @@ impl Scheduler {
     /// Sets the stranded-capacity pricing.
     pub fn with_cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Publishes `wmp_sched_*` metrics into `registry` from now on.
-    pub fn with_observability(mut self, registry: Arc<wmp_obs::Registry>) -> Self {
-        self.obs = Some(SchedObs::new(&registry));
         self
     }
 
@@ -224,14 +201,11 @@ impl Scheduler {
     pub fn submit(&mut self, request: WorkloadRequest) -> Submitted {
         let arrival = request.arrival.max(self.clock);
         self.advance_to(arrival);
-        self.workloads += 1;
-        self.queries += request.queries;
+        self.tally.workloads += 1;
+        self.tally.queries += request.queries;
         let reserve = self.policy.reserve_demand(request.decision);
         if !self.cluster.could_ever_fit(reserve) {
-            self.rejected += 1;
-            if let Some(obs) = &self.obs {
-                obs.rejected.inc();
-            }
+            self.tally.rejected += 1;
             wmp_obs::event!(
                 wmp_obs::Level::Warn,
                 target: "wmp_sched",
@@ -244,15 +218,11 @@ impl Scheduler {
         }
         let waiting = Waiting { request: WorkloadRequest { arrival, ..request }, reserve };
         if let Some(executor) = self.try_place(waiting) {
-            self.placed_direct += 1;
+            self.tally.placed_direct += 1;
             Submitted::Placed(executor)
         } else {
             self.waiting.push_back(waiting);
             self.floor = lower_floor(self.floor, reserve);
-            if let Some(obs) = &self.obs {
-                obs.deferred.inc();
-                obs.queue_depth.set(self.waiting.len() as f64);
-            }
             Submitted::Deferred
         }
     }
@@ -261,8 +231,8 @@ impl Scheduler {
     /// drains the deferral queue, then returns the final report. Guaranteed
     /// to terminate: every deferred reservation fits an empty executor (the
     /// rejection test), and once the in-flight set drains the cluster *is*
-    /// empty, at which point the queue head is force-placed on the first
-    /// executor that accepts it even if the policy keeps declining.
+    /// empty, at which point the queue head is force-placed on the lowest
+    /// executor that admits it even if the policy keeps declining.
     pub fn run_to_completion(&mut self) -> ScheduleReport {
         loop {
             if let Some(&Reverse((finish, _, _))) = self.completions.peek() {
@@ -272,31 +242,13 @@ impl Scheduler {
             // No in-flight work: the cluster is empty. Place the queue head
             // directly so arbitrary policies cannot stall the drain.
             let Some(waiting) = self.waiting.pop_front() else { break };
-            if self.try_place(waiting).is_some() {
+            let placed = self.try_place(waiting).is_some()
+                || (0..self.cluster.len()).any(|executor| self.admit(waiting, executor));
+            debug_assert!(placed, "queue head must fit an empty cluster");
+            if placed {
                 self.placed_deferred_accounting(waiting);
             } else {
-                let placed = (0..self.cluster.len()).find(|&i| {
-                    self.cluster
-                        .executor_mut(i)
-                        .try_admit(waiting.request.id, waiting.reserve, waiting.request.actual)
-                        .is_ok()
-                });
-                debug_assert!(placed.is_some(), "queue head must fit an empty cluster");
-                if let Some(executor) = placed {
-                    // try_place covers accounting on the policy path; this
-                    // fallback path repeats it for the forced placement.
-                    self.account_start(&waiting, executor, self.clock);
-                    self.push_completion(&waiting.request, executor);
-                    self.placed_deferred_accounting(waiting);
-                } else {
-                    self.rejected += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.rejected.inc();
-                    }
-                }
-            }
-            if let Some(obs) = &self.obs {
-                obs.queue_depth.set(self.waiting.len() as f64);
+                self.tally.rejected += 1;
             }
         }
         self.report()
@@ -305,32 +257,14 @@ impl Scheduler {
     /// The report as of the current virtual time (typically called via
     /// [`Scheduler::run_to_completion`]).
     pub fn report(&self) -> ScheduleReport {
-        let stranded_cost = self.integrals.stranded_mb_ticks * self.cost.stranded_per_mb_tick;
-        let mean_utilization =
-            self.integrals.mean_utilization(self.cluster.total_capacity(), self.makespan);
-        if let Some(obs) = &self.obs {
-            obs.stranded_cost.set(stranded_cost);
-            obs.util_memory.set(mean_utilization.memory_mb);
-            obs.util_cpu.set(mean_utilization.cpu_ms);
-        }
+        let stranded_mb_ticks = self.integrals.stranded_mb_ticks;
         ScheduleReport {
-            policy: self.policy.name().to_string(),
-            demand_source: "direct".to_string(),
-            executors: self.cluster.len(),
-            workloads: self.workloads,
-            queries: self.queries,
-            placed_direct: self.placed_direct,
-            placed_deferred: self.placed_deferred,
-            rejected: self.rejected,
-            sla_violations: self.sla_violations,
-            sla_penalty: self.sla_penalty,
-            stranded_mb_ticks: self.integrals.stranded_mb_ticks,
-            stranded_cost,
-            overflow_events: self.overflow_events,
-            total_deferral_ticks: self.total_deferral_ticks,
-            max_deferral_ticks: self.max_deferral_ticks,
-            makespan_ticks: self.makespan,
-            mean_utilization,
+            stranded_mb_ticks,
+            stranded_cost: stranded_mb_ticks * self.cost.stranded_per_mb_tick,
+            mean_utilization: self
+                .integrals
+                .mean_utilization(self.cluster.total_capacity(), self.tally.makespan_ticks),
+            ..self.tally.clone()
         }
     }
 
@@ -348,7 +282,7 @@ impl Scheduler {
             self.clock = finish;
             self.cluster.executor_mut(executor).release(id);
             self.note_overruns(executor);
-            self.makespan = finish;
+            self.tally.makespan_ticks = finish;
             self.retry_waiting(executor);
         }
         self.integrals.advance(&self.cluster, tick);
@@ -387,41 +321,42 @@ impl Scheduler {
             // The pass saw every workload still waiting.
             self.floor = floor;
         }
-        if let Some(obs) = &self.obs {
-            obs.queue_depth.set(self.waiting.len() as f64);
-        }
     }
 
-    /// Asks the policy for an executor and admits the workload there. The
-    /// admission is re-checked by the capacity model: a policy pointing at a
-    /// full executor yields `None` (deferral), never an overrun reservation.
+    /// Asks the policy for an executor and admits the workload there. A
+    /// policy pointing at a full executor yields `None` (deferral), never an
+    /// overrun reservation.
     fn try_place(&mut self, waiting: Waiting) -> Option<usize> {
         let executor = self.policy.place(waiting.reserve, &self.cluster)?;
-        self.cluster
-            .executor_mut(executor)
-            .try_admit(waiting.request.id, waiting.reserve, waiting.request.actual)
-            .ok()?;
-        self.account_start(&waiting, executor, self.clock);
-        self.push_completion(&waiting.request, executor);
-        Some(executor)
+        self.admit(waiting, executor).then_some(executor)
+    }
+
+    /// Starts the workload now on `executor` if the capacity model admits
+    /// it there: charges its start and schedules its completion. The one
+    /// admission step of both the policy path and the forced drain.
+    fn admit(&mut self, waiting: Waiting, executor: usize) -> bool {
+        let Waiting { request, reserve } = waiting;
+        let admitted =
+            self.cluster.executor_mut(executor).try_admit(request.id, reserve, request.actual);
+        if admitted.is_err() {
+            return false;
+        }
+        self.account_start(&request, executor);
+        let finish = self.clock + request.duration.max(1);
+        self.completions.push(Reverse((finish, request.id, executor)));
+        self.tally.makespan_ticks = self.tally.makespan_ticks.max(finish);
+        true
     }
 
     /// Charges SLA penalties and counts overflow episodes for a workload
-    /// that starts at `now` on `executor`.
-    fn account_start(&mut self, waiting: &Waiting, executor: usize, now: u64) {
-        let wait = now - waiting.request.arrival;
-        if let Some(class) = self.sla_for(waiting.request.tenant) {
+    /// that starts now on `executor`.
+    fn account_start(&mut self, request: &WorkloadRequest, executor: usize) {
+        let wait = self.clock - request.arrival;
+        if let Some(class) = self.sla_for(request.tenant) {
             if class.violated_by(wait) {
-                self.sla_violations += 1;
-                self.sla_penalty += class.violation_penalty;
-                if let Some(obs) = &self.obs {
-                    obs.sla_violations.inc();
-                    obs.sla_penalty.set(self.sla_penalty);
-                }
+                self.tally.sla_violations += 1;
+                self.tally.sla_penalty += class.violation_penalty;
             }
-        }
-        if let Some(obs) = &self.obs {
-            obs.placed.inc();
         }
         // One overflow episode per placement after which some executor's
         // actual occupancy exceeds its capacity, however many axes overrun;
@@ -434,17 +369,14 @@ impl Scheduler {
             first.and_then(|e| self.cluster.executor(e).actual_overruns().first())
         };
         if let Some(overrun) = overrun {
-            self.overflow_events += 1;
-            if let Some(obs) = &self.obs {
-                obs.overflows.inc();
-            }
+            self.tally.overflow_events += 1;
             wmp_obs::event!(
                 wmp_obs::Level::Warn,
                 target: "wmp_sched",
                 "capacity_overflow",
-                id = waiting.request.id,
+                id = request.id,
                 resource = overrun.label(),
-                tick = now,
+                tick = self.clock,
             );
         }
     }
@@ -465,21 +397,10 @@ impl Scheduler {
 
     /// Wait-time accounting for a workload placed from the deferral queue.
     fn placed_deferred_accounting(&mut self, waiting: Waiting) {
-        self.placed_deferred += 1;
+        self.tally.placed_deferred += 1;
         let wait = self.clock - waiting.request.arrival;
-        self.total_deferral_ticks += wait;
-        self.max_deferral_ticks = self.max_deferral_ticks.max(wait);
-        if let Some(obs) = &self.obs {
-            obs.deferral_latency.record(wait);
-        }
-    }
-
-    /// Schedules the completion event for a workload starting now on
-    /// `executor`, the one that just admitted it.
-    fn push_completion(&mut self, request: &WorkloadRequest, executor: usize) {
-        let finish = self.clock + request.duration.max(1);
-        self.completions.push(Reverse((finish, request.id, executor)));
-        self.makespan = self.makespan.max(finish);
+        self.tally.total_deferral_ticks += wait;
+        self.tally.max_deferral_ticks = self.tally.max_deferral_ticks.max(wait);
     }
 }
 
@@ -488,6 +409,7 @@ mod tests {
     use super::*;
     use crate::policy::{BestFit, FirstFit};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use wmp_plan::ResourceKind;
 
     fn request(id: u64, arrival: u64, duration: u64, mb: f64) -> WorkloadRequest {
@@ -703,6 +625,52 @@ mod tests {
         assert_eq!(report.placed_deferred, WORKLOADS - 8);
         let calls = calls.load(Ordering::Relaxed);
         assert!(calls <= 3 * WORKLOADS, "{calls} place calls for {WORKLOADS} workloads");
+    }
+
+    /// Declines every placement, so only the final drain places anything.
+    struct Declining;
+
+    impl PlacementPolicy for Declining {
+        fn name(&self) -> &'static str {
+            "declining"
+        }
+
+        fn place(&self, _: ResourceVector, _: &Cluster) -> Option<usize> {
+            None
+        }
+    }
+
+    #[test]
+    fn the_drain_forces_declined_workloads_onto_the_lowest_admitting_executor() {
+        // Executor 0 admits the 40 MB reservations but not the 80 MB one.
+        let mut sched = Scheduler::new(
+            Cluster::from_capacities(vec![
+                ResourceVector::memory_only(50.0),
+                ResourceVector::memory_only(100.0),
+            ]),
+            Box::new(Declining),
+        )
+        .with_sla_classes(vec![SlaClass::new(15, 3.0)]);
+        // The 40 MB windows really use 60 MB: an overflow on executor 0
+        // only, so the overflow count says where they ran.
+        let under = |id| WorkloadRequest {
+            actual: ResourceVector::memory_only(60.0),
+            ..request(id, 0, 10, 40.0)
+        };
+        assert_eq!(sched.submit(under(0)), Submitted::Deferred);
+        assert_eq!(sched.submit(request(1, 0, 10, 80.0)), Submitted::Deferred);
+        assert_eq!(sched.submit(under(2)), Submitted::Deferred);
+        let report = sched.run_to_completion();
+        // One at a time, in FIFO order: starts at ticks 0, 10 and 20.
+        assert_eq!((report.placed_direct, report.placed_deferred), (0, 3));
+        assert_eq!(report.placed() + report.rejected, report.workloads);
+        assert_eq!(report.total_deferral_ticks, 30);
+        assert_eq!(report.max_deferral_ticks, 20);
+        assert_eq!(report.makespan_ticks, 30);
+        assert_eq!(report.overflow_events, 2);
+        // Only the start at tick 20 misses the 15-tick deadline.
+        assert_eq!(report.sla_violations, 1);
+        assert!((report.sla_penalty - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -355,12 +355,6 @@ impl Engine {
         }
     }
 
-    /// The attached SQL front-end, or `None` when the engine only accepts
-    /// pre-built records.
-    pub fn sql_frontend(&self) -> Option<&SqlFrontend> {
-        self.sql.as_ref()
-    }
-
     /// Flushes the current partial window (any policy), scoring whatever has
     /// accumulated. Returns the number of tickets resolved (0 when nothing
     /// was pending).
@@ -492,21 +486,6 @@ impl Engine {
     /// elsewhere, or to swap models from outside the engine).
     pub fn handle(&self) -> &PredictorHandle {
         &self.handle
-    }
-
-    /// Predicts the joint resource demand of `queries` through the
-    /// currently serving model, synchronously. A side-channel read for
-    /// consumers that already hold a whole workload — e.g. a scheduler
-    /// replaying arrival chunks — so it bypasses the window machinery
-    /// entirely: nothing enters a pending window, no ticket is issued, and
-    /// the engine's submit/serve counters are untouched. The model version
-    /// used is whatever [`Engine::handle`] serves at call time.
-    ///
-    /// # Errors
-    /// Propagates the model's prediction error (e.g. feature-arity
-    /// mismatch); the serving state is unaffected either way.
-    pub fn predict_now(&self, queries: &[&QueryRecord]) -> MlResult<wmp_plan::ResourceVector> {
-        self.handle.snapshot().model().predict_resources(queries)
     }
 
     /// Point-in-time serving telemetry, read from the same instruments

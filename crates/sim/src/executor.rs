@@ -97,11 +97,6 @@ impl ExecutorSimulator {
         &self.config
     }
 
-    /// The CPU/IO cost model used for the non-memory label components.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Peak working memory of a query in megabytes, including per-query noise
     /// (`query_id` seeds the noise deterministically).
     pub fn peak_memory_mb(&self, plan: &PlanNode, query_id: u64) -> f64 {

@@ -218,11 +218,6 @@ impl WordEmbedder {
         }
         acc
     }
-
-    /// Embeds a whole corpus.
-    pub fn embed_all(&self, corpus: &[String]) -> Vec<Vec<f64>> {
-        corpus.iter().map(|s| self.embed(s)).collect()
-    }
 }
 
 /// Cosine similarity between two vectors (0 for zero vectors).

@@ -7,7 +7,7 @@
 //!   envelope (3× the mean window demand, the defensive constant an
 //!   operator without a model must pick), placed first-fit;
 //! - **prediction-aware** — reservations come from a serving engine's live
-//!   LearnedWMP model (via `Engine::predict_now`) with 1.1× headroom,
+//!   LearnedWMP model (via its `PredictorHandle`) with 1.1× headroom,
 //!   placed best-fit;
 //! - **oracle** — reservations equal true demand (perfect information),
 //!   the upper bound on what any predictor can achieve.
@@ -66,8 +66,8 @@ fn main() {
         .expect("training");
 
     // The prediction-aware run reads its demand estimates from a resident
-    // serving engine — the same hot-swappable handle a production gate
-    // would consult — via the synchronous `predict_now` side channel.
+    // serving engine's hot-swappable handle — the one a production gate
+    // would consult — outside the engine's windows and counters.
     let engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(WINDOW));
 
     let config = ReplayConfig {
@@ -95,7 +95,7 @@ fn main() {
             "prediction-aware (LearnedWMP)",
             replay(
                 &log,
-                DemandSource::Engine(&engine),
+                DemandSource::Predictor(engine.handle()),
                 scheduler(Box::new(PredictionAware::new(1.1))),
                 &config,
             )

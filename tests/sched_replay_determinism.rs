@@ -3,12 +3,13 @@
 //! produce a **bit-identical** `ScheduleReport` — every counter and every
 //! `f64` accumulator, compared with `==`, no tolerance.
 
-use learnedwmp::core::{LearnedWmp, ModelKind, TemplateSpec};
+use learnedwmp::core::{LearnedWmp, ModelKind, PredictorHandle, TemplateSpec};
 use learnedwmp::plan::ResourceVector;
 use learnedwmp::sched::{
     replay, BestFit, CostModel, DemandSource, FirstFit, PlacementPolicy, PredictionAware,
     ReplayConfig, ScheduleReport, Scheduler, SlaClass,
 };
+use learnedwmp::serve::{Engine, WindowPolicy};
 use learnedwmp::sim::Cluster;
 use learnedwmp::workloads::{ArrivalProcess, QueryLog};
 
@@ -60,7 +61,8 @@ fn same_seed_and_policy_reproduce_bit_identical_reports() {
 #[test]
 fn predictor_demand_source_is_deterministic_too() {
     // A trained model is itself deterministic in its seed, so predicted
-    // replays inherit the bit-identical guarantee end to end.
+    // replays inherit the bit-identical guarantee end to end — also when a
+    // serving engine's handle serves the model.
     let log = learnedwmp::workloads::tpch::generate(1_000, 33).unwrap();
     let model = LearnedWmp::builder()
         .model(ModelKind::Ridge)
@@ -68,17 +70,14 @@ fn predictor_demand_source_is_deterministic_too() {
         .batch_size(10)
         .fit(&log)
         .unwrap();
-    let run = || {
-        replay(
-            &log,
-            DemandSource::Predictor(&model),
-            scheduler(Box::new(PredictionAware::new(1.1))),
-            &config(17),
-        )
-        .unwrap()
+    let engine =
+        Engine::new(PredictorHandle::new(model.codec_clone().unwrap()), WindowPolicy::Count(10));
+    let run = |source| {
+        replay(&log, source, scheduler(Box::new(PredictionAware::new(1.1))), &config(17)).unwrap()
     };
-    let a = run();
-    assert_eq!(a, run());
+    let a = run(DemandSource::Predictor(&model));
+    assert_eq!(a, run(DemandSource::Predictor(&model)));
+    assert_eq!(a, run(DemandSource::Predictor(engine.handle())));
     assert_eq!(a.demand_source, "predicted");
     assert_eq!(a.placed() + a.rejected, a.workloads);
 }
