@@ -426,6 +426,7 @@ impl LearnedWmp {
 mod tests {
     use super::*;
     use crate::builder::TemplateSpec;
+    use crate::predictor::WorkloadPredictor;
 
     fn small_model(spec: TemplateSpec) -> (wmp_workloads::QueryLog, LearnedWmp) {
         let log = wmp_workloads::tpcc::generate(250, 3).unwrap();
@@ -565,6 +566,7 @@ mod tests {
             .fit(&log)
             .unwrap();
         assert!(custom.save_to(&path).is_err(), "custom learner must not persist");
+        assert_eq!(custom.footprint_bytes(), 0, "no persisted form, no size");
         assert_eq!(
             std::fs::read(&path).unwrap(),
             good_bytes,

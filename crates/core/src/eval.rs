@@ -69,7 +69,8 @@ pub struct ModelReport {
     pub total_train_ms: f64,
     /// Mean inference latency per workload in µs (Fig. 7).
     pub infer_us_per_workload: f64,
-    /// Model size in kB (Fig. 8).
+    /// Model size in kB (Fig. 8): the bytes the codec writes for the
+    /// predictor, as [`WorkloadPredictor::footprint_bytes`] counts them.
     pub model_kb: f64,
     /// Mean absolute error per resource axis (memory MB / CPU ms /
     /// IO pages), in [`ResourceKind::ALL`] order.

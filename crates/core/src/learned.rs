@@ -245,11 +245,6 @@ impl LearnedWmp {
         self.templates.as_ref()
     }
 
-    /// Model size in bytes (the regressor, as in the paper's Fig. 8).
-    pub fn footprint_bytes(&self) -> usize {
-        self.regressor.footprint_bytes()
-    }
-
     /// The configuration used at training time.
     pub fn config(&self) -> &LearnedWmpConfig {
         &self.config
@@ -311,8 +306,9 @@ impl WorkloadPredictor for LearnedWmp {
             .collect()
     }
 
+    /// The whole artifact: config, template learner and regressor.
     fn footprint_bytes(&self) -> usize {
-        LearnedWmp::footprint_bytes(self)
+        wmp_mlkit::codec::encoded_len(|w| self.save_to_writer(w)).unwrap_or(0)
     }
 
     fn assign_template(&self, query: &QueryRecord) -> MlResult<Option<usize>> {

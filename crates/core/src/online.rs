@@ -213,7 +213,7 @@ impl WorkloadPredictor for OnlineWmp {
     }
 
     fn footprint_bytes(&self) -> usize {
-        self.model.as_ref().map_or(0, LearnedWmp::footprint_bytes)
+        self.model.as_ref().map_or(0, WorkloadPredictor::footprint_bytes)
     }
 
     fn assign_template(&self, query: &QueryRecord) -> MlResult<Option<usize>> {

@@ -85,8 +85,12 @@ pub trait WorkloadPredictor: Send + Sync {
         workloads.iter().map(|w| self.predict_resources(&gather_queries(records, w)?)).collect()
     }
 
-    /// Size of the learned parameters in bytes (0 for pure heuristics) — the
-    /// quantity behind the paper's Fig. 8.
+    /// Model size in bytes — the quantity behind the paper's Fig. 8: the
+    /// number of bytes the codec writes for this model (counted with
+    /// [`wmp_mlkit::codec::encoded_len`]), so it equals the persisted size.
+    /// A model with no persisted form reports 0: the DBMS heuristic, an
+    /// untrained [`crate::OnlineWmp`], and a LearnedWMP whose custom
+    /// template learner has no codec tag.
     fn footprint_bytes(&self) -> usize;
 
     /// Maps one query to the model's template id, when the model has a

@@ -67,7 +67,7 @@ impl WorkloadPredictor for SingleWmp {
     // per query has no batched fast path to exploit.
 
     fn footprint_bytes(&self) -> usize {
-        self.regressor.footprint_bytes()
+        wmp_mlkit::codec::encoded_len(|w| self.regressor.save_params(w)).unwrap_or(0)
     }
 }
 

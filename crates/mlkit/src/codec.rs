@@ -23,6 +23,31 @@ use crate::linalg::Matrix;
 /// length prefixes beyond this are rejected instead of allocated.
 pub const MAX_SEQ_LEN: usize = 1 << 28;
 
+/// A `Write` sink that keeps only a running byte count.
+struct ByteCount(usize);
+
+impl Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The number of bytes `save` writes — the one definition of model size
+/// (the paper's Fig. 8), counted without buffering the bytes.
+///
+/// # Errors
+/// Propagates `save`'s error, e.g. for a model with no persisted form.
+pub fn encoded_len(save: impl FnOnce(&mut dyn Write) -> MlResult<()>) -> MlResult<usize> {
+    let mut sink = ByteCount(0);
+    save(&mut sink)?;
+    Ok(sink.0)
+}
+
 fn io_err(ctx: &str, e: std::io::Error) -> MlError {
     MlError::Codec(format!("{ctx}: {e}"))
 }
@@ -365,7 +390,8 @@ mod tests {
                 "{}: reloaded prediction must be bit-identical",
                 model.name()
             );
-            assert_eq!(model.footprint_bytes(), reloaded.footprint_bytes());
+            let len = encoded_len(|w| model.save_params(w)).unwrap();
+            assert_eq!(len, buf.len(), "{}: size is the bytes save_params writes", model.name());
         }
     }
 

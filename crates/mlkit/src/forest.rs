@@ -10,7 +10,7 @@ use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::grow::{Forest, GrowParams};
 use crate::linalg::Matrix;
 use crate::parallel;
-use crate::traits::{Footprint, Regressor};
+use crate::traits::Regressor;
 
 /// Hyper-parameters for [`RandomForest`].
 #[derive(Debug, Clone)]
@@ -76,11 +76,6 @@ impl RandomForest {
         self.trees.n_trees()
     }
 
-    /// Total node count across the ensemble.
-    pub fn total_nodes(&self) -> usize {
-        self.trees.n_nodes()
-    }
-
     /// Deserializes a model written by [`Regressor::save_params`].
     ///
     /// # Errors
@@ -107,16 +102,6 @@ impl RandomForest {
         trees.check_features(n_features)?;
         trees.shrink_to_fit();
         Ok(RandomForest { config, trees, n_features })
-    }
-}
-
-impl Footprint for RandomForest {
-    fn num_parameters(&self) -> usize {
-        self.total_nodes()
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.total_nodes() * 24 + 64
     }
 }
 
@@ -297,11 +282,13 @@ mod tests {
     #[test]
     fn footprint_scales_with_ensemble() {
         let (x, y) = friedman_like(100, 4);
-        let mut rf = RandomForest::new(RandomForestConfig { n_trees: 4, ..Default::default() });
-        rf.fit(&x, &y).unwrap();
-        assert_eq!(rf.n_trees(), 4);
-        assert!(rf.footprint_bytes() > 4 * 24);
-        assert_eq!(rf.num_parameters(), rf.total_nodes());
+        let size = |n_trees| {
+            let mut rf = RandomForest::new(RandomForestConfig { n_trees, ..Default::default() });
+            rf.fit(&x, &y).unwrap();
+            assert_eq!(rf.n_trees(), n_trees);
+            crate::codec::encoded_len(|w| rf.save_params(w)).unwrap()
+        };
+        assert!(size(4) > size(1));
     }
 
     /// 21 trees fill one walk block and pad the next; the reference sums

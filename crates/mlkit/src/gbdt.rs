@@ -15,7 +15,7 @@ use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::grow::{Forest, GrowParams};
 use crate::linalg::Matrix;
-use crate::traits::{Footprint, Regressor};
+use crate::traits::Regressor;
 
 /// Hyper-parameters for [`GradientBoosting`].
 #[derive(Debug, Clone)]
@@ -88,11 +88,6 @@ impl GradientBoosting {
         self.trees.n_trees()
     }
 
-    /// Total node count across the ensemble.
-    pub fn total_nodes(&self) -> usize {
-        self.trees.n_nodes()
-    }
-
     /// Deserializes a model written by [`Regressor::save_params`].
     ///
     /// # Errors
@@ -123,16 +118,6 @@ impl GradientBoosting {
         trees.check_features(n_features)?;
         trees.shrink_to_fit();
         Ok(GradientBoosting { config, base_score, trees, n_features })
-    }
-}
-
-impl Footprint for GradientBoosting {
-    fn num_parameters(&self) -> usize {
-        self.total_nodes() + 1 // + base score
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.total_nodes() * 24 + 64
     }
 }
 

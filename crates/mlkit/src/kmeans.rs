@@ -8,7 +8,6 @@ use rand::{Rng, SeedableRng};
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::linalg::{sq_dist, Matrix};
 use crate::parallel;
-use crate::traits::Footprint;
 
 /// Hyper-parameters for [`KMeans`].
 #[derive(Debug, Clone)]
@@ -268,12 +267,6 @@ impl KMeans {
         let iterations_run = c::read_usize(r)?;
         let centroids = if c::read_bool(r)? { Some(c::read_matrix(r)?) } else { None };
         Ok(KMeans { config, centroids, inertia, iterations_run })
-    }
-}
-
-impl Footprint for KMeans {
-    fn num_parameters(&self) -> usize {
-        self.centroids.as_ref().map_or(0, |c| c.rows() * c.cols())
     }
 }
 
@@ -714,14 +707,5 @@ mod tests {
         assert!(pick_elbow(&[]).is_err());
         assert_eq!(pick_elbow(&[(4, 1.0)]).unwrap(), 4);
         assert_eq!(pick_elbow(&[(1, 5.0), (2, 4.0)]).unwrap(), 1);
-    }
-
-    #[test]
-    fn footprint_counts_centroid_coordinates() {
-        let (x, _) = blobs();
-        let mut km = KMeans::with_k(3);
-        assert_eq!(km.num_parameters(), 0);
-        km.fit(&x).unwrap();
-        assert_eq!(km.num_parameters(), 3 * 2);
     }
 }

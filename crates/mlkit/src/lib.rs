@@ -12,8 +12,8 @@
 //!
 //! Unsupervised pieces used by template learning: [`kmeans::KMeans`]
 //! (k-means++ + elbow method) and [`dbscan::dbscan`]. Evaluation lives in
-//! [`metrics`] (RMSE, MAPE, residual summaries) and model-size accounting in
-//! [`traits::Footprint`].
+//! [`metrics`] (RMSE, MAPE, residual summaries). A model's size is the number
+//! of bytes its `save_params` writes, counted by [`codec::encoded_len`].
 //!
 //! Fits that split into independent units (k-means restarts, `MultiHead`
 //! heads, forest trees) run them on up to `available_parallelism()` cores
@@ -42,4 +42,4 @@ pub mod tree;
 pub use error::{MlError, MlResult};
 pub use linalg::Matrix;
 pub use multi::MultiHead;
-pub use traits::{Footprint, Regressor};
+pub use traits::Regressor;

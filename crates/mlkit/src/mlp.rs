@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::linalg::Matrix;
 use crate::scaler::StandardScaler;
-use crate::traits::{Footprint, Regressor};
+use crate::traits::Regressor;
 
 /// Hidden-layer activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -555,12 +555,6 @@ fn apply_update(
     }
 }
 
-impl Footprint for Mlp {
-    fn num_parameters(&self) -> usize {
-        self.layers.iter().map(|l| l.w.rows() * l.w.cols() + l.b.len()).sum()
-    }
-}
-
 impl Regressor for Mlp {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> MlResult<()> {
         let n = x.rows();
@@ -785,16 +779,6 @@ mod tests {
         mlp.fit(&x, &y).unwrap();
         assert!(r2(&y, &mlp.predict(&x).unwrap()).unwrap() > 0.999);
         assert_eq!(mlp.layer_widths(), vec![2, 1]);
-    }
-
-    #[test]
-    fn footprint_matches_architecture() {
-        let (x, y) = linear_data(50);
-        let mut mlp =
-            Mlp::new(MlpConfig { hidden_layers: vec![5, 3], max_iter: 1, ..Default::default() });
-        mlp.fit(&x, &y).unwrap();
-        // (2*5 + 5) + (5*3 + 3) + (3*1 + 1) = 15 + 18 + 4 = 37.
-        assert_eq!(mlp.num_parameters(), 37);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::codec as c;
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::linalg::Matrix;
 use crate::parallel;
-use crate::traits::{Footprint, Regressor};
+use crate::traits::Regressor;
 
 /// Decoder for one persisted head payload: the caller knows the concrete
 /// model family and supplies the matching `read_params` constructor.
@@ -97,17 +97,6 @@ impl MultiHead {
             heads.push(head);
         }
         Self::new(heads)
-    }
-}
-
-impl Footprint for MultiHead {
-    fn num_parameters(&self) -> usize {
-        self.heads.iter().map(|h| h.num_parameters()).sum()
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        // Per-head structural footprints plus the count prefix.
-        self.heads.iter().map(|h| h.footprint_bytes()).sum::<usize>() + 8
     }
 }
 
@@ -302,7 +291,6 @@ mod tests {
         for (b, a) in before.iter().zip(&after) {
             assert_eq!(b.to_bits(), a.to_bits());
         }
-        assert_eq!(m.footprint_bytes(), reloaded.footprint_bytes());
     }
 
     #[test]

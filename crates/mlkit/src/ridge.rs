@@ -9,7 +9,7 @@
 
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::linalg::{dot, Matrix};
-use crate::traits::{Footprint, Regressor};
+use crate::traits::Regressor;
 
 /// Ridge regressor: minimizes `||Xw - y||² + alpha ||w||²` (intercept not
 /// penalized, as in scikit-learn).
@@ -146,17 +146,6 @@ impl Ridge {
     }
 }
 
-impl Footprint for Ridge {
-    fn num_parameters(&self) -> usize {
-        if self.fitted {
-            let per_head: usize = self.extra_heads.iter().map(|(w, _)| w.len() + 1).sum();
-            self.weights.len() + 1 + per_head
-        } else {
-            0
-        }
-    }
-}
-
 impl Regressor for Ridge {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> MlResult<()> {
         self.fit_targets(x, &[y])
@@ -281,15 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn footprint_counts_coefficients_plus_intercept() {
-        let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![2.0, 1.0, 0.0]]).unwrap();
-        let mut m = Ridge::new(1.0);
-        assert_eq!(m.num_parameters(), 0);
-        m.fit(&x, &[1.0, 2.0]).unwrap();
-        assert_eq!(m.num_parameters(), 4);
-    }
-
-    #[test]
     fn name_is_stable() {
         assert_eq!(Ridge::new(1.0).name(), "ridge");
     }
@@ -313,8 +293,6 @@ mod tests {
         assert!((out[2] - 28.0).abs() < 1e-2, "target 2: {}", out[2]);
         // Head 0 is the scalar prediction.
         assert_eq!(m.predict_row(&[4.0, 2.0]).unwrap().to_bits(), out[0].to_bits());
-        // Footprint accounts for every head.
-        assert_eq!(m.num_parameters(), 3 * 3);
     }
 
     #[test]

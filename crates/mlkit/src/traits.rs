@@ -1,35 +1,9 @@
-//! Core estimator traits: [`Regressor`] (shared fit/predict contract) and
-//! [`Footprint`] (structural model-size accounting used by the paper's
-//! "model size" comparison, Fig. 8).
+//! The core estimator trait, [`Regressor`]: the fit/predict/persist contract
+//! every learner family shares.
 
 use crate::error::{dim_mismatch, MlResult};
 use crate::linalg::Matrix;
 use crate::multi::MultiHead;
-
-/// Structural size accounting for a trained model.
-///
-/// The paper compares serialized model sizes in kilobytes; we account for the
-/// in-memory size of learned parameters instead (a deterministic equivalent
-/// that does not require a serialization dependency).
-pub trait Footprint {
-    /// Number of learned scalar parameters (weights, thresholds, leaf values,
-    /// centroid coordinates, ...).
-    fn num_parameters(&self) -> usize;
-
-    /// Estimated size of the persisted model in bytes.
-    ///
-    /// The default assumes 8 bytes per learned parameter plus a small fixed
-    /// header; structured models (trees) override this to account for their
-    /// topology (child pointers, feature ids).
-    fn footprint_bytes(&self) -> usize {
-        self.num_parameters() * 8 + 64
-    }
-
-    /// Footprint in kilobytes, the unit used in the paper's Fig. 8.
-    fn footprint_kb(&self) -> f64 {
-        self.footprint_bytes() as f64 / 1024.0
-    }
-}
 
 /// A supervised regressor mapping feature rows to a scalar target.
 ///
@@ -42,7 +16,7 @@ pub trait Footprint {
 /// threads (`&self` prediction from many threads at once). Implementations
 /// must not introduce un-synchronized interior mutability — prediction-time
 /// caches belong behind a lock or atomics.
-pub trait Regressor: Footprint + Send + Sync {
+pub trait Regressor: Send + Sync {
     /// Fits the model on `x` (one row per example) and targets `y`.
     ///
     /// # Errors
@@ -145,12 +119,6 @@ mod tests {
 
     struct Fixed(f64);
 
-    impl Footprint for Fixed {
-        fn num_parameters(&self) -> usize {
-            1
-        }
-    }
-
     impl Regressor for Fixed {
         fn fit(&mut self, _x: &Matrix, _y: &[f64]) -> MlResult<()> {
             Ok(())
@@ -168,12 +136,5 @@ mod tests {
         let m = Fixed(7.0);
         let x = Matrix::zeros(3, 2);
         assert_eq!(m.predict(&x).unwrap(), vec![7.0, 7.0, 7.0]);
-    }
-
-    #[test]
-    fn default_footprint_accounting() {
-        let m = Fixed(0.0);
-        assert_eq!(m.footprint_bytes(), 8 + 64);
-        assert!((m.footprint_kb() - 72.0 / 1024.0).abs() < 1e-12);
     }
 }

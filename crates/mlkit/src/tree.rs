@@ -4,7 +4,7 @@ use crate::binned::BinnedMatrix;
 use crate::error::{dim_mismatch, MlError, MlResult};
 use crate::grow::{Forest, GrowParams};
 use crate::linalg::Matrix;
-use crate::traits::{Footprint, Regressor};
+use crate::traits::Regressor;
 
 /// Hyper-parameters for [`DecisionTree`].
 #[derive(Debug, Clone)]
@@ -45,7 +45,7 @@ impl DecisionTree {
         DecisionTree::new(DecisionTreeConfig::default())
     }
 
-    /// Node count of the fitted tree (0 before fit); drives the footprint.
+    /// Node count of the fitted tree (0 before fit).
     pub fn n_nodes(&self) -> usize {
         self.tree.as_ref().map_or(0, Forest::n_nodes)
     }
@@ -79,19 +79,6 @@ impl DecisionTree {
             None
         };
         Ok(DecisionTree { config, tree, n_features })
-    }
-}
-
-impl Footprint for DecisionTree {
-    fn num_parameters(&self) -> usize {
-        // Each node carries (feature, threshold, children) or a value; count
-        // one scalar parameter per node plus one per split for the threshold.
-        self.n_nodes()
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        // feature(4) + threshold(8) + 2 child indices(8) ≈ 24 bytes per node.
-        self.n_nodes() * 24 + 64
     }
 }
 
@@ -245,7 +232,8 @@ mod tests {
         let mut deep = DecisionTree::new(DecisionTreeConfig { max_depth: 8, ..Default::default() });
         shallow.fit(&x, &y).unwrap();
         deep.fit(&x, &y).unwrap();
-        assert!(deep.footprint_bytes() > shallow.footprint_bytes());
+        let size = |t: &DecisionTree| crate::codec::encoded_len(|w| t.save_params(w)).unwrap();
+        assert!(size(&deep) > size(&shallow));
         assert!(shallow.n_leaves() <= 4);
     }
 

@@ -89,15 +89,16 @@ fn sum_labels_dominate_max_labels() {
     }
 }
 
-/// Fig. 8's Ridge exception: the LearnedWMP-Ridge model (k coefficients) is
-/// larger than the SingleWMP-Ridge model (plan-feature coefficients) when
-/// k exceeds the plan-feature dimension.
+/// Fig. 8's Ridge exception: the persisted LearnedWMP-Ridge model (k
+/// coefficients per head plus its k template centroids over the plan
+/// features) is larger than the SingleWMP-Ridge model (plan-feature
+/// coefficients per head).
 #[test]
 fn ridge_size_exception_holds() {
     let log = learnedwmp::workloads::tpcc::generate(1_200, 3).expect("log");
     let ctx = EvalContext::new(
         &log,
-        EvalConfig { k_templates: 40, ..Default::default() }, // 40 > 20 plan features
+        EvalConfig { k_templates: 40, ..Default::default() }, // 40 × 20 centroid coordinates
     );
     let (_, learned) = ctx.evaluate_learned(ModelKind::Ridge).expect("learned");
     let single = ctx.evaluate_single(ModelKind::Ridge).expect("single");

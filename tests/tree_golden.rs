@@ -156,6 +156,9 @@ fn xgb_fixture_loads_and_predicts_its_recorded_bits() {
     let mut resaved = Vec::new();
     model.save_to_writer(&mut resaved).expect("save");
     assert!(resaved == bytes, "re-saving the fixture must reproduce its bytes");
+    // Model size is the persisted bytes, template learner included.
+    assert_eq!(model.footprint_bytes(), 37_379);
+    assert_eq!(model.footprint_bytes(), bytes.len());
 }
 
 const GOLDEN_TREE_MODELS: [&str; 12] = [
