@@ -77,11 +77,20 @@ impl<'a> Planner<'a> {
 
         // Join enumeration.
         while fragments.len() > 1 {
-            let (i, j, joined) = self.pick_next_join(spec, &fragments)?;
-            // Remove the higher index first so the lower stays valid.
-            let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-            fragments.remove(hi);
-            fragments.remove(lo);
+            let (i, j, edge) = self.pick_next_join(spec, &fragments)?;
+            // Take both inputs out by value, the higher index first so the
+            // lower stays valid, and build the join from the owned nodes.
+            let (left, right) = if i > j {
+                let left = fragments.remove(i);
+                (left, fragments.remove(j))
+            } else {
+                let right = fragments.remove(j);
+                (fragments.remove(i), right)
+            };
+            let joined = match edge {
+                Some((ei, cards)) => self.build_join(spec, left, right, ei, cards)?,
+                None => cross_join(left, right),
+            };
             fragments.push(joined);
         }
         let mut current = fragments.pop().expect("one fragment remains");
@@ -222,12 +231,10 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Chooses the next pair of fragments to join and builds the join node.
-    fn pick_next_join(
-        &self,
-        spec: &QuerySpec,
-        fragments: &[Fragment],
-    ) -> PlanResult<(usize, usize, Fragment)> {
+    /// Chooses the next pair of fragments to join: their indices and, when an
+    /// edge connects them, that edge and the joined cardinalities. With no
+    /// connecting edge it picks the two smallest fragments to cross join.
+    fn pick_next_join(&self, spec: &QuerySpec, fragments: &[Fragment]) -> PlanResult<NextJoin> {
         // All candidate (i, j, edge) combinations where an edge connects i and j.
         let mut best: Option<(Cards, usize, usize, usize)> = None; // (joined, i, j, edge_idx)
         for (ei, edge) in spec.joins.iter().enumerate() {
@@ -264,50 +271,31 @@ impl<'a> Planner<'a> {
         }
 
         if let Some((joined, li, ri, ei)) = best {
-            let frag = self.build_join(spec, &fragments[li], &fragments[ri], ei, joined)?;
-            Ok((li, ri, frag))
-        } else {
-            // No connecting edge: cross join the two smallest fragments.
-            let mut order: Vec<usize> = (0..fragments.len()).collect();
-            order.sort_by(|&a, &b| {
-                fragments[a]
-                    .cards
-                    .est
-                    .partial_cmp(&fragments[b].cards.est)
-                    .expect("finite cardinalities")
-            });
-            let (i, j) = (order[0], order[1]);
-            let (a, b) = (&fragments[i], &fragments[j]);
-            let cards = Cards {
-                est: (a.cards.est * b.cards.est).max(1.0),
-                truth: (a.cards.truth * b.cards.truth).max(1.0),
-            };
-            let width = a.node.row_width + b.node.row_width;
-            let node = PlanNode {
-                op: Operator::NestedLoopJoin,
-                children: vec![a.node.clone(), b.node.clone()],
-                est_rows: cards.est,
-                true_rows: cards.truth,
-                row_width: width,
-            };
-            let mut aliases = a.aliases.clone();
-            aliases.extend(b.aliases.iter().cloned());
-            Ok((i, j, Fragment { node, aliases, cards, sorted_on: None }))
+            return Ok((li, ri, Some((ei, joined))));
         }
+        let mut order: Vec<usize> = (0..fragments.len()).collect();
+        order.sort_by(|&a, &b| {
+            fragments[a]
+                .cards
+                .est
+                .partial_cmp(&fragments[b].cards.est)
+                .expect("finite cardinalities")
+        });
+        Ok((order[0], order[1], None))
     }
 
     /// Join-method selection for a chosen pair.
     fn build_join(
         &self,
         spec: &QuerySpec,
-        left: &Fragment,
-        right: &Fragment,
+        left: Fragment,
+        right: Fragment,
         edge_idx: usize,
         cards: Cards,
     ) -> PlanResult<Fragment> {
         let edge = &spec.joins[edge_idx];
         // Orient: `outer` holds the edge's left alias.
-        let (outer, inner, inner_alias, inner_col, outer_key, inner_key) =
+        let (mut outer, mut inner, inner_alias, inner_col, outer_key, inner_key) =
             if left.aliases.contains(&edge.left_alias) {
                 (
                     left,
@@ -330,52 +318,33 @@ impl<'a> Planner<'a> {
         let inner_table = spec
             .table_of_alias(inner_alias)
             .ok_or_else(|| PlanError::UnknownAlias(inner_alias.to_string()))?;
-        let width = outer.node.row_width + inner.node.row_width;
-        let mut aliases = outer.aliases.clone();
-        aliases.extend(inner.aliases.iter().cloned());
-
-        // Index nested-loop: small outer, indexed single-table inner.
+        let mut aliases = std::mem::take(&mut outer.aliases);
         let inner_is_base = inner.aliases.len() == 1
             && matches!(inner.node.op.kind(), OpKind::TableScan | OpKind::IndexScan);
+        aliases.append(&mut inner.aliases);
+
+        // Index nested-loop: small outer, indexed single-table inner.
         if inner_is_base
             && self.catalog.has_index(inner_table, inner_col)
             && outer.cards.est <= self.config.nl_outer_max_rows
         {
-            let node = PlanNode {
-                op: Operator::NestedLoopJoin,
-                children: vec![outer.node.clone(), inner.node.clone()],
-                est_rows: cards.est,
-                true_rows: cards.truth,
-                row_width: width,
-            };
-            return Ok(Fragment { node, aliases, cards, sorted_on: outer.sorted_on.clone() });
+            let node = join_node(Operator::NestedLoopJoin, outer.node, inner.node, cards);
+            return Ok(Fragment { node, aliases, cards, sorted_on: outer.sorted_on });
         }
 
         // Merge join: both inputs already ordered on the join keys.
         if outer.sorted_on.as_ref() == Some(&outer_key)
             && inner.sorted_on.as_ref() == Some(&inner_key)
         {
-            let node = PlanNode {
-                op: Operator::MergeJoin,
-                children: vec![outer.node.clone(), inner.node.clone()],
-                est_rows: cards.est,
-                true_rows: cards.truth,
-                row_width: width,
-            };
+            let node = join_node(Operator::MergeJoin, outer.node, inner.node, cards);
             return Ok(Fragment { node, aliases, cards, sorted_on: Some(outer_key) });
         }
 
         // Hash join: build on the smaller estimated input (children[1] = build).
         let (probe, build) =
             if outer.cards.est >= inner.cards.est { (outer, inner) } else { (inner, outer) };
-        let node = PlanNode {
-            op: Operator::HashJoin,
-            children: vec![probe.node.clone(), build.node.clone()],
-            est_rows: cards.est,
-            true_rows: cards.truth,
-            row_width: width,
-        };
-        Ok(Fragment { node, aliases, cards, sorted_on: probe.sorted_on.clone() })
+        let node = join_node(Operator::HashJoin, probe.node, build.node, cards);
+        Ok(Fragment { node, aliases, cards, sorted_on: probe.sorted_on })
     }
 
     /// GROUP BY: hash vs. stream aggregation.
@@ -411,6 +380,33 @@ impl<'a> Planner<'a> {
         };
         let node = PlanNode::unary(op, input.node, groups.est, groups.truth, width);
         Ok(Fragment { node, aliases: input.aliases, cards: groups, sorted_on: None })
+    }
+}
+
+/// [`Planner::pick_next_join`]'s choice: two fragment indices and, when an
+/// edge connects them, the edge's index and the joined cardinalities.
+type NextJoin = (usize, usize, Option<(usize, Cards)>);
+
+/// Cross joins two fragments that no edge connects, `a` as the outer input.
+fn cross_join(mut a: Fragment, mut b: Fragment) -> Fragment {
+    let cards = Cards {
+        est: (a.cards.est * b.cards.est).max(1.0),
+        truth: (a.cards.truth * b.cards.truth).max(1.0),
+    };
+    a.aliases.append(&mut b.aliases);
+    let node = join_node(Operator::NestedLoopJoin, a.node, b.node, cards);
+    Fragment { node, aliases: a.aliases, cards, sorted_on: None }
+}
+
+/// A join node over two owned inputs, as wide as both.
+fn join_node(op: Operator, first: PlanNode, second: PlanNode, cards: Cards) -> PlanNode {
+    let row_width = first.row_width + second.row_width;
+    PlanNode {
+        op,
+        children: vec![first, second],
+        est_rows: cards.est,
+        true_rows: cards.truth,
+        row_width,
     }
 }
 

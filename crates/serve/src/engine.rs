@@ -31,7 +31,7 @@
 //! [`Engine::stats`] asserts the invariant in debug builds, and a
 //! concurrent stress test checks it from racing threads.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -139,6 +139,15 @@ impl Pending {
 struct Retrainer {
     tx: Option<mpsc::SyncSender<QueryRecord>>,
     join: Option<JoinHandle<()>>,
+    /// Set by the first observation that finds the thread stopped, so
+    /// `retrainer_stopped` is emitted once.
+    stopped: AtomicBool,
+}
+
+impl Retrainer {
+    fn new(tx: mpsc::SyncSender<QueryRecord>, join: Option<JoinHandle<()>>) -> Self {
+        Retrainer { tx: Some(tx), join, stopped: AtomicBool::new(false) }
+    }
 }
 
 impl Drop for Retrainer {
@@ -146,8 +155,18 @@ impl Drop for Retrainer {
         // Closing the channel ends the background loop; join so no
         // retraining outlives the engine.
         self.tx.take();
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
+        if let Some(Err(payload)) = self.join.take().map(JoinHandle::join) {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            wmp_obs::event!(
+                Level::Error,
+                target: "wmp_serve::engine",
+                "retrainer_panicked",
+                error = message,
+            );
         }
     }
 }
@@ -275,7 +294,7 @@ impl Engine {
                 }
             }
         });
-        self.retrainer = Some(Retrainer { tx: Some(tx), join: Some(join) });
+        self.retrainer = Some(Retrainer::new(tx, Some(join)));
         self
     }
 
@@ -429,29 +448,51 @@ impl Engine {
     /// telemetry monitors (prediction quality, template drift) and streams
     /// it to the background retrainer. Returns `true` when the retrainer
     /// received the record. Returns `false` when no retrainer is attached,
-    /// and also when the record is dropped because the retrainer's bounded
-    /// queue is full or its thread has stopped; a dropped record counts
-    /// toward `wmp_observations_dropped_total`. Either way the query is
-    /// counted and monitored, so monitoring works on engines that retrain
-    /// by explicit [`Engine::reload`]/[`Engine::install`] instead.
+    /// and also when the record does not reach it:
+    /// - the retrainer's bounded queue is full (backpressure): the record
+    ///   counts toward `wmp_observations_dropped_total`;
+    /// - the retrainer's thread has stopped (it panicked): the record counts
+    ///   toward `wmp_observations_undelivered_total`, and the first such
+    ///   record emits one `retrainer_stopped` warn event.
     ///
-    /// With a retrainer attached, every observed query is either received
-    /// or dropped: `wmp_queries_observed_total` equals the `true` returns
-    /// plus `wmp_observations_dropped_total`.
+    /// Either way the query is counted and monitored, so monitoring works on
+    /// engines that retrain by explicit [`Engine::reload`]/[`Engine::install`]
+    /// instead.
+    ///
+    /// With a retrainer attached, `wmp_queries_observed_total` equals the
+    /// `true` returns plus `wmp_observations_dropped_total` plus
+    /// `wmp_observations_undelivered_total`.
     pub fn observe(&self, record: QueryRecord) -> bool {
         // Account before forwarding. The quality buffer keeps the record, so
         // it is cloned only when a retrainer channel takes the original.
         self.obs.observed.inc();
-        let Some(tx) = self.retrainer.as_ref().and_then(|r| r.tx.as_ref()) else {
+        let Some((retrainer, tx)) =
+            self.retrainer.as_ref().and_then(|r| r.tx.as_ref().map(|tx| (r, tx)))
+        else {
             self.obs.account_observation(self.handle.snapshot().model(), record);
             return false;
         };
         self.obs.account_observation(self.handle.snapshot().model(), record.clone());
-        let forwarded = tx.try_send(record).is_ok();
-        if !forwarded {
-            self.obs.observations_dropped.inc();
+        match tx.try_send(record) {
+            Ok(()) => true,
+            Err(mpsc::TrySendError::Full(_)) => {
+                self.obs.observations_dropped.inc();
+                false
+            }
+            Err(mpsc::TrySendError::Disconnected(_)) => {
+                self.obs.observations_undelivered.inc();
+                // ordering: Relaxed — the flag only dedupes the event.
+                if !retrainer.stopped.swap(true, Ordering::Relaxed) {
+                    wmp_obs::event!(
+                        Level::Warn,
+                        target: "wmp_serve::engine",
+                        "retrainer_stopped",
+                        observed = self.obs.observed.get(),
+                    );
+                }
+                false
+            }
         }
-        forwarded
     }
 
     /// Loads a persisted model artifact (see [`LearnedWmp::load_from`]) and
@@ -564,7 +605,7 @@ mod tests {
         let mut engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
         // A retrainer that never consumes: the queue fills and stays full.
         let (tx, rx) = mpsc::sync_channel(RETRAIN_QUEUE_CAPACITY);
-        engine.retrainer = Some(Retrainer { tx: Some(tx), join: None });
+        engine.retrainer = Some(Retrainer::new(tx, None));
 
         let extra = 5;
         let mut forwarded = 0;
@@ -576,10 +617,68 @@ mod tests {
         assert_eq!(dropped, extra as u64);
         assert_eq!(engine.stats().observed, forwarded + dropped);
 
-        // A stopped retrainer drops too.
+        // A stopped retrainer is not backpressure: its record is
+        // undelivered, not dropped.
         drop(rx);
         assert!(!engine.observe(log.records[0].clone()));
-        assert_eq!(engine.obs.observations_dropped.get(), dropped + 1);
+        assert_eq!(engine.obs.observations_dropped.get(), dropped);
+        assert_eq!(engine.obs.observations_undelivered.get(), 1);
         assert_eq!(engine.stats().observed, forwarded + dropped + 1);
+    }
+
+    #[test]
+    fn a_panicked_retrainer_is_counted_apart_and_reported() {
+        const PANIC: &str = "retrainer panics on its first record";
+        // Warn and above only, so sibling tests' spans cannot evict the
+        // events this test reads.
+        let recorder =
+            Arc::new(wmp_obs::RingBufferRecorder::with_capacity(1024).min_level(Level::Warn));
+        wmp_obs::set_subscriber(recorder.clone());
+        let log = wmp_workloads::tpcc::generate(20, 16).unwrap();
+        let model = LearnedWmp::builder()
+            .model(ModelKind::Ridge)
+            .templates(TemplateSpec::PlanKMeans { k: 2, seed: 16 })
+            .fit(&log)
+            .unwrap();
+        let mut engine = Engine::new(PredictorHandle::new(model), WindowPolicy::Count(10));
+        let (tx, rx) = mpsc::sync_channel::<QueryRecord>(RETRAIN_QUEUE_CAPACITY);
+        // Closed once the thread has dropped its receiver.
+        let (closed_tx, closed_rx) = mpsc::channel::<()>();
+        let join = std::thread::spawn(move || {
+            let first = rx.recv();
+            drop(rx);
+            drop(closed_tx);
+            if first.is_ok() {
+                panic!("{PANIC}");
+            }
+        });
+        engine.retrainer = Some(Retrainer::new(tx, Some(join)));
+
+        assert!(engine.observe(log.records[0].clone()), "the live thread receives");
+        assert_eq!(
+            closed_rx.recv_timeout(std::time::Duration::from_secs(10)),
+            Err(mpsc::RecvTimeoutError::Disconnected),
+            "the retrainer thread never stopped"
+        );
+        for r in &log.records[1..3] {
+            assert!(!engine.observe(r.clone()));
+        }
+        assert_eq!(engine.obs.observations_dropped.get(), 0, "a dead thread is not backpressure");
+        assert_eq!(engine.obs.observations_undelivered.get(), 2);
+        assert_eq!(engine.stats().observed, 3);
+        drop(engine);
+        wmp_obs::clear_subscriber();
+
+        let events = recorder.events();
+        let named = |name: &str| events.iter().filter(|e| e.name == name).count();
+        // Other tests in this binary may stop a retrainer concurrently, so
+        // at least one stop, and exactly one panic carrying this message.
+        assert!(named("retrainer_stopped") >= 1);
+        let panics = events
+            .iter()
+            .filter(|e| e.name == "retrainer_panicked")
+            .filter(|e| e.field("error").and_then(|v| v.as_str()) == Some(PANIC))
+            .count();
+        assert_eq!(panics, 1, "drop reports the thread's panic payload");
     }
 }

@@ -101,6 +101,7 @@ pub(crate) struct EngineObs {
     pub(crate) swaps: Arc<Counter>,
     pub(crate) observed: Arc<Counter>,
     pub(crate) observations_dropped: Arc<Counter>,
+    pub(crate) observations_undelivered: Arc<Counter>,
     pub(crate) retrains: Arc<Counter>,
     pub(crate) retrain_failures: Arc<Counter>,
     pub(crate) sql_parse_ok: Arc<Counter>,
@@ -148,7 +149,12 @@ impl EngineObs {
             ),
             observations_dropped: r.counter(
                 "wmp_observations_dropped_total",
-                "Observed queries the retrainer never received (its queue was full or it had stopped)",
+                "Observed queries dropped because the retrainer's queue was full",
+                &[],
+            ),
+            observations_undelivered: r.counter(
+                "wmp_observations_undelivered_total",
+                "Observed queries the retrainer never received because its thread had stopped",
                 &[],
             ),
             retrains: r.counter(

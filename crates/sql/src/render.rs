@@ -120,9 +120,12 @@ fn push_sep(out: &mut String, first: &mut bool, head: &str, sep: &str) {
 /// dialect's spelling — the three properties the round-trip property test
 /// ([`crate::parse_to_spec`] ∘ `render_sql_dialect` ≡ identity modulo
 /// selectivities) relies on. Every part is written straight into the one
-/// output string.
+/// output string, allocated once at an upper bound on its length computed
+/// from the spec.
 pub fn render_sql_dialect(q: &QuerySpec, dialect: &dyn Dialect) -> String {
-    let mut s = String::with_capacity(256);
+    let limit = q.limit.map(|n| dialect.render_limit(n));
+    let bound = rendered_len_bound(q, dialect, limit.as_deref().unwrap_or(""));
+    let mut s = String::with_capacity(bound);
     s.push_str("SELECT ");
     if q.distinct {
         s.push_str("DISTINCT ");
@@ -200,10 +203,49 @@ pub fn render_sql_dialect(q: &QuerySpec, dialect: &dyn Dialect) -> String {
             push_qualified(&mut s, alias, col, dialect);
         }
     }
-    if let Some(n) = q.limit {
-        s.push_str(&dialect.render_limit(n));
+    if let Some(limit) = &limit {
+        s.push_str(limit);
     }
+    debug_assert!(s.len() <= bound, "rendered {} bytes past the bound {bound}", s.len());
     s
+}
+
+/// An upper bound on the bytes [`render_sql_dialect`] writes for `q`: its
+/// keywords, separators, literals and `limit` clause at their exact length,
+/// and every identifier as if quoted, with each embedded quote doubled.
+fn rendered_len_bound(q: &QuerySpec, dialect: &dyn Dialect, limit: &str) -> usize {
+    let quote = dialect.ident_quote();
+    let ident = |i: &str| i.len() + (2 + i.matches(quote).count()) * quote.len_utf8();
+    let qualified = |alias: &str, column: &str| ident(alias) + 1 + ident(column);
+    // "SELECT DISTINCT ", " FROM ", and "alias.*" when nothing is selected.
+    let mut n = 16 + 6 + q.tables.first().map_or(1, |t| ident(&t.alias) + 2);
+    // ", " before each list item, " WHERE " or " AND " before each conjunct.
+    n += 2 * (q.group_by.len() + q.aggregates.len() + q.tables.len());
+    n += 7 * (q.joins.len() + q.predicates.len());
+    n += q.group_by.iter().map(|(a, c)| qualified(a, c)).sum::<usize>();
+    n += q
+        .aggregates
+        .iter()
+        .map(|agg| agg.func.sql().len() + 2 + qualified(&agg.table_alias, &agg.column))
+        .sum::<usize>();
+    n += q.tables.iter().map(|t| ident(&t.table) + 4 + ident(&t.alias)).sum::<usize>();
+    n += q
+        .joins
+        .iter()
+        .map(|j| {
+            qualified(&j.left_alias, &j.left_col) + 3 + qualified(&j.right_alias, &j.right_col)
+        })
+        .sum::<usize>();
+    // " BETWEEN " is the longest operator spelling: 9 bytes.
+    n += q
+        .predicates
+        .iter()
+        .map(|p| qualified(&p.table_alias, &p.column) + 9 + p.literal.len())
+        .sum::<usize>();
+    for (clause, cols) in [(" GROUP BY ", &q.group_by), (" ORDER BY ", &q.order_by)] {
+        n += clause.len() + cols.iter().map(|(a, c)| 2 + qualified(a, c)).sum::<usize>();
+    }
+    n + limit.len()
 }
 
 #[cfg(test)]
