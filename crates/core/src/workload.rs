@@ -110,7 +110,7 @@ pub fn batch_workloads_variable(
 mod tests {
     use super::*;
     use wmp_plan::features::N_PLAN_FEATURES;
-    use wmp_plan::query::{QuerySpec, TableRef};
+    use wmp_plan::query::{QueryShape, QuerySpec, TableRef};
 
     fn record(id: u64, mem: f64) -> QueryRecord {
         // Each resource axis scales differently so componentwise aggregation
@@ -118,7 +118,10 @@ mod tests {
         let resources = ResourceVector::new(mem, mem * 3.0, mem * 10.0);
         QueryRecord {
             id,
-            spec: QuerySpec { id, tables: vec![TableRef::plain("t")], ..QuerySpec::default() },
+            spec: QuerySpec::new(
+                id,
+                QueryShape { tables: vec![TableRef::plain("t")], ..QueryShape::default() },
+            ),
             features: vec![0.0; N_PLAN_FEATURES],
             resources,
             dbms_estimate: resources.scale(1.1),

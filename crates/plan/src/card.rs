@@ -111,7 +111,7 @@ pub fn join_cards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{CmpOp, Predicate, TableRef};
+    use crate::query::{CmpOp, Predicate, QueryShape, TableRef};
     use crate::schema::{Column, ColumnType, Table};
 
     fn catalog() -> Catalog {
@@ -146,11 +146,14 @@ mod tests {
     }
 
     fn spec_with(preds: Vec<Predicate>) -> QuerySpec {
-        QuerySpec {
-            tables: vec![TableRef::new("orders", "o"), TableRef::new("customer", "c")],
-            predicates: preds,
-            ..QuerySpec::default()
-        }
+        QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("orders", "o"), TableRef::new("customer", "c")],
+                predicates: preds,
+                ..QueryShape::default()
+            },
+        )
     }
 
     #[test]

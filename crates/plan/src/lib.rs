@@ -38,5 +38,5 @@ pub use cost::{CardSource, CostModel, PlanCost};
 pub use error::{PlanError, PlanResult};
 pub use plan::{OpKind, Operator, PlanNode, ALL_OP_KINDS};
 pub use planner::{Planner, PlannerConfig};
-pub use query::{Name, QuerySpec};
+pub use query::{Name, QueryShape, QuerySpec};
 pub use resource::{ResourceKind, ResourceVector, N_RESOURCES};

@@ -413,7 +413,7 @@ fn join_node(op: Operator, first: PlanNode, second: PlanNode, cards: Cards) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{AggFunc, Aggregate, JoinEdge, Predicate};
+    use crate::query::{AggFunc, Aggregate, JoinEdge, Predicate, QueryShape};
     use crate::schema::{Column, ColumnType, Table};
 
     fn catalog() -> Catalog {
@@ -453,26 +453,28 @@ mod tests {
     }
 
     fn star_query() -> QuerySpec {
-        QuerySpec {
-            id: 1,
-            tables: vec![TableRef::new("fact", "f"), TableRef::new("dim", "d")],
-            joins: vec![JoinEdge {
-                left_alias: "f".into(),
-                left_col: "f_dim".into(),
-                right_alias: "d".into(),
-                right_col: "d_id".into(),
-            }],
-            predicates: vec![eq_pred("d", "d_attr", 0.01)],
-            group_by: vec![("f".into(), "f_cat".into())],
-            aggregates: vec![Aggregate {
-                func: AggFunc::Sum,
-                table_alias: "f".into(),
-                column: "f_val".into(),
-            }],
-            order_by: vec![("f".into(), "f_cat".into())],
-            distinct: false,
-            limit: Some(100),
-        }
+        QuerySpec::new(
+            1,
+            QueryShape {
+                tables: vec![TableRef::new("fact", "f"), TableRef::new("dim", "d")],
+                joins: vec![JoinEdge {
+                    left_alias: "f".into(),
+                    left_col: "f_dim".into(),
+                    right_alias: "d".into(),
+                    right_col: "d_id".into(),
+                }],
+                predicates: vec![eq_pred("d", "d_attr", 0.01)],
+                group_by: vec![("f".into(), "f_cat".into())],
+                aggregates: vec![Aggregate {
+                    func: AggFunc::Sum,
+                    table_alias: "f".into(),
+                    column: "f_val".into(),
+                }],
+                order_by: vec![("f".into(), "f_cat".into())],
+                distinct: false,
+                limit: Some(100),
+            },
+        )
     }
 
     #[test]
@@ -501,11 +503,14 @@ mod tests {
     fn index_scan_chosen_for_selective_indexed_predicate() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d")],
-            predicates: vec![eq_pred("d", "d_id", 1.0 / 10_000.0)],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d")],
+                predicates: vec![eq_pred("d", "d_id", 1.0 / 10_000.0)],
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.op.kind(), OpKind::IndexScan);
         assert!((plan.est_rows - 1.0).abs() < 1.0);
@@ -515,11 +520,14 @@ mod tests {
     fn table_scan_for_unselective_predicate() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d")],
-            predicates: vec![eq_pred("d", "d_attr", 0.5)],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d")],
+                predicates: vec![eq_pred("d", "d_attr", 0.5)],
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.op.kind(), OpKind::TableScan);
     }
@@ -528,18 +536,20 @@ mod tests {
     fn nested_loop_join_for_tiny_outer_with_indexed_inner() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d"), TableRef::new("fact", "f")],
-            joins: vec![JoinEdge {
-                left_alias: "d".into(),
-                left_col: "d_id".into(),
-                right_alias: "f".into(),
-                right_col: "f_id".into(),
-            }],
-            // Tiny outer: a single dim row.
-            predicates: vec![eq_pred("d", "d_id", 1.0 / 10_000.0)],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d"), TableRef::new("fact", "f")],
+                joins: vec![JoinEdge {
+                    left_alias: "d".into(),
+                    left_col: "d_id".into(),
+                    right_alias: "f".into(),
+                    right_col: "f_id".into(),
+                }], // Tiny outer: a single dim row.
+                predicates: vec![eq_pred("d", "d_id", 1.0 / 10_000.0)],
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.op.kind(), OpKind::NestedLoopJoin);
     }
@@ -548,15 +558,18 @@ mod tests {
     fn scalar_aggregate_becomes_stream_aggregate() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("fact", "f")],
-            aggregates: vec![Aggregate {
-                func: AggFunc::Min,
-                table_alias: "f".into(),
-                column: "f_val".into(),
-            }],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("fact", "f")],
+                aggregates: vec![Aggregate {
+                    func: AggFunc::Min,
+                    table_alias: "f".into(),
+                    column: "f_val".into(),
+                }],
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.op.kind(), OpKind::StreamAggregate);
         assert_eq!(plan.est_rows, 1.0);
@@ -566,12 +579,15 @@ mod tests {
     fn sort_elided_when_input_already_ordered() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d")],
-            predicates: vec![eq_pred("d", "d_id", 0.0001)],
-            order_by: vec![("d".into(), "d_id".into())],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d")],
+                predicates: vec![eq_pred("d", "d_id", 0.0001)],
+                order_by: vec![("d".into(), "d_id".into())],
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.count_kind(OpKind::Sort), 0, "index scan already orders by d_id");
     }
@@ -580,12 +596,15 @@ mod tests {
     fn sort_added_when_order_differs() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d")],
-            predicates: vec![eq_pred("d", "d_id", 0.0001)],
-            order_by: vec![("d".into(), "d_attr".into())],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d")],
+                predicates: vec![eq_pred("d", "d_id", 0.0001)],
+                order_by: vec![("d".into(), "d_attr".into())],
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.count_kind(OpKind::Sort), 1);
     }
@@ -594,11 +613,14 @@ mod tests {
     fn distinct_adds_hash_distinct() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d")],
-            distinct: true,
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d")],
+                distinct: true,
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.op.kind(), OpKind::HashDistinct);
         assert!(plan.est_rows <= 10_000.0 * 0.5 + 1.0);
@@ -608,11 +630,14 @@ mod tests {
     fn limit_caps_cardinalities() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("fact", "f")],
-            limit: Some(10),
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("fact", "f")],
+                limit: Some(10),
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.op.kind(), OpKind::Limit);
         assert_eq!(plan.est_rows, 10.0);
@@ -623,10 +648,13 @@ mod tests {
     fn cross_join_fallback_without_edges() {
         let cat = catalog();
         let planner = Planner::new(&cat);
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d"), TableRef::new("fact", "f")],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d"), TableRef::new("fact", "f")],
+                ..QueryShape::default()
+            },
+        );
         let plan = planner.plan(&spec).unwrap();
         assert_eq!(plan.op.kind(), OpKind::NestedLoopJoin);
         assert!((plan.est_rows - 10_000.0 * 1_000_000.0).abs() < 1.0);
@@ -637,19 +665,28 @@ mod tests {
         let cat = catalog();
         let planner = Planner::new(&cat);
         assert_eq!(planner.plan(&QuerySpec::default()), Err(PlanError::NoTables));
-        let spec = QuerySpec { tables: vec![TableRef::new("nope", "n")], ..QuerySpec::default() };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape { tables: vec![TableRef::new("nope", "n")], ..QueryShape::default() },
+        );
         assert!(matches!(planner.plan(&spec), Err(PlanError::UnknownTable(_))));
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d")],
-            predicates: vec![eq_pred("d", "nope", 0.5)],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d")],
+                predicates: vec![eq_pred("d", "nope", 0.5)],
+                ..QueryShape::default()
+            },
+        );
         assert!(matches!(planner.plan(&spec), Err(PlanError::UnknownColumn { .. })));
-        let spec = QuerySpec {
-            tables: vec![TableRef::new("dim", "d")],
-            group_by: vec![("zz".into(), "d_attr".into())],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::new("dim", "d")],
+                group_by: vec![("zz".into(), "d_attr".into())],
+                ..QueryShape::default()
+            },
+        );
         assert!(matches!(planner.plan(&spec), Err(PlanError::UnknownAlias(_))));
     }
 
@@ -657,29 +694,32 @@ mod tests {
     fn greedy_ordering_can_differ_from_from_order() {
         // Three-table chain where greedy starts from the filtered dim table.
         let cat = catalog();
-        let spec = QuerySpec {
-            tables: vec![
-                TableRef::new("fact", "f1"),
-                TableRef::new("fact", "f2"),
-                TableRef::new("dim", "d"),
-            ],
-            joins: vec![
-                JoinEdge {
-                    left_alias: "f1".into(),
-                    left_col: "f_id".into(),
-                    right_alias: "f2".into(),
-                    right_col: "f_id".into(),
-                },
-                JoinEdge {
-                    left_alias: "f2".into(),
-                    left_col: "f_dim".into(),
-                    right_alias: "d".into(),
-                    right_col: "d_id".into(),
-                },
-            ],
-            predicates: vec![eq_pred("d", "d_attr", 0.01)],
-            ..QuerySpec::default()
-        };
+        let spec = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![
+                    TableRef::new("fact", "f1"),
+                    TableRef::new("fact", "f2"),
+                    TableRef::new("dim", "d"),
+                ],
+                joins: vec![
+                    JoinEdge {
+                        left_alias: "f1".into(),
+                        left_col: "f_id".into(),
+                        right_alias: "f2".into(),
+                        right_col: "f_id".into(),
+                    },
+                    JoinEdge {
+                        left_alias: "f2".into(),
+                        left_col: "f_dim".into(),
+                        right_alias: "d".into(),
+                        right_col: "d_id".into(),
+                    },
+                ],
+                predicates: vec![eq_pred("d", "d_attr", 0.01)],
+                ..QueryShape::default()
+            },
+        );
         let greedy = Planner::new(&cat).plan(&spec).unwrap();
         let fixed = Planner::with_config(
             &cat,

@@ -4,9 +4,12 @@
 //! selectivity drawn by the workload generator from the data model.
 //!
 //! Every identifier and literal is a [`Name`]: a shared, immutable string.
-//! Cloning a spec (or a record that holds one) copies its `Vec`s and bumps
-//! reference counts; it never copies string bytes.
+//! A spec's structure is a [`QueryShape`] held behind one `Arc`, so cloning
+//! a spec (or a record that holds one) bumps one reference count and copies
+//! nothing else.
 
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A shared, immutable identifier or literal: a table, alias, column or
@@ -149,14 +152,11 @@ pub struct Aggregate {
     pub column: Name,
 }
 
-/// A full logical query.
-///
-/// Cloning a spec shares its [`Name`]s: a clone allocates one buffer per
-/// non-empty `Vec` and nothing per identifier or literal.
+/// The structure of a logical query: what [`QuerySpec`] shares between
+/// its clones. Producers build a shape and wrap it once with
+/// [`QuerySpec::new`].
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct QuerySpec {
-    /// Stable query id within its workload corpus.
-    pub id: u64,
+pub struct QueryShape {
     /// Referenced tables.
     pub tables: Vec<TableRef>,
     /// Equi-join edges.
@@ -175,7 +175,7 @@ pub struct QuerySpec {
     pub limit: Option<u64>,
 }
 
-impl QuerySpec {
+impl QueryShape {
     /// Predicates filtering a specific alias.
     pub fn predicates_for(&self, alias: &str) -> Vec<&Predicate> {
         self.predicates.iter().filter(|p| *p.table_alias == *alias).collect()
@@ -195,38 +195,94 @@ impl QuerySpec {
     }
 }
 
+/// A full logical query: an id and a shared [`QueryShape`], read through
+/// `Deref` (`spec.tables`, `spec.predicates_for(..)`).
+///
+/// Cloning or dropping a spec costs one reference count: clones share the
+/// shape. An edit goes through [`QuerySpec::shape_mut`], which copies the
+/// shape first when another clone shares it.
+#[derive(Clone, PartialEq, Default)]
+pub struct QuerySpec {
+    /// Stable query id within its workload corpus.
+    pub id: u64,
+    shape: Arc<QueryShape>,
+}
+
+impl QuerySpec {
+    /// Wraps `shape` as the query numbered `id`.
+    pub fn new(id: u64, shape: QueryShape) -> Self {
+        QuerySpec { id, shape: Arc::new(shape) }
+    }
+
+    /// The shape for editing, copied first when another clone shares it
+    /// (copy on write), so no other spec sees the edit.
+    pub fn shape_mut(&mut self) -> &mut QueryShape {
+        Arc::make_mut(&mut self.shape)
+    }
+}
+
+impl Deref for QuerySpec {
+    type Target = QueryShape;
+
+    fn deref(&self) -> &QueryShape {
+        &self.shape
+    }
+}
+
+/// Prints the spec flat, as if the shape's fields were its own:
+/// `QuerySpec { id: .., tables: .., .. }`. The SQL golden digests hash
+/// this form, so it must not show the `Arc`.
+impl fmt::Debug for QuerySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = &*self.shape;
+        f.debug_struct("QuerySpec")
+            .field("id", &self.id)
+            .field("tables", &s.tables)
+            .field("joins", &s.joins)
+            .field("predicates", &s.predicates)
+            .field("group_by", &s.group_by)
+            .field("aggregates", &s.aggregates)
+            .field("order_by", &s.order_by)
+            .field("distinct", &s.distinct)
+            .field("limit", &s.limit)
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn spec() -> QuerySpec {
-        QuerySpec {
-            id: 1,
-            tables: vec![TableRef::new("orders", "o"), TableRef::new("customer", "c")],
-            joins: vec![JoinEdge {
-                left_alias: "o".into(),
-                left_col: "o_cust".into(),
-                right_alias: "c".into(),
-                right_col: "c_id".into(),
-            }],
-            predicates: vec![Predicate {
-                table_alias: "c".into(),
-                column: "c_nation".into(),
-                op: CmpOp::Eq,
-                literal: "'CA'".into(),
-                sel_est: 0.04,
-                sel_true: 0.08,
-            }],
-            group_by: vec![("c".into(), "c_nation".into())],
-            aggregates: vec![Aggregate {
-                func: AggFunc::Sum,
-                table_alias: "o".into(),
-                column: "o_total".into(),
-            }],
-            order_by: vec![],
-            distinct: false,
-            limit: None,
-        }
+        QuerySpec::new(
+            1,
+            QueryShape {
+                tables: vec![TableRef::new("orders", "o"), TableRef::new("customer", "c")],
+                joins: vec![JoinEdge {
+                    left_alias: "o".into(),
+                    left_col: "o_cust".into(),
+                    right_alias: "c".into(),
+                    right_col: "c_id".into(),
+                }],
+                predicates: vec![Predicate {
+                    table_alias: "c".into(),
+                    column: "c_nation".into(),
+                    op: CmpOp::Eq,
+                    literal: "'CA'".into(),
+                    sel_est: 0.04,
+                    sel_true: 0.08,
+                }],
+                group_by: vec![("c".into(), "c_nation".into())],
+                aggregates: vec![Aggregate {
+                    func: AggFunc::Sum,
+                    table_alias: "o".into(),
+                    column: "o_total".into(),
+                }],
+                order_by: vec![],
+                distinct: false,
+                limit: None,
+            },
+        )
     }
 
     #[test]
@@ -247,8 +303,84 @@ mod tests {
     fn memory_operator_detection() {
         let s = spec();
         assert!(s.has_memory_operators());
-        let trivial = QuerySpec { tables: vec![TableRef::plain("t")], ..QuerySpec::default() };
+        let trivial = QuerySpec::new(
+            0,
+            QueryShape { tables: vec![TableRef::plain("t")], ..QueryShape::default() },
+        );
         assert!(!trivial.has_memory_operators());
+    }
+
+    #[test]
+    fn clones_share_one_shape() {
+        let s = spec();
+        let copy = s.clone();
+        assert!(Arc::ptr_eq(&s.shape, &copy.shape));
+        assert_eq!(copy, s);
+        let mut renumbered = s.clone();
+        renumbered.id = 9;
+        assert!(Arc::ptr_eq(&s.shape, &renumbered.shape), "an id edit copies nothing");
+    }
+
+    #[test]
+    fn shape_mut_copies_a_shared_shape_on_write() {
+        let original = spec();
+        let before = format!("{original:?}");
+        let mut edited = original.clone();
+        edited.shape_mut().predicates.clear();
+        edited.shape_mut().limit = Some(5);
+        assert!(!Arc::ptr_eq(&original.shape, &edited.shape));
+        assert_eq!(format!("{original:?}"), before);
+        assert_eq!(original, spec());
+        assert!(edited.predicates.is_empty() && edited.limit == Some(5));
+
+        // A sole owner edits in place.
+        let mut sole = spec();
+        let at = Arc::as_ptr(&sole.shape);
+        sole.shape_mut().distinct = true;
+        assert_eq!(Arc::as_ptr(&sole.shape), at);
+    }
+
+    #[test]
+    fn debug_prints_the_flat_derived_form() {
+        /// The spec as one flat struct with a derived `Debug`: the
+        /// reference form.
+        mod flat {
+            use super::super::{Aggregate, JoinEdge, Name, Predicate, TableRef};
+
+            #[derive(Debug)]
+            #[allow(dead_code)] // the fields are read only by the derived `Debug`
+            pub struct QuerySpec {
+                pub id: u64,
+                pub tables: Vec<TableRef>,
+                pub joins: Vec<JoinEdge>,
+                pub predicates: Vec<Predicate>,
+                pub group_by: Vec<(Name, Name)>,
+                pub aggregates: Vec<Aggregate>,
+                pub order_by: Vec<(Name, Name)>,
+                pub distinct: bool,
+                pub limit: Option<u64>,
+            }
+        }
+
+        let mut s = spec();
+        s.id = 42;
+        s.shape_mut().order_by = vec![("o".into(), "o_total".into())];
+        s.shape_mut().distinct = true;
+        s.shape_mut().limit = Some(10);
+        let flat = flat::QuerySpec {
+            id: s.id,
+            tables: s.tables.clone(),
+            joins: s.joins.clone(),
+            predicates: s.predicates.clone(),
+            group_by: s.group_by.clone(),
+            aggregates: s.aggregates.clone(),
+            order_by: s.order_by.clone(),
+            distinct: s.distinct,
+            limit: s.limit,
+        };
+        assert_eq!(format!("{s:?}"), format!("{flat:?}"));
+        assert_eq!(format!("{s:#?}"), format!("{flat:#?}"));
+        assert!(format!("{s:?}").starts_with("QuerySpec { id: 42, tables: ["));
     }
 
     #[test]

@@ -310,7 +310,7 @@ impl Engine {
         // module docs); the pending lock orders it for window scorers.
         self.obs.submitted.inc();
 
-        let (state, closed, pending_len) = {
+        let (state, closed) = {
             let mut pending =
                 self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             pending.records.push(record);
@@ -319,9 +319,10 @@ impl Engine {
                 WindowPolicy::Count(s) if pending.records.len() >= s.max(1) => Some(pending.take()),
                 _ => None,
             };
-            (state, closed, pending.records.len())
+            // Set under the lock, so the last write is the latest length.
+            self.obs.pending.set(pending.records.len() as f64);
+            (state, closed)
         };
-        self.obs.pending.set(pending_len as f64);
         if let Some(window) = closed {
             self.score_window(window);
         }
@@ -381,9 +382,9 @@ impl Engine {
         let window = {
             let mut pending =
                 self.pending.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.obs.pending.set(0.0);
             (!pending.records.is_empty()).then(|| pending.take())
         };
-        self.obs.pending.set(0.0);
         let Some(window) = window else { return 0 };
         let n = window.records.len();
         self.score_window(window);
@@ -464,7 +465,8 @@ impl Engine {
     /// `wmp_observations_undelivered_total`.
     pub fn observe(&self, record: QueryRecord) -> bool {
         // Account before forwarding. The quality buffer keeps the record, so
-        // it is cloned only when a retrainer channel takes the original.
+        // it is cloned only when a retrainer channel takes the original; the
+        // clone shares the spec and copies only the features.
         self.obs.observed.inc();
         let Some((retrainer, tx)) =
             self.retrainer.as_ref().and_then(|r| r.tx.as_ref().map(|tx| (r, tx)))

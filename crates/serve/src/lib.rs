@@ -515,11 +515,23 @@ mod tests {
                 }
             });
         });
+        // The gauge is written under the pending lock, so after the racing
+        // submitters join it reads the queue's length, not a stale one.
+        let gauge = |engine: &Engine| {
+            engine
+                .obs_registry()
+                .snapshot()
+                .get("wmp_pending_queries", &[])
+                .and_then(wmp_obs::MetricValue::as_gauge)
+                .expect("pending gauge")
+        };
+        assert_eq!(gauge(&engine), engine.pending_len() as f64);
         engine.drain();
         let snap = engine.stats();
         assert_eq!(snap.submitted, 400);
         assert_eq!(snap.resolved(), 400);
         assert_eq!(snap.pending, 0);
+        assert_eq!(gauge(&engine), 0.0);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! only where it becomes a name, and lowering allocates only the names and
 //! vectors the returned [`QuerySpec`] keeps. On perfbench's traced
 //! `sql_ingest` run (TPC-H, seed 7, 2-core VM), [`parse_to_spec`] takes
-//! 6.5 µs and 29.6 allocations per statement (`sql.parse_ns`,
-//! `sql.allocs`), against 13.2 µs and 125.6 when every token and name owned
-//! a `String`.
+//! 6.5 µs and 30.6 allocations per statement (`sql.parse_ns`,
+//! `sql.allocs`; one of them the spec's shared shape), against 13.2 µs and
+//! 125.6 when every token and name owned a `String`.
 //!
 //! ```
 //! use wmp_sql::{parse_to_spec, Postgres};

@@ -25,7 +25,9 @@
 //! they came from.
 
 use wmp_plan::catalog::Catalog;
-use wmp_plan::query::{Aggregate, CmpOp, JoinEdge, Name, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{
+    Aggregate, CmpOp, JoinEdge, Name, Predicate, QueryShape, QuerySpec, TableRef,
+};
 
 use crate::ast::{ColumnRef, Condition, Literal, SelectItem, SelectStmt};
 use crate::error::{ParseError, Span, SqlResult};
@@ -52,7 +54,7 @@ pub fn lower(stmt: &SelectStmt<'_>, catalog: &Catalog) -> SqlResult<QuerySpec> {
     let n_aggregates =
         stmt.items.iter().filter(|i| matches!(i, SelectItem::Aggregate { .. })).count();
     let n_joins = stmt.conditions.iter().filter(|c| matches!(c, Condition::Join { .. })).count();
-    let mut spec = QuerySpec {
+    let mut spec = QueryShape {
         tables: bind(stmt, catalog)?,
         aggregates: Vec::with_capacity(n_aggregates),
         joins: Vec::with_capacity(n_joins),
@@ -61,7 +63,6 @@ pub fn lower(stmt: &SelectStmt<'_>, catalog: &Catalog) -> SqlResult<QuerySpec> {
         order_by: Vec::with_capacity(stmt.order_by.len()),
         distinct: stmt.distinct,
         limit: stmt.limit,
-        ..QuerySpec::default()
     };
 
     for item in &stmt.items {
@@ -165,7 +166,7 @@ pub fn lower(stmt: &SelectStmt<'_>, catalog: &Catalog) -> SqlResult<QuerySpec> {
         };
         spec.order_by.push(entry);
     }
-    Ok(spec)
+    Ok(QuerySpec::new(0, spec))
 }
 
 fn predicate(table_alias: Name, column: Name, op: CmpOp, literal: Name, sel: f64) -> Predicate {
@@ -201,7 +202,7 @@ fn bind(stmt: &SelectStmt<'_>, catalog: &Catalog) -> SqlResult<Vec<TableRef>> {
 }
 
 /// The FROM binding of `alias` in `spec`.
-fn table<'s>(spec: &'s QuerySpec, alias: &str, span: Span) -> SqlResult<&'s TableRef> {
+fn table<'s>(spec: &'s QueryShape, alias: &str, span: Span) -> SqlResult<&'s TableRef> {
     spec.tables
         .iter()
         .find(|t| *t.alias == *alias)
@@ -211,7 +212,7 @@ fn table<'s>(spec: &'s QuerySpec, alias: &str, span: Span) -> SqlResult<&'s Tabl
 /// Resolves a column reference against `spec`'s FROM bindings to the
 /// binding's alias and the column's `ndv`.
 fn lookup<'s>(
-    spec: &'s QuerySpec,
+    spec: &'s QueryShape,
     col: &ColumnRef<'_>,
     catalog: &Catalog,
 ) -> SqlResult<(&'s Name, u64)> {
@@ -252,7 +253,7 @@ fn lookup<'s>(
 /// Resolves a column reference to `(alias, ndv, column)`; the alias shares
 /// its binding's [`Name`].
 fn resolve(
-    spec: &QuerySpec,
+    spec: &QueryShape,
     col: &ColumnRef<'_>,
     catalog: &Catalog,
 ) -> SqlResult<(Name, u64, Name)> {

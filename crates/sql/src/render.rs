@@ -252,7 +252,7 @@ fn rendered_len_bound(q: &QuerySpec, dialect: &dyn Dialect, limit: &str) -> usiz
 mod tests {
     use super::*;
     use crate::dialect::{Ansi, MySql, Postgres};
-    use wmp_plan::query::{Aggregate, JoinEdge, Predicate, TableRef};
+    use wmp_plan::query::{Aggregate, JoinEdge, Predicate, QueryShape, TableRef};
 
     #[test]
     fn quoting_rules() {
@@ -272,18 +272,21 @@ mod tests {
 
     #[test]
     fn count_keeps_its_column() {
-        let q = QuerySpec {
-            tables: vec![TableRef::plain("t")],
-            aggregates: vec![
-                Aggregate {
-                    func: AggFunc::Count,
-                    table_alias: Default::default(),
-                    column: Default::default(),
-                },
-                Aggregate { func: AggFunc::Count, table_alias: "t".into(), column: "a".into() },
-            ],
-            ..QuerySpec::default()
-        };
+        let q = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::plain("t")],
+                aggregates: vec![
+                    Aggregate {
+                        func: AggFunc::Count,
+                        table_alias: Default::default(),
+                        column: Default::default(),
+                    },
+                    Aggregate { func: AggFunc::Count, table_alias: "t".into(), column: "a".into() },
+                ],
+                ..QueryShape::default()
+            },
+        );
         let sql = render_sql_dialect(&q, &Ansi);
         assert!(sql.contains("COUNT(*)"));
         assert!(sql.contains("COUNT(t.a)"));
@@ -291,11 +294,14 @@ mod tests {
 
     #[test]
     fn dialect_limit_spellings() {
-        let q = QuerySpec {
-            tables: vec![TableRef::plain("t")],
-            limit: Some(7),
-            ..QuerySpec::default()
-        };
+        let q = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::plain("t")],
+                limit: Some(7),
+                ..QueryShape::default()
+            },
+        );
         assert!(render_sql_dialect(&q, &Ansi).ends_with("FETCH FIRST 7 ROWS ONLY"));
         assert!(render_sql_dialect(&q, &Postgres).ends_with("LIMIT 7"));
         assert!(render_sql_dialect(&q, &MySql).ends_with("LIMIT 7"));
@@ -311,48 +317,53 @@ mod tests {
 
     /// `SELECT * FROM order WHERE order.total > 5`, a reserved table name.
     fn order_query() -> QuerySpec {
-        QuerySpec {
-            tables: vec![TableRef::plain("order")],
-            predicates: vec![Predicate {
-                table_alias: "order".into(),
-                column: "total".into(),
-                op: CmpOp::Gt,
-                literal: "5".into(),
-                sel_est: 0.3,
-                sel_true: 0.3,
-            }],
-            ..QuerySpec::default()
-        }
+        QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::plain("order")],
+                predicates: vec![Predicate {
+                    table_alias: "order".into(),
+                    column: "total".into(),
+                    op: CmpOp::Gt,
+                    literal: "5".into(),
+                    sel_est: 0.3,
+                    sel_true: 0.3,
+                }],
+                ..QueryShape::default()
+            },
+        )
     }
 
     fn join_query() -> QuerySpec {
-        QuerySpec {
-            id: 7,
-            tables: vec![TableRef::new("orders", "o"), TableRef::new("customer", "c")],
-            joins: vec![JoinEdge {
-                left_alias: "o".into(),
-                left_col: "o_cust".into(),
-                right_alias: "c".into(),
-                right_col: "c_id".into(),
-            }],
-            predicates: vec![Predicate {
-                table_alias: "c".into(),
-                column: "c_nation".into(),
-                op: CmpOp::Eq,
-                literal: "'CA'".into(),
-                sel_est: 0.04,
-                sel_true: 0.05,
-            }],
-            group_by: vec![("c".into(), "c_nation".into())],
-            aggregates: vec![Aggregate {
-                func: AggFunc::Sum,
-                table_alias: "o".into(),
-                column: "o_total".into(),
-            }],
-            order_by: vec![("c".into(), "c_nation".into())],
-            distinct: false,
-            limit: Some(100),
-        }
+        QuerySpec::new(
+            7,
+            QueryShape {
+                tables: vec![TableRef::new("orders", "o"), TableRef::new("customer", "c")],
+                joins: vec![JoinEdge {
+                    left_alias: "o".into(),
+                    left_col: "o_cust".into(),
+                    right_alias: "c".into(),
+                    right_col: "c_id".into(),
+                }],
+                predicates: vec![Predicate {
+                    table_alias: "c".into(),
+                    column: "c_nation".into(),
+                    op: CmpOp::Eq,
+                    literal: "'CA'".into(),
+                    sel_est: 0.04,
+                    sel_true: 0.05,
+                }],
+                group_by: vec![("c".into(), "c_nation".into())],
+                aggregates: vec![Aggregate {
+                    func: AggFunc::Sum,
+                    table_alias: "o".into(),
+                    column: "o_total".into(),
+                }],
+                order_by: vec![("c".into(), "c_nation".into())],
+                distinct: false,
+                limit: Some(100),
+            },
+        )
     }
 
     #[test]
@@ -369,58 +380,67 @@ mod tests {
 
     #[test]
     fn renders_count_star_and_distinct() {
-        let q = QuerySpec {
-            tables: vec![TableRef::plain("item")],
-            aggregates: vec![Aggregate {
-                func: AggFunc::Count,
-                table_alias: "item".into(),
-                column: Default::default(),
-            }],
-            distinct: true,
-            ..QuerySpec::default()
-        };
+        let q = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::plain("item")],
+                aggregates: vec![Aggregate {
+                    func: AggFunc::Count,
+                    table_alias: "item".into(),
+                    column: Default::default(),
+                }],
+                distinct: true,
+                ..QueryShape::default()
+            },
+        );
         let sql = render_sql_dialect(&q, &Ansi);
         assert_eq!(sql, "SELECT DISTINCT COUNT(*) FROM item");
     }
 
     #[test]
     fn count_with_a_column_keeps_it() {
-        let q = QuerySpec {
-            tables: vec![TableRef::plain("item")],
-            aggregates: vec![Aggregate {
-                func: AggFunc::Count,
-                table_alias: "item".into(),
-                column: "i_id".into(),
-            }],
-            ..QuerySpec::default()
-        };
+        let q = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::plain("item")],
+                aggregates: vec![Aggregate {
+                    func: AggFunc::Count,
+                    table_alias: "item".into(),
+                    column: "i_id".into(),
+                }],
+                ..QueryShape::default()
+            },
+        );
         assert_eq!(render_sql_dialect(&q, &Ansi), "SELECT COUNT(item.i_id) FROM item");
     }
 
     #[test]
     fn renders_in_and_between() {
-        let q = QuerySpec {
-            tables: vec![TableRef::plain("t")],
-            predicates: vec![
-                Predicate {
-                    table_alias: "t".into(),
-                    column: "a".into(),
-                    op: CmpOp::InList(2),
-                    literal: "1, 2".into(),
-                    sel_est: 0.1,
-                    sel_true: 0.1,
-                },
-                Predicate {
-                    table_alias: "t".into(),
-                    column: "b".into(),
-                    op: CmpOp::Between,
-                    literal: "5 AND 10".into(),
-                    sel_est: 0.1,
-                    sel_true: 0.1,
-                },
-            ],
-            ..QuerySpec::default()
-        };
+        let q = QuerySpec::new(
+            0,
+            QueryShape {
+                tables: vec![TableRef::plain("t")],
+                predicates: vec![
+                    Predicate {
+                        table_alias: "t".into(),
+                        column: "a".into(),
+                        op: CmpOp::InList(2),
+                        literal: "1, 2".into(),
+                        sel_est: 0.1,
+                        sel_true: 0.1,
+                    },
+                    Predicate {
+                        table_alias: "t".into(),
+                        column: "b".into(),
+                        op: CmpOp::Between,
+                        literal: "5 AND 10".into(),
+                        sel_est: 0.1,
+                        sel_true: 0.1,
+                    },
+                ],
+                ..QueryShape::default()
+            },
+        );
         let sql = render_sql_dialect(&q, &Ansi);
         assert!(sql.contains("t.a IN (1, 2)"));
         assert!(sql.contains("t.b BETWEEN 5 AND 10"));
@@ -428,9 +448,24 @@ mod tests {
 
     #[test]
     fn select_star_fallback_without_aggregates() {
-        let q = QuerySpec { tables: vec![TableRef::plain("t")], ..QuerySpec::default() };
+        let q = QuerySpec::new(
+            0,
+            QueryShape { tables: vec![TableRef::plain("t")], ..QueryShape::default() },
+        );
         assert_eq!(render_sql_dialect(&q, &Ansi), "SELECT t.* FROM t");
         assert_eq!(render_sql_dialect(&QuerySpec::default(), &Ansi), "SELECT * FROM ");
+    }
+
+    #[test]
+    fn editing_a_clone_leaves_the_original_sql() {
+        let original = join_query();
+        let sql = render_sql_dialect(&original, &Ansi);
+        let mut edited = original.clone();
+        edited.shape_mut().predicates.clear();
+        edited.shape_mut().limit = Some(3);
+        assert_eq!(render_sql_dialect(&original, &Ansi), sql);
+        assert_ne!(render_sql_dialect(&edited, &Ansi), sql);
+        assert!(!render_sql_dialect(&edited, &Ansi).contains("c_nation = 'CA'"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wmp_plan::error::PlanResult;
-use wmp_plan::query::{AggFunc, Aggregate, JoinEdge, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{AggFunc, Aggregate, JoinEdge, Predicate, QueryShape, QuerySpec, TableRef};
 use wmp_plan::schema::{Column, ColumnType, Distribution, Table};
 use wmp_plan::Catalog;
 
@@ -467,17 +467,19 @@ pub fn instantiate(cat: &Catalog, v: &JobVariant, id: u64, rng: &mut StdRng) -> 
         }
     }
 
-    QuerySpec {
+    QuerySpec::new(
         id,
-        tables,
-        joins,
-        predicates,
-        group_by: Vec::new(),
-        aggregates,
-        order_by: Vec::new(),
-        distinct: false,
-        limit: None,
-    }
+        QueryShape {
+            tables,
+            joins,
+            predicates,
+            group_by: Vec::new(),
+            aggregates,
+            order_by: Vec::new(),
+            distinct: false,
+            limit: None,
+        },
+    )
 }
 
 /// Generates a JOB-style query log of `n` queries.

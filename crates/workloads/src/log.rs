@@ -32,10 +32,10 @@ pub struct SqlLineError {
 /// One executed query: the paper's `q = (e, p, m)` generalized to a
 /// multi-resource label, plus the baseline estimate.
 ///
-/// Cloning a record shares its spec's names (see [`wmp_plan::query::Name`]):
-/// a clone allocates the `features` buffer and one buffer per non-empty
-/// `Vec` of the spec, never a string. That is what lets a caller hand
-/// `Engine::submit` an owned copy cheaply.
+/// Cloning a record shares its spec (see [`QuerySpec`]): a clone bumps one
+/// reference count and allocates only the `features` buffer, and a drop
+/// frees that buffer. That is what lets a caller hand `Engine::submit` an
+/// owned copy cheaply.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
     /// Stable query id within the log.
@@ -270,7 +270,7 @@ pub fn build_log_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmp_plan::query::TableRef;
+    use wmp_plan::query::{QueryShape, TableRef};
     use wmp_plan::schema::{Column, ColumnType, Table};
 
     fn tiny_log(n: usize) -> QueryLog {
@@ -283,12 +283,14 @@ mod tests {
         let specs: Vec<(QuerySpec, usize)> = (0..n)
             .map(|i| {
                 (
-                    QuerySpec {
-                        id: i as u64,
-                        tables: vec![TableRef::plain("t")],
-                        order_by: vec![("t".into(), "a".into())],
-                        ..QuerySpec::default()
-                    },
+                    QuerySpec::new(
+                        i as u64,
+                        QueryShape {
+                            tables: vec![TableRef::plain("t")],
+                            order_by: vec![("t".into(), "a".into())],
+                            ..QueryShape::default()
+                        },
+                    ),
                     i % 3,
                 )
             })

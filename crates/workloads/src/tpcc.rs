@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wmp_plan::error::PlanResult;
-use wmp_plan::query::{AggFunc, Aggregate, JoinEdge, QuerySpec, TableRef};
+use wmp_plan::query::{AggFunc, Aggregate, JoinEdge, QueryShape, QuerySpec, TableRef};
 use wmp_plan::schema::{Column, ColumnType, Distribution, Table};
 use wmp_plan::Catalog;
 
@@ -174,13 +174,12 @@ pub fn sample_template(rng: &mut StdRng) -> usize {
 /// Instantiates one statement from a template.
 pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) -> QuerySpec {
     let col = |t: &str, c: &str| cat.column(t, c).expect("catalog column").1;
-    let point = |t: &str, c: &str, rng: &mut StdRng| QuerySpec {
-        id,
+    let point = |t: &str, c: &str, rng: &mut StdRng| QueryShape {
         tables: vec![TableRef::plain(t)],
         predicates: vec![draw_eq(t, col(t, c), rng)],
-        ..QuerySpec::default()
+        ..QueryShape::default()
     };
-    match template {
+    let shape = match template {
         0 => point("item", "i_id", rng),
         1 => {
             let mut q = point("stock", "s_i_id", rng);
@@ -210,8 +209,7 @@ pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) ->
             q
         }
         8 => point("order_line", "ol_o_id", rng),
-        9 => QuerySpec {
-            id,
+        9 => QueryShape {
             tables: vec![TableRef::plain("new_order")],
             predicates: vec![draw_eq("new_order", col("new_order", "no_w_id"), rng)],
             aggregates: vec![Aggregate {
@@ -219,7 +217,7 @@ pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) ->
                 table_alias: "new_order".into(),
                 column: "no_o_id".into(),
             }],
-            ..QuerySpec::default()
+            ..QueryShape::default()
         },
         10 => {
             let mut q = point("order_line", "ol_o_id", rng);
@@ -233,8 +231,7 @@ pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) ->
         _ => {
             // Stock-Level: recent order lines joined to low-stock items,
             // COUNT(DISTINCT s_i_id) — the only multi-table OLTP statement.
-            QuerySpec {
-                id,
+            QueryShape {
                 tables: vec![TableRef::new("order_line", "ol"), TableRef::new("stock", "s")],
                 joins: vec![JoinEdge {
                     left_alias: "ol".into(),
@@ -247,10 +244,11 @@ pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) ->
                     draw_range("s", col("stock", "s_quantity"), 0.1, rng),
                 ],
                 distinct: true,
-                ..QuerySpec::default()
+                ..QueryShape::default()
             }
         }
-    }
+    };
+    QuerySpec::new(id, shape)
 }
 
 /// Generates a TPC-C-style query log of `n` statements.

@@ -12,7 +12,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use wmp_plan::error::PlanResult;
-use wmp_plan::query::{AggFunc, Aggregate, JoinEdge, Name, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{
+    AggFunc, Aggregate, JoinEdge, Name, Predicate, QueryShape, QuerySpec, TableRef,
+};
 use wmp_plan::schema::{Column, ColumnType, Distribution, Table};
 use wmp_plan::Catalog;
 
@@ -516,7 +518,10 @@ pub fn instantiate(cat: &Catalog, t: &TpcdsTemplate, id: u64, rng: &mut StdRng) 
         }
     }
 
-    QuerySpec { id, tables, joins, predicates, group_by, aggregates, order_by, distinct, limit }
+    QuerySpec::new(
+        id,
+        QueryShape { tables, joins, predicates, group_by, aggregates, order_by, distinct, limit },
+    )
 }
 
 /// Generates a TPC-DS-style query log of `n` queries.

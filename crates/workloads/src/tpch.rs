@@ -20,7 +20,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use wmp_plan::error::PlanResult;
-use wmp_plan::query::{AggFunc, Aggregate, CmpOp, JoinEdge, Name, Predicate, QuerySpec, TableRef};
+use wmp_plan::query::{
+    AggFunc, Aggregate, CmpOp, JoinEdge, Name, Predicate, QueryShape, QuerySpec, TableRef,
+};
 use wmp_plan::schema::{Column, ColumnType, Distribution, Table};
 use wmp_plan::Catalog;
 use wmp_sql::{parse_to_spec, render_sql_dialect, Ansi};
@@ -213,7 +215,7 @@ fn by(alias: &str, col: &str) -> (Name, Name) {
 pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) -> QuerySpec {
     let col = |t: &str, c: &str| cat.column(t, c).expect("catalog column").1;
     let t = |name: &str, alias: &str| TableRef::new(name, alias);
-    let mut q = QuerySpec { id, ..QuerySpec::default() };
+    let mut q = QueryShape::default();
     match template {
         0 => {
             // Q1: pricing summary report over almost all of lineitem.
@@ -558,7 +560,7 @@ pub fn instantiate(cat: &Catalog, template: usize, id: u64, rng: &mut StdRng) ->
             q.order_by = vec![by("c", "c_nationkey")];
         }
     }
-    q
+    QuerySpec::new(id, q)
 }
 
 /// Renders `spec` to SQL, parses it back, lowers it against `cat`, and
@@ -576,7 +578,7 @@ pub fn roundtrip_through_sql(cat: &Catalog, spec: &QuerySpec) -> QuerySpec {
         spec.predicates.len(),
         "round trip changed the predicate count for {sql:?}"
     );
-    for (l, o) in lowered.predicates.iter_mut().zip(&spec.predicates) {
+    for (l, o) in lowered.shape_mut().predicates.iter_mut().zip(&spec.predicates) {
         l.sel_est = o.sel_est;
         l.sel_true = o.sel_true;
     }

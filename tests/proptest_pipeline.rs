@@ -12,7 +12,9 @@ use learnedwmp::mlkit::metrics::{mape, quantile, rmse, ResidualSummary};
 use learnedwmp::obs::json::{self, Kind, Value};
 use learnedwmp::obs::JsonValue;
 use learnedwmp::plan::features::{featurize_plan, N_PLAN_FEATURES};
-use learnedwmp::plan::query::{AggFunc, Aggregate, JoinEdge, Predicate, QuerySpec, TableRef};
+use learnedwmp::plan::query::{
+    AggFunc, Aggregate, JoinEdge, Predicate, QueryShape, QuerySpec, TableRef,
+};
 use learnedwmp::plan::{OpKind, Planner};
 use learnedwmp::sim::{DbmsHeuristicEstimator, ExecutorSimulator};
 
@@ -61,16 +63,18 @@ fn arb_star_query() -> impl Strategy<Value = QuerySpec> {
                 column: "ss_net_profit".into(),
             }];
             let order_by = if order && !group_by.is_empty() { group_by.clone() } else { vec![] };
-            QuerySpec {
+            QuerySpec::new(
                 id,
-                tables,
-                joins,
-                predicates,
-                group_by,
-                aggregates,
-                order_by,
-                ..Default::default()
-            }
+                QueryShape {
+                    tables,
+                    joins,
+                    predicates,
+                    group_by,
+                    aggregates,
+                    order_by,
+                    ..Default::default()
+                },
+            )
         },
     )
 }

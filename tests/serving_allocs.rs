@@ -4,11 +4,13 @@
 //! - a submission that does not close its window allocates nothing;
 //! - a window close allocates at most [`CLOSE_BUDGET`] times, whatever the
 //!   window size (the next window's record buffer and ticket state, the
-//!   reference slice, and the prediction's own buffers);
+//!   reference slice, and the prediction's own buffers), and frees one
+//!   buffer per record (its features: the spec's shape is shared) plus at
+//!   most [`CLOSE_BUDGET`] more;
 //! - `LearnedWmp::predict_resources` allocates at most [`PREDICT_BUDGET`]
 //!   times, none of them per query;
-//! - cloning a TPC-H record allocates one buffer for its features and one
-//!   per non-empty `Vec` of its spec, and nothing per identifier.
+//! - cloning a TPC-H record allocates exactly one buffer, its features: the
+//!   clone shares the spec.
 //!
 //! This binary holds a single test, so no sibling test thread allocates
 //! while the counter is on.
@@ -20,22 +22,23 @@ use learnedwmp::core::{LearnedWmp, ModelKind, PredictorHandle, TemplateSpec};
 use learnedwmp::serve::{Engine, WindowPolicy};
 use learnedwmp::workloads::QueryRecord;
 
-/// Allocations one window close may make.
+/// Allocations one window close may make, and frees beyond one per record.
 const CLOSE_BUDGET: u64 = 8;
 /// Allocations one `predict_resources` call may make.
 const PREDICT_BUDGET: u64 = 5;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn count(&self) {
+    fn count(&self, counter: &AtomicU64) {
         // ordering: Relaxed — a statistic read back on the same thread; it
         // publishes no other data.
         if COUNTING.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -45,24 +48,25 @@ impl CountingAlloc {
 // extra work is an atomic counter update that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.count();
+        self.count(&ALLOCATIONS);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.count();
+        self.count(&ALLOCATIONS);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.count();
+        self.count(&ALLOCATIONS);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.count(&DEALLOCATIONS);
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -71,30 +75,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns its result with the allocations it made.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// Buffers allocated and freed while a closure ran.
+struct Counts {
+    allocs: u64,
+    frees: u64,
+}
+
+/// Runs `f` and returns its result with the allocations and frees it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
     // ordering: Relaxed — the test thread is the only one allocating.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed);
+    let frees = DEALLOCATIONS.load(Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
     let out = f();
     COUNTING.store(false, Ordering::Relaxed);
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
-}
-
-/// Non-empty `Vec`s of a record's spec: the buffers its clone must copy.
-fn nonempty_spec_vecs(r: &QueryRecord) -> u64 {
-    let s = &r.spec;
-    [
-        s.tables.is_empty(),
-        s.joins.is_empty(),
-        s.predicates.is_empty(),
-        s.group_by.is_empty(),
-        s.aggregates.is_empty(),
-        s.order_by.is_empty(),
-    ]
-    .iter()
-    .filter(|&&empty| !empty)
-    .count() as u64
+    let counts = Counts {
+        allocs: ALLOCATIONS.load(Ordering::Relaxed) - allocs,
+        frees: DEALLOCATIONS.load(Ordering::Relaxed) - frees,
+    };
+    (out, counts)
 }
 
 /// Serves `windows` full windows of `size` records through a fresh engine
@@ -113,7 +112,7 @@ fn check_engine(model: &LearnedWmp, records: &[QueryRecord], size: usize) {
     for w in 0..WARMUP + CHECKED {
         let owned: Vec<QueryRecord> = stream.by_ref().take(size).cloned().collect();
         for (i, record) in owned.into_iter().enumerate() {
-            let (ticket, allocs) = counted(|| engine.submit(record));
+            let (ticket, Counts { allocs, frees }) = counted(|| engine.submit(record));
             tickets.push(ticket);
             if w < WARMUP {
                 continue;
@@ -125,6 +124,11 @@ fn check_engine(model: &LearnedWmp, records: &[QueryRecord], size: usize) {
                     allocs <= CLOSE_BUDGET,
                     "Count({size}) window {w}: the close allocated {allocs}x \
                      (budget {CLOSE_BUDGET})"
+                );
+                let free_budget = size as u64 + CLOSE_BUDGET;
+                assert!(
+                    frees <= free_budget,
+                    "Count({size}) window {w}: the close freed {frees}x (budget {free_budget})"
                 );
             }
         }
@@ -145,19 +149,17 @@ fn serving_hot_path_stays_within_its_allocation_budget() {
         .expect("training");
     let records = &log.records;
 
-    // Cloning shares names: one buffer for the features and one per
-    // non-empty spec `Vec`.
+    // Cloning shares the spec: the features are the one buffer copied.
     for r in records.iter().take(200) {
-        let (copy, allocs) = counted(|| r.clone());
-        let budget = 1 + nonempty_spec_vecs(r);
-        assert!(allocs <= budget, "record {}: clone allocated {allocs}x (budget {budget})", r.id);
+        let (copy, Counts { allocs, .. }) = counted(|| r.clone());
+        assert_eq!(allocs, 1, "record {}: clone allocated {allocs}x", r.id);
         assert_eq!(copy.spec, r.spec);
     }
 
     // One prediction: no allocation per query.
     for window in records.chunks_exact(10).take(20) {
         let refs: Vec<&QueryRecord> = window.iter().collect();
-        let (predicted, allocs) = counted(|| model.predict_resources(&refs));
+        let (predicted, Counts { allocs, .. }) = counted(|| model.predict_resources(&refs));
         predicted.expect("the model predicts every window");
         assert!(allocs <= PREDICT_BUDGET, "predict_resources allocated {allocs}x");
     }

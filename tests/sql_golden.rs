@@ -93,20 +93,21 @@ fn with_quoted_aliases(specs: &[QuerySpec]) -> Vec<QuerySpec> {
                     *alias = QUOTED_ALIASES[i % QUOTED_ALIASES.len()].into();
                 }
             };
-            for t in &mut q.tables {
+            let shape = q.shape_mut();
+            for t in &mut shape.tables {
                 rename(&mut t.alias);
             }
-            for j in &mut q.joins {
+            for j in &mut shape.joins {
                 rename(&mut j.left_alias);
                 rename(&mut j.right_alias);
             }
-            for p in &mut q.predicates {
+            for p in &mut shape.predicates {
                 rename(&mut p.table_alias);
             }
-            for a in &mut q.aggregates {
+            for a in &mut shape.aggregates {
                 rename(&mut a.table_alias);
             }
-            for (alias, _) in q.group_by.iter_mut().chain(&mut q.order_by) {
+            for (alias, _) in shape.group_by.iter_mut().chain(&mut shape.order_by) {
                 rename(alias);
             }
             q

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use learnedwmp::plan::query::{
-    AggFunc, Aggregate, CmpOp, JoinEdge, Name, Predicate, QuerySpec, TableRef,
+    AggFunc, Aggregate, CmpOp, JoinEdge, Name, Predicate, QueryShape, QuerySpec, TableRef,
 };
 use learnedwmp::sql::{all_dialects, lower, parse, render_sql_dialect};
 
@@ -148,17 +148,19 @@ fn arb_spec() -> impl Strategy<Value = QuerySpec> {
             };
             let order_by = if order && group { group_by.clone() } else { vec![] };
             let limit = if limit_n > 0 { Some(limit_n) } else { None };
-            QuerySpec {
+            QuerySpec::new(
                 id,
-                tables,
-                joins,
-                predicates,
-                group_by,
-                aggregates,
-                order_by,
-                distinct,
-                limit,
-            }
+                QueryShape {
+                    tables,
+                    joins,
+                    predicates,
+                    group_by,
+                    aggregates,
+                    order_by,
+                    distinct,
+                    limit,
+                },
+            )
         })
 }
 
@@ -166,7 +168,7 @@ fn arb_spec() -> impl Strategy<Value = QuerySpec> {
 /// structurally.
 fn normalized(mut q: QuerySpec) -> QuerySpec {
     q.id = 0;
-    for p in &mut q.predicates {
+    for p in &mut q.shape_mut().predicates {
         p.sel_est = 0.0;
         p.sel_true = 0.0;
     }
