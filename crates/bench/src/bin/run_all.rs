@@ -239,11 +239,10 @@ fn print_fig9(d: &Dataset) {
             format!("{:.1}", r.mape()),
         ]
     };
-    // The paper's method is Fig. 4's model; k-means caps k at the number of
-    // training plans.
-    let plan = TemplateSpec::PlanKMeans { k, seed };
+    // The paper's method is Fig. 4's model.
+    let plan = d.xgb_model.templates();
     let mut results =
-        vec![(plan.build().name().to_string(), k.min(ctx.train.len()), d.xgb(ctx.config.clone()))];
+        vec![(plan.name().to_string(), plan.n_templates(), d.xgb(ctx.config.clone()))];
     for spec in [
         TemplateSpec::RuleBased,
         TemplateSpec::Text { mode: TextMode::BagOfWords, k, seed },

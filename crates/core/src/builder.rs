@@ -1,7 +1,6 @@
 //! Typed construction of [`LearnedWmp`] models: a declarative
-//! [`TemplateSpec`] replaces caller-side `Box<dyn TemplateLearner>` plumbing,
-//! and [`LearnedWmpBuilder`] validates every hyper-parameter *before* any
-//! training work starts.
+//! [`TemplateSpec`] names the template learner, and [`LearnedWmpBuilder`]
+//! validates every hyper-parameter *before* any training work starts.
 //!
 //! ```
 //! use learnedwmp_core::{LearnedWmp, ModelKind, TemplateSpec};
@@ -24,106 +23,15 @@ use wmp_workloads::{QueryLog, QueryRecord};
 use crate::histogram::HistogramMode;
 use crate::learned::{LearnedWmp, LearnedWmpConfig};
 use crate::model::ModelKind;
-use crate::template::{
-    DbscanTemplates, PlanKMeansTemplates, RuleBasedTemplates, TemplateLearner, TextMode,
-    TextTemplates,
-};
+use crate::template::TemplateSpec;
 use crate::workload::{LabelMode, Workload};
-
-/// Declarative choice of template learner (TR3). The builder turns a spec
-/// into the concrete [`TemplateLearner`] at fit time, so call sites never
-/// handle trait objects.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TemplateSpec {
-    /// The paper's method: k-means over standardized plan features
-    /// (Algorithm 1).
-    PlanKMeans {
-        /// Number of templates (histogram length).
-        k: usize,
-        /// Clustering seed.
-        seed: u64,
-    },
-    /// Expert-style structural rules (Fig. 9 "rule based").
-    RuleBased,
-    /// SQL-text featurization (bag-of-words / text-mining / embeddings) then
-    /// k-means (Fig. 9).
-    Text {
-        /// Which text featurization to use.
-        mode: TextMode,
-        /// Number of templates.
-        k: usize,
-        /// Clustering seed.
-        seed: u64,
-    },
-    /// Density clustering (§V comparison).
-    Dbscan {
-        /// Neighborhood radius in standardized feature space.
-        eps: f64,
-        /// Minimum neighbors for a core point.
-        min_pts: usize,
-    },
-}
-
-impl Default for TemplateSpec {
-    fn default() -> Self {
-        TemplateSpec::PlanKMeans { k: 30, seed: 42 }
-    }
-}
-
-impl TemplateSpec {
-    /// Validates the spec without doing any work.
-    ///
-    /// # Errors
-    /// Returns [`MlError::InvalidHyperparameter`] for out-of-range values.
-    pub fn validate(&self) -> MlResult<()> {
-        match *self {
-            TemplateSpec::PlanKMeans { k, .. } | TemplateSpec::Text { k, .. } if k == 0 => {
-                Err(MlError::InvalidHyperparameter("template count k must be >= 1".into()))
-            }
-            TemplateSpec::Dbscan { eps, .. } if !(eps > 0.0 && eps.is_finite()) => {
-                Err(MlError::InvalidHyperparameter(format!(
-                    "dbscan eps = {eps} must be finite and > 0"
-                )))
-            }
-            TemplateSpec::Dbscan { min_pts: 0, .. } => {
-                Err(MlError::InvalidHyperparameter("dbscan min_pts must be >= 1".into()))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Builds the unfitted concrete learner this spec describes.
-    pub fn build(&self) -> Box<dyn TemplateLearner> {
-        match *self {
-            TemplateSpec::PlanKMeans { k, seed } => Box::new(PlanKMeansTemplates::new(k, seed)),
-            TemplateSpec::RuleBased => Box::new(RuleBasedTemplates::new()),
-            TemplateSpec::Text { mode, k, seed } => Box::new(TextTemplates::new(mode, k, seed)),
-            TemplateSpec::Dbscan { eps, min_pts } => Box::new(DbscanTemplates::new(eps, min_pts)),
-        }
-    }
-}
-
-/// Where the builder's template learner comes from: a declarative spec or a
-/// caller-supplied custom implementation.
-enum TemplateSource {
-    Spec(TemplateSpec),
-    Custom(Box<dyn TemplateLearner>),
-}
 
 /// Fluent, validated construction of [`LearnedWmp`] — see the module docs
 /// for the canonical example. Obtained from [`LearnedWmp::builder`].
+#[derive(Default)]
 pub struct LearnedWmpBuilder {
     config: LearnedWmpConfig,
-    templates: TemplateSource,
-}
-
-impl Default for LearnedWmpBuilder {
-    fn default() -> Self {
-        LearnedWmpBuilder {
-            config: LearnedWmpConfig::default(),
-            templates: TemplateSource::Spec(TemplateSpec::default()),
-        }
-    }
+    templates: TemplateSpec,
 }
 
 impl LearnedWmpBuilder {
@@ -143,16 +51,7 @@ impl LearnedWmpBuilder {
     /// Template learner specification (TR3).
     #[must_use]
     pub fn templates(mut self, spec: TemplateSpec) -> Self {
-        self.templates = TemplateSource::Spec(spec);
-        self
-    }
-
-    /// Escape hatch: a custom [`TemplateLearner`] implementation. Such
-    /// models train and predict normally but cannot be persisted unless the
-    /// learner implements [`TemplateLearner::save_params`].
-    #[must_use]
-    pub fn template_learner(mut self, learner: Box<dyn TemplateLearner>) -> Self {
-        self.templates = TemplateSource::Custom(learner);
+        self.templates = spec;
         self
     }
 
@@ -192,10 +91,7 @@ impl LearnedWmpBuilder {
         if self.config.batch_size == 0 {
             return Err(MlError::InvalidHyperparameter("batch_size must be >= 1".into()));
         }
-        if let TemplateSource::Spec(spec) = &self.templates {
-            spec.validate()?;
-        }
-        Ok(())
+        self.templates.validate()
     }
 
     /// Trains on a full query log (TR3–TR6).
@@ -224,8 +120,7 @@ impl LearnedWmpBuilder {
     /// Same conditions as [`LearnedWmpBuilder::fit`].
     pub fn fit_refs(self, records: &[&QueryRecord], catalog: &Catalog) -> MlResult<LearnedWmp> {
         self.validate()?;
-        let (config, learner) = self.into_parts();
-        LearnedWmp::fit_impl(config, learner, records, catalog, None)
+        LearnedWmp::fit_impl(self.config, &self.templates, records, catalog, None)
     }
 
     /// Trains on pre-built workloads — the variable-length-workload extension
@@ -240,22 +135,14 @@ impl LearnedWmpBuilder {
         workloads: Vec<Workload>,
     ) -> MlResult<LearnedWmp> {
         self.validate()?;
-        let (config, learner) = self.into_parts();
-        LearnedWmp::fit_impl(config, learner, records, catalog, Some(workloads))
-    }
-
-    fn into_parts(self) -> (LearnedWmpConfig, Box<dyn TemplateLearner>) {
-        let learner = match self.templates {
-            TemplateSource::Spec(spec) => spec.build(),
-            TemplateSource::Custom(learner) => learner,
-        };
-        (self.config, learner)
+        LearnedWmp::fit_impl(self.config, &self.templates, records, catalog, Some(workloads))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::TextMode;
 
     #[test]
     fn builder_rejects_bad_hyperparameters_before_training() {
@@ -315,17 +202,6 @@ mod tests {
             let b = from_refs.predict_resources(chunk).unwrap();
             assert_eq!(a.as_array().map(f64::to_bits), b.as_array().map(f64::to_bits));
         }
-    }
-
-    #[test]
-    fn custom_template_learner_is_accepted() {
-        let log = wmp_workloads::tpcc::generate(200, 2).unwrap();
-        let model = LearnedWmp::builder()
-            .model(ModelKind::Dt)
-            .template_learner(Box::new(RuleBasedTemplates::new()))
-            .fit(&log)
-            .unwrap();
-        assert_eq!(model.templates().name(), "rule_based");
     }
 
     #[test]

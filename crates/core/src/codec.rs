@@ -66,7 +66,7 @@ use crate::histogram::HistogramMode;
 use crate::learned::{LearnedWmp, LearnedWmpConfig, TrainTimings};
 use crate::model::ModelKind;
 use crate::template::{
-    DbscanTemplates, PlanKMeansTemplates, RuleBasedTemplates, TemplateLearner, TextTemplates,
+    DbscanTemplates, PlanKMeansTemplates, RuleBasedTemplates, Templates, TextMode, TextTemplates,
 };
 use crate::workload::LabelMode;
 
@@ -102,32 +102,56 @@ const TEMPLATE_TAGS: &[(u8, &str)] = &[
     (6, "dbscan"),
 ];
 
-fn template_tag(name: &str) -> MlResult<u8> {
-    TEMPLATE_TAGS.iter().find(|&&(_, n)| n == name).map(|&(tag, _)| tag).ok_or_else(|| {
-        c::codec_err(format!(
-            "cannot persist custom template learner '{name}' (no registered codec tag)"
-        ))
-    })
+impl Templates {
+    /// This learner's entry in [`TEMPLATE_TAGS`].
+    fn tag(&self) -> u8 {
+        match self {
+            Templates::PlanKMeans(_) => 1,
+            Templates::RuleBased(_) => 2,
+            Templates::Text(t) => match t.mode() {
+                TextMode::BagOfWords => 3,
+                TextMode::TextMining => 4,
+                TextMode::Embedding => 5,
+            },
+            Templates::Dbscan(_) => 6,
+        }
+    }
+
+    /// Stable name used in reports: this learner's entry in the codec's
+    /// append-only tag table.
+    pub fn name(&self) -> &'static str {
+        let tag = self.tag();
+        TEMPLATE_TAGS.iter().find(|&&(t, _)| t == tag).map_or("unregistered", |&(_, name)| name)
+    }
 }
 
-fn read_template(tag: u8, r: &mut dyn Read) -> MlResult<Box<dyn TemplateLearner>> {
-    let learner: Box<dyn TemplateLearner> = match tag {
-        1 => Box::new(PlanKMeansTemplates::read_params(r)?),
-        2 => Box::new(RuleBasedTemplates::read_params(r)?),
-        3..=5 => Box::new(TextTemplates::read_params(r)?),
-        6 => Box::new(DbscanTemplates::read_params(r)?),
+fn write_template(templates: &Templates, w: &mut dyn Write) -> MlResult<()> {
+    match templates {
+        Templates::PlanKMeans(t) => t.write_params(w),
+        Templates::RuleBased(t) => t.write_params(w),
+        Templates::Text(t) => t.write_params(w),
+        Templates::Dbscan(t) => t.write_params(w),
+    }
+}
+
+fn read_template(tag: u8, r: &mut dyn Read) -> MlResult<Templates> {
+    let templates = match tag {
+        1 => Templates::PlanKMeans(PlanKMeansTemplates::read_params(r)?),
+        2 => Templates::RuleBased(RuleBasedTemplates::read_params(r)?),
+        3..=5 => Templates::Text(TextTemplates::read_params(r)?),
+        6 => Templates::Dbscan(DbscanTemplates::read_params(r)?),
         other => return Err(c::codec_err(format!("unknown template learner tag {other}"))),
     };
     // The text payload re-encodes its mode; reject artifacts where the
     // container tag and the payload disagree about what was decoded.
-    let decoded_tag = template_tag(learner.name())?;
-    if decoded_tag != tag {
+    if templates.tag() != tag {
         return Err(c::codec_err(format!(
-            "template tag {tag} decoded as '{}' (tag {decoded_tag}) — tag/payload mismatch",
-            learner.name()
+            "template tag {tag} decoded as '{}' (tag {}) — tag/payload mismatch",
+            templates.name(),
+            templates.tag()
         )));
     }
-    Ok(learner)
+    Ok(templates)
 }
 
 fn read_regressor(kind: ModelKind, r: &mut dyn Read) -> MlResult<Box<dyn Regressor>> {
@@ -234,8 +258,8 @@ impl LearnedWmp {
     /// into the versioned container described in the [module docs](self).
     ///
     /// # Errors
-    /// Returns [`MlError::Codec`] on I/O failure or for custom template
-    /// learners without a registered codec tag.
+    /// Returns [`MlError::Codec`] on I/O failure, or for a section too large
+    /// for the loader to read back.
     pub fn save_to_writer(&self, w: &mut dyn Write) -> MlResult<()> {
         let mut out = Vec::with_capacity(4096);
         out.extend_from_slice(&MAGIC);
@@ -251,8 +275,8 @@ impl LearnedWmp {
         c::write_f64(&mut out, self.timings.template_ms)?;
         c::write_f64(&mut out, self.timings.histogram_ms)?;
         c::write_f64(&mut out, self.timings.fit_ms)?;
-        c::write_u8(&mut out, template_tag(self.templates().name())?)?;
-        write_section(&mut out, |buf| self.templates().save_params(buf))?;
+        c::write_u8(&mut out, self.templates().tag())?;
+        write_section(&mut out, |buf| write_template(self.templates(), buf))?;
         let wrapper = if self.regressor().as_multi_head().is_some() {
             WRAPPER_MULTI_HEAD
         } else {
@@ -271,7 +295,7 @@ impl LearnedWmp {
     /// round trip is bit-exact, so the clone predicts identically to the
     /// source — this is how the serving layer snapshots a retrained model
     /// into a shareable copy without `LearnedWmp` implementing `Clone`
-    /// (trait objects hold the learned state).
+    /// (the regressor is a trait object).
     ///
     /// # Errors
     /// Same conditions as [`LearnedWmp::save_to_writer`].
@@ -284,10 +308,10 @@ impl LearnedWmp {
     /// Saves the model to a file (see [`LearnedWmp::save_to_writer`]).
     ///
     /// The artifact is fully serialized in memory, written to a temporary
-    /// sibling file, and atomically renamed into place — so neither a
-    /// serialization failure (e.g. a custom template learner with no codec
-    /// tag) nor a mid-write I/O failure (full disk, killed process) ever
-    /// truncates a previously good artifact at `path`.
+    /// sibling file (`<path>.tmp.<pid>`), and atomically renamed into place —
+    /// so neither a serialization failure nor a mid-write I/O failure (full
+    /// disk, killed process) ever truncates a previously good artifact at
+    /// `path`.
     ///
     /// # Errors
     /// Returns [`MlError::Codec`] on serialization or I/O failure.
@@ -425,8 +449,7 @@ impl LearnedWmp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TemplateSpec;
-    use crate::predictor::WorkloadPredictor;
+    use crate::template::TemplateSpec;
 
     fn small_model(spec: TemplateSpec) -> (wmp_workloads::QueryLog, LearnedWmp) {
         let log = wmp_workloads::tpcc::generate(250, 3).unwrap();
@@ -532,41 +555,44 @@ mod tests {
     }
 
     #[test]
-    fn failed_save_never_truncates_an_existing_artifact() {
-        use wmp_plan::Catalog;
-        use wmp_workloads::QueryRecord;
-
-        /// A custom learner with no codec tag: training works, persisting
-        /// fails (via the default `save_params`).
-        struct Unpersistable(usize);
-        impl TemplateLearner for Unpersistable {
-            fn fit(&mut self, records: &[&QueryRecord], _catalog: &Catalog) -> MlResult<()> {
-                self.0 = 4.min(records.len());
-                Ok(())
-            }
-            fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
-                Ok(record.sql().len() % self.0)
-            }
-            fn n_templates(&self) -> usize {
-                self.0
-            }
-            fn name(&self) -> &'static str {
-                "unpersistable"
-            }
+    fn payloads_marked_unfitted_are_rejected() {
+        use crate::template::TextMode;
+        // The template payload starts after the tag (offset 59) and its
+        // 8-byte length. A rule-based payload opens with its fitted flag; a
+        // text payload carries its featurizer marker after mode, k and seed.
+        for (spec, offset) in [
+            (TemplateSpec::RuleBased, 68),
+            (TemplateSpec::Text { mode: TextMode::BagOfWords, k: 4, seed: 1 }, 68 + 17),
+        ] {
+            let (_, model) = small_model(spec.clone());
+            let mut bytes = Vec::new();
+            model.save_to_writer(&mut bytes).unwrap();
+            assert_eq!(bytes[offset], 1, "{spec:?}: fitted marker");
+            bytes[offset] = 0;
+            let body_len = bytes.len() - 8;
+            let checksum = fnv1a64(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            let err = LearnedWmp::load_from_reader(&mut bytes.as_slice()).unwrap_err();
+            assert!(matches!(err, MlError::Codec(_)), "{spec:?}: {err}");
+            assert!(err.to_string().contains("unfitted"), "{spec:?}: {err}");
         }
+    }
 
-        let (log, good) = small_model(TemplateSpec::PlanKMeans { k: 4, seed: 1 });
+    #[test]
+    fn failed_save_never_truncates_an_existing_artifact() {
+        let (_, good) = small_model(TemplateSpec::PlanKMeans { k: 4, seed: 1 });
         let path = std::env::temp_dir().join(format!("lwmp-atomic-{}.lwmp", std::process::id()));
         good.save_to(&path).unwrap();
         let good_bytes = std::fs::read(&path).unwrap();
 
-        let custom = LearnedWmp::builder()
-            .model(ModelKind::Ridge)
-            .template_learner(Box::new(Unpersistable(0)))
-            .fit(&log)
-            .unwrap();
-        assert!(custom.save_to(&path).is_err(), "custom learner must not persist");
-        assert_eq!(custom.footprint_bytes(), 0, "no persisted form, no size");
+        // A directory at the temporary path makes the write step fail.
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".tmp.{}", std::process::id()));
+        std::fs::create_dir(&tmp).unwrap();
+        let (_, other) = small_model(TemplateSpec::RuleBased);
+        let result = other.save_to(&path);
+        std::fs::remove_dir(&tmp).ok();
+        assert!(result.is_err(), "the write to the temporary path must fail");
         assert_eq!(
             std::fs::read(&path).unwrap(),
             good_bytes,

@@ -10,12 +10,12 @@ use wmp_mlkit::MlResult;
 use wmp_plan::{ResourceKind, ResourceVector, N_RESOURCES};
 use wmp_workloads::{QueryLog, QueryRecord};
 
-use crate::builder::TemplateSpec;
 use crate::histogram::HistogramMode;
 use crate::learned::LearnedWmp;
 use crate::model::ModelKind;
 use crate::predictor::WorkloadPredictor;
 use crate::single::{SingleWmp, SingleWmpDbms};
+use crate::template::TemplateSpec;
 use crate::workload::{batch_workloads, LabelMode, Workload};
 
 /// Fraction of a log that trains; the rest is held out for testing (the

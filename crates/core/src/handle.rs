@@ -235,9 +235,9 @@ impl WorkloadPredictor for PredictorHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TemplateSpec;
     use crate::model::ModelKind;
     use crate::single::SingleWmpDbms;
+    use crate::template::TemplateSpec;
 
     fn trained(seed: u64) -> crate::learned::LearnedWmp {
         let log = wmp_workloads::tpcc::generate(300, seed).unwrap();

@@ -10,7 +10,7 @@ use wmp_workloads::QueryRecord;
 use crate::histogram::{build_histogram, HistogramMode};
 use crate::model::{Approach, ModelKind};
 use crate::predictor::WorkloadPredictor;
-use crate::template::TemplateLearner;
+use crate::template::{TemplateSpec, Templates};
 use crate::workload::{batch_workloads, LabelMode, Workload};
 
 /// LearnedWMP hyper-parameters.
@@ -61,7 +61,7 @@ impl TrainTimings {
 /// A trained LearnedWMP model: templates + distribution regressor.
 pub struct LearnedWmp {
     config: LearnedWmpConfig,
-    templates: Box<dyn TemplateLearner>,
+    templates: Templates,
     regressor: Box<dyn Regressor>,
     /// Training wall-clock breakdown.
     pub timings: TrainTimings,
@@ -106,7 +106,7 @@ impl LearnedWmp {
     /// workloads") via [`crate::workload::batch_workloads_variable`].
     pub(crate) fn fit_impl(
         config: LearnedWmpConfig,
-        mut templates: Box<dyn TemplateLearner>,
+        spec: &TemplateSpec,
         records: &[&QueryRecord],
         catalog: &Catalog,
         workloads: Option<Vec<crate::workload::Workload>>,
@@ -129,7 +129,7 @@ impl LearnedWmp {
         });
         // TR3: learn templates.
         let t0 = Instant::now();
-        templates.fit(records, catalog)?;
+        let templates = spec.fit(records, catalog)?;
         let template_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // TR4–TR5: histograms over the provided workloads.
@@ -240,9 +240,9 @@ impl LearnedWmp {
         self.regressor.as_ref()
     }
 
-    /// The fitted template learner.
-    pub fn templates(&self) -> &dyn TemplateLearner {
-        self.templates.as_ref()
+    /// The fitted templates.
+    pub fn templates(&self) -> &Templates {
+        &self.templates
     }
 
     /// The configuration used at training time.
@@ -253,7 +253,7 @@ impl LearnedWmp {
     /// Reassembles a model from persisted parts (the codec's loader).
     pub(crate) fn from_parts(
         config: LearnedWmpConfig,
-        templates: Box<dyn TemplateLearner>,
+        templates: Templates,
         regressor: Box<dyn Regressor>,
         timings: TrainTimings,
         n_train_workloads: usize,
@@ -306,7 +306,7 @@ impl WorkloadPredictor for LearnedWmp {
             .collect()
     }
 
-    /// The whole artifact: config, template learner and regressor.
+    /// The whole artifact: config, templates and regressor.
     fn footprint_bytes(&self) -> usize {
         wmp_mlkit::codec::encoded_len(|w| self.save_to_writer(w)).unwrap_or(0)
     }
@@ -324,7 +324,7 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(600, 9).unwrap();
         let wmp = LearnedWmp::builder()
             .model(model)
-            .templates(crate::builder::TemplateSpec::PlanKMeans { k: 10, seed: 1 })
+            .templates(TemplateSpec::PlanKMeans { k: 10, seed: 1 })
             .fit(&log)
             .unwrap();
         (log, wmp)
@@ -413,7 +413,7 @@ mod tests {
         let refs: Vec<&QueryRecord> = records.iter().collect();
         let err = LearnedWmp::builder()
             .model(ModelKind::Ridge)
-            .templates(crate::builder::TemplateSpec::PlanKMeans { k: 4, seed: 0 })
+            .templates(TemplateSpec::PlanKMeans { k: 4, seed: 0 })
             .fit_refs(&refs, &log.catalog)
             .unwrap_err();
         assert!(err.to_string().contains("width"), "{err}");
@@ -433,7 +433,7 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(20, 9).unwrap();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         let empty: Vec<&QueryRecord> = Vec::new();
-        let spec = crate::builder::TemplateSpec::PlanKMeans { k: 4, seed: 0 };
+        let spec = TemplateSpec::PlanKMeans { k: 4, seed: 0 };
         assert!(LearnedWmp::builder()
             .templates(spec.clone())
             .fit_refs(&empty, &log.catalog)

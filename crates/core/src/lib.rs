@@ -5,9 +5,10 @@
 //! templates, instead of summing per-query estimates. This crate implements
 //! the full paper pipeline:
 //!
-//! - [`template`] — TR3: template learning (plan-feature k-means, plus the
+//! - [`template`] — TR3: template learning. A [`TemplateSpec`] fits into
+//!   [`Templates`], one closed enum over plan-feature k-means and the
 //!   rule-based / bag-of-words / text-mining / embedding / DBSCAN
-//!   alternatives of Figs. 9 and §V);
+//!   alternatives of Figs. 9 and §V;
 //! - [`workload`] — TR4: fixed-size workload batching and labels;
 //! - [`histogram`] — TR5: workload histograms (Algorithm 2);
 //! - [`model`] — the five learner families (DNN/Ridge/DT/RF/XGB);
@@ -41,7 +42,7 @@ pub mod single;
 pub mod template;
 pub mod workload;
 
-pub use builder::{LearnedWmpBuilder, TemplateSpec};
+pub use builder::LearnedWmpBuilder;
 pub use config::{DatasetConfig, ExperimentConfig};
 pub use eval::{EvalConfig, EvalContext, ModelReport, TRAIN_FRAC};
 pub use handle::{ModelSnapshot, PredictorHandle, SwapOutcome};
@@ -52,7 +53,7 @@ pub use online::{OnlinePolicy, OnlineWmp, RetrainOutcome};
 pub use predictor::WorkloadPredictor;
 pub use single::{SingleWmp, SingleWmpDbms};
 pub use template::{
-    DbscanTemplates, PlanKMeansTemplates, RuleBasedTemplates, TemplateLearner, TextMode,
+    DbscanTemplates, PlanKMeansTemplates, RuleBasedTemplates, TemplateSpec, Templates, TextMode,
     TextTemplates,
 };
 pub use workload::{batch_workloads, batch_workloads_variable, LabelMode, Workload};

@@ -12,7 +12,7 @@ use wmp_workloads::QueryRecord;
 
 use crate::learned::{LearnedWmp, LearnedWmpConfig};
 use crate::predictor::WorkloadPredictor;
-use crate::template::{PlanKMeansTemplates, TemplateLearner};
+use crate::template::TemplateSpec;
 use crate::workload::Workload;
 
 /// What one [`OnlineWmp::observe`] call did with the observation.
@@ -135,11 +135,11 @@ impl OnlineWmp {
             pass = self.retrain_count + 1,
         );
         let refs: Vec<&QueryRecord> = self.buffer.iter().collect();
-        let templates: Box<dyn TemplateLearner> = Box::new(PlanKMeansTemplates::new(
-            self.policy.k_templates,
-            self.config.seed ^ self.retrain_count as u64,
-        ));
-        let fitted = LearnedWmp::fit_impl(self.config.clone(), templates, &refs, catalog, None);
+        let spec = TemplateSpec::PlanKMeans {
+            k: self.policy.k_templates,
+            seed: self.config.seed ^ self.retrain_count as u64,
+        };
+        let fitted = LearnedWmp::fit_impl(self.config.clone(), &spec, &refs, catalog, None);
         match fitted {
             Ok(model) => {
                 self.model = Some(model);
@@ -278,7 +278,7 @@ mod tests {
         let last: Vec<&QueryRecord> = log.records[300..].iter().collect();
         let fresh = LearnedWmp::builder()
             .model(ModelKind::Xgb)
-            .templates(crate::builder::TemplateSpec::PlanKMeans { k: 10, seed: 42 })
+            .templates(TemplateSpec::PlanKMeans { k: 10, seed: 42 })
             .fit_refs(&last, &log.catalog)
             .unwrap();
         for probe in log.records.chunks(10).step_by(5) {
@@ -369,7 +369,7 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(300, 8).unwrap();
         let pre_trained = LearnedWmp::builder()
             .model(ModelKind::Ridge)
-            .templates(crate::builder::TemplateSpec::PlanKMeans { k: 8, seed: 3 })
+            .templates(TemplateSpec::PlanKMeans { k: 8, seed: 3 })
             .fit(&log)
             .unwrap();
         let probe: Vec<&QueryRecord> = log.records[..10].iter().collect();
@@ -392,7 +392,7 @@ mod tests {
         let log = wmp_workloads::tpcc::generate(300, 12).unwrap();
         let trained = LearnedWmp::builder()
             .model(ModelKind::Xgb)
-            .templates(crate::builder::TemplateSpec::PlanKMeans { k: 8, seed: 5 })
+            .templates(TemplateSpec::PlanKMeans { k: 8, seed: 5 })
             .fit(&log)
             .unwrap();
         let mut artifact = Vec::new();

@@ -88,9 +88,8 @@ pub trait WorkloadPredictor: Send + Sync {
     /// Model size in bytes — the quantity behind the paper's Fig. 8: the
     /// number of bytes the codec writes for this model (counted with
     /// [`wmp_mlkit::codec::encoded_len`]), so it equals the persisted size.
-    /// A model with no persisted form reports 0: the DBMS heuristic, an
-    /// untrained [`crate::OnlineWmp`], and a LearnedWMP whose custom
-    /// template learner has no codec tag.
+    /// A model with no persisted form reports 0: the DBMS heuristic and an
+    /// untrained [`crate::OnlineWmp`].
     fn footprint_bytes(&self) -> usize;
 
     /// Maps one query to the model's template id, when the model has a
@@ -110,12 +109,12 @@ mod tests {
     use wmp_mlkit::MlError;
 
     use super::*;
-    use crate::builder::TemplateSpec;
     use crate::handle::PredictorHandle;
     use crate::learned::LearnedWmp;
     use crate::model::ModelKind;
     use crate::online::{OnlinePolicy, OnlineWmp};
     use crate::single::{SingleWmp, SingleWmpDbms};
+    use crate::template::TemplateSpec;
     use crate::workload::{batch_workloads, LabelMode};
 
     /// One trained member of every family besides the stateless

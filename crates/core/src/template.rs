@@ -1,6 +1,12 @@
 //! Query-template learning (paper §III-B1 and the Fig. 9 comparison): map
 //! each query to one of `k` templates.
 //!
+//! A [`TemplateSpec`] names a method and its hyper-parameters;
+//! [`TemplateSpec::fit`] learns it from the training log (TR3) and returns
+//! [`Templates`], the fitted learner that histogram construction (TR5) and
+//! inference (IN3) assign queries with. The methods form a closed set, one
+//! variant each, and the codec persists each under its own tag:
+//!
 //! - [`PlanKMeansTemplates`] — the paper's method: k-means over standardized
 //!   plan features (Algorithm 1).
 //! - [`RuleBasedTemplates`] — expert-style structural rules.
@@ -10,7 +16,9 @@
 //!   k-means won).
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
 
+use wmp_mlkit::codec as c;
 use wmp_mlkit::dbscan::{dbscan, DbscanConfig, NOISE};
 use wmp_mlkit::kmeans::{KMeans, KMeansConfig};
 use wmp_mlkit::linalg::sq_dist;
@@ -22,45 +30,135 @@ use wmp_text::bow::Vectorizer;
 use wmp_text::embed::{EmbedConfig, WordEmbedder};
 use wmp_workloads::QueryRecord;
 
-/// Assigns queries to templates. Implementations are fitted on the training
-/// log (TR3) and then used during both histogram construction (TR5) and
-/// inference (IN3).
-///
-/// `Send + Sync`: once fitted, `assign` is called concurrently from every
-/// serving thread, so implementations must keep assignment-time state
-/// immutable (or behind a lock).
-pub trait TemplateLearner: Send + Sync {
-    /// Learns templates from training records.
+/// Declarative choice of template learner (TR3): [`TemplateSpec::fit`]
+/// turns it into fitted [`Templates`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum TemplateSpec {
+    /// The paper's method: k-means over standardized plan features
+    /// (Algorithm 1).
+    PlanKMeans {
+        /// Number of templates (histogram length).
+        k: usize,
+        /// Clustering seed.
+        seed: u64,
+    },
+    /// Expert-style structural rules (Fig. 9 "rule based").
+    RuleBased,
+    /// SQL-text featurization (bag-of-words / text-mining / embeddings) then
+    /// k-means (Fig. 9).
+    Text {
+        /// Which text featurization to use.
+        mode: TextMode,
+        /// Number of templates.
+        k: usize,
+        /// Clustering seed.
+        seed: u64,
+    },
+    /// Density clustering (§V comparison).
+    Dbscan {
+        /// Neighborhood radius in standardized feature space.
+        eps: f64,
+        /// Minimum neighbors for a core point.
+        min_pts: usize,
+    },
+}
+
+impl Default for TemplateSpec {
+    fn default() -> Self {
+        TemplateSpec::PlanKMeans { k: 30, seed: 42 }
+    }
+}
+
+impl TemplateSpec {
+    /// Validates the spec without doing any work.
     ///
     /// # Errors
-    /// Returns [`MlError`] for empty inputs or clustering failures.
-    fn fit(&mut self, records: &[&QueryRecord], catalog: &Catalog) -> MlResult<()>;
+    /// Returns [`MlError::InvalidHyperparameter`] for out-of-range values.
+    pub fn validate(&self) -> MlResult<()> {
+        match *self {
+            TemplateSpec::PlanKMeans { k, .. } | TemplateSpec::Text { k, .. } if k == 0 => {
+                Err(MlError::InvalidHyperparameter("template count k must be >= 1".into()))
+            }
+            TemplateSpec::Dbscan { eps, .. } if !(eps > 0.0 && eps.is_finite()) => {
+                Err(MlError::InvalidHyperparameter(format!(
+                    "dbscan eps = {eps} must be finite and > 0"
+                )))
+            }
+            TemplateSpec::Dbscan { min_pts: 0, .. } => {
+                Err(MlError::InvalidHyperparameter("dbscan min_pts must be >= 1".into()))
+            }
+            _ => Ok(()),
+        }
+    }
 
+    /// Validates the spec, then learns its templates from training records
+    /// (TR3). `catalog` supplies the text-mining vocabulary.
+    ///
+    /// # Errors
+    /// [`MlError::InvalidHyperparameter`] for an invalid spec,
+    /// [`MlError::EmptyInput`] for no records, else clustering errors.
+    pub fn fit(&self, records: &[&QueryRecord], catalog: &Catalog) -> MlResult<Templates> {
+        self.validate()?;
+        if records.is_empty() {
+            return Err(MlError::EmptyInput("TemplateSpec::fit"));
+        }
+        Ok(match *self {
+            TemplateSpec::PlanKMeans { k, seed } => {
+                Templates::PlanKMeans(PlanKMeansTemplates::fit(k, seed, records)?)
+            }
+            TemplateSpec::RuleBased => Templates::RuleBased(RuleBasedTemplates::fit(records)),
+            TemplateSpec::Text { mode, k, seed } => {
+                Templates::Text(TextTemplates::fit(mode, k, seed, records, catalog)?)
+            }
+            TemplateSpec::Dbscan { eps, min_pts } => {
+                Templates::Dbscan(DbscanTemplates::fit(DbscanConfig { eps, min_pts }, records)?)
+            }
+        })
+    }
+}
+
+/// Fitted query templates, one variant per template-learning method of
+/// Fig. 9 and §V. Only [`TemplateSpec::fit`] and the codec build them, so
+/// every value is fitted; once built, `assign` is called concurrently from
+/// every serving thread.
+pub enum Templates {
+    /// k-means over standardized plan features (the paper's method).
+    PlanKMeans(PlanKMeansTemplates),
+    /// Expert-style structural rules.
+    RuleBased(RuleBasedTemplates),
+    /// SQL-text featurization, then k-means.
+    Text(TextTemplates),
+    /// Density clusters plus one catch-all noise template.
+    Dbscan(DbscanTemplates),
+}
+
+impl Templates {
     /// Assigns one query to a template id in `0..n_templates()`.
     ///
     /// # Errors
-    /// Returns [`MlError::NotFitted`] before `fit`.
-    fn assign(&self, record: &QueryRecord) -> MlResult<usize>;
+    /// A dimension error when the query's features do not have the width
+    /// the templates were fitted on.
+    pub fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
+        match self {
+            Templates::PlanKMeans(t) => {
+                with_scaled_row(&t.scaler, &record.features, |row| t.kmeans.predict_row(row))
+            }
+            Templates::RuleBased(t) => {
+                Ok(t.map.get(&RuleBasedTemplates::key_of(record)).copied().unwrap_or(0))
+            }
+            Templates::Text(t) => t.kmeans.predict_row(&t.featurizer.featurize(&record.sql())),
+            Templates::Dbscan(t) => t.assign(record),
+        }
+    }
 
     /// Number of templates (histogram length `k`).
-    fn n_templates(&self) -> usize;
-
-    /// Stable name used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Serializes the fitted state with the [`wmp_mlkit::codec`] primitives
-    /// so a trained learner can be persisted behind the trait object.
-    /// Loading needs the concrete type, so each learner exposes an inherent
-    /// `read_params` constructor; [`crate::codec`] dispatches on a tag.
-    ///
-    /// # Errors
-    /// Returns [`MlError::Codec`] on I/O failure, or by default for custom
-    /// learners that do not support persistence.
-    fn save_params(&self, _w: &mut dyn std::io::Write) -> MlResult<()> {
-        Err(MlError::Codec(format!(
-            "template learner '{}' does not support persistence",
-            self.name()
-        )))
+    pub fn n_templates(&self) -> usize {
+        match self {
+            Templates::PlanKMeans(PlanKMeansTemplates { kmeans, .. })
+            | Templates::Text(TextTemplates { kmeans, .. }) => kmeans.k(),
+            Templates::RuleBased(t) => t.map.len().max(1),
+            Templates::Dbscan(t) => t.n_templates.max(1),
+        }
     }
 }
 
@@ -68,17 +166,21 @@ pub trait TemplateLearner: Send + Sync {
 /// representative sample, not every query (keeps TR3 fast on 93k-query logs).
 const MAX_FIT_SAMPLES: usize = 20_000;
 
-/// The plan features of at most [`MAX_FIT_SAMPLES`] of `records`,
-/// standardized by a freshly fitted `scaler`, as one matrix. The rows are
-/// copied once and scaled in place: no per-row or unscaled copy is made.
+/// Subsample cap for DBSCAN, which is O(n²) in its sample.
+const MAX_DBSCAN_SAMPLES: usize = 3_000;
+
+/// The plan features of at most `cap` of `records` as one matrix,
+/// standardized by the scaler fitted on them, which is returned alongside.
+/// The rows are copied once and scaled in place: no per-row or unscaled
+/// copy is made.
 ///
 /// # Errors
 /// [`MlError::EmptyInput`] for no records, a dimension error for ragged
 /// feature rows.
-fn scaled_sample(records: &[&QueryRecord], scaler: &mut StandardScaler) -> MlResult<Matrix> {
+fn scaled_sample(records: &[&QueryRecord], cap: usize) -> MlResult<(StandardScaler, Matrix)> {
     // Deterministic stride-based thinning preserves template diversity
     // because generators rotate templates round-robin.
-    let stride = records.len().div_ceil(MAX_FIT_SAMPLES).max(1);
+    let stride = records.len().div_ceil(cap).max(1);
     let n = records.len().div_ceil(stride);
     let cols = records.first().ok_or(MlError::EmptyInput("template sample"))?.features.len();
     let mut data = Vec::with_capacity(n * cols);
@@ -92,11 +194,12 @@ fn scaled_sample(records: &[&QueryRecord], scaler: &mut StandardScaler) -> MlRes
         data.extend_from_slice(row);
     }
     let mut x = Matrix::from_vec(n, cols, data)?;
+    let mut scaler = StandardScaler::new();
     scaler.fit(&x)?;
     for r in 0..x.rows() {
         scaler.transform_row(x.row_mut(r))?;
     }
-    Ok(x)
+    Ok((scaler, x))
 }
 
 /// Standardizes `features` with `scaler` and hands the scaled row to `f`.
@@ -124,96 +227,79 @@ fn with_scaled_row<T>(
     f(row)
 }
 
+/// The error for a payload whose fitted flag or marker says "unfitted": no
+/// saved model can carry one, so the artifact is corrupt.
+fn unfitted(what: &str) -> MlError {
+    c::codec_err(format!("{what} payload is marked unfitted; saved templates are always fitted"))
+}
+
+/// Reads the fitted flag every template payload carries.
+///
+/// # Errors
+/// [`MlError::Codec`] on I/O failure or a flag marking `what` unfitted.
+fn read_fitted_flag(r: &mut dyn Read, what: &str) -> MlResult<()> {
+    if c::read_bool(r)? {
+        Ok(())
+    } else {
+        Err(unfitted(what))
+    }
+}
+
 /// The paper's template learner: k-means over standardized plan features.
 #[derive(Debug, Clone)]
 pub struct PlanKMeansTemplates {
     k: usize,
     seed: u64,
     scaler: StandardScaler,
-    kmeans: Option<KMeans>,
+    kmeans: KMeans,
 }
 
 impl PlanKMeansTemplates {
-    /// Creates an unfitted learner with `k` templates.
-    pub fn new(k: usize, seed: u64) -> Self {
-        PlanKMeansTemplates { k, seed, scaler: StandardScaler::new(), kmeans: None }
+    fn fit(k: usize, seed: u64, records: &[&QueryRecord]) -> MlResult<Self> {
+        let (scaler, xs) = scaled_sample(records, MAX_FIT_SAMPLES)?;
+        let mut kmeans = KMeans::new(KMeansConfig {
+            k: k.min(xs.rows()),
+            seed,
+            n_init: 4,
+            max_iter: 100,
+            ..KMeansConfig::default()
+        });
+        kmeans.fit(&xs)?;
+        Ok(PlanKMeansTemplates { k, seed, scaler, kmeans })
     }
 
-    /// The learned k-means model (for inspection/size accounting).
-    pub fn kmeans(&self) -> Option<&KMeans> {
-        self.kmeans.as_ref()
+    /// The learned k-means model (for inspection).
+    pub fn kmeans(&self) -> &KMeans {
+        &self.kmeans
     }
 
     /// Picks `k` with the paper's elbow method (§III-B1): runs k-means for
     /// each candidate, computes the inertia curve, and returns the knee.
     ///
     /// # Errors
-    /// Propagates clustering errors (e.g. candidates larger than the sample).
+    /// [`MlError::EmptyInput`] for no records; propagates clustering errors
+    /// (e.g. candidates larger than the sample).
     pub fn auto_k(records: &[&QueryRecord], candidates: &[usize], seed: u64) -> MlResult<usize> {
-        if records.is_empty() {
-            return Err(MlError::EmptyInput("PlanKMeansTemplates::auto_k"));
-        }
-        let xs = scaled_sample(records, &mut StandardScaler::new())?;
+        let (_, xs) = scaled_sample(records, MAX_FIT_SAMPLES)?;
         let curve = wmp_mlkit::kmeans::elbow_curve(&xs, candidates, seed)?;
         wmp_mlkit::kmeans::pick_elbow(&curve)
     }
 
-    /// Deserializes a learner written by [`TemplateLearner::save_params`].
-    ///
-    /// # Errors
-    /// Returns [`MlError::Codec`] on I/O failure or truncation.
-    pub fn read_params(r: &mut dyn std::io::Read) -> MlResult<Self> {
-        use wmp_mlkit::codec as c;
+    pub(crate) fn read_params(r: &mut dyn Read) -> MlResult<Self> {
         let k = c::read_usize(r)?;
         let seed = c::read_u64(r)?;
         let scaler = StandardScaler::read_params(r)?;
-        let kmeans = if c::read_bool(r)? { Some(KMeans::read_params(r)?) } else { None };
+        read_fitted_flag(r, "plan k-means templates")?;
+        let kmeans = KMeans::read_params(r)?;
         Ok(PlanKMeansTemplates { k, seed, scaler, kmeans })
     }
-}
 
-impl TemplateLearner for PlanKMeansTemplates {
-    fn fit(&mut self, records: &[&QueryRecord], _catalog: &Catalog) -> MlResult<()> {
-        if records.is_empty() {
-            return Err(MlError::EmptyInput("PlanKMeansTemplates::fit"));
-        }
-        let xs = scaled_sample(records, &mut self.scaler)?;
-        let k = self.k.min(xs.rows());
-        let mut km = KMeans::new(KMeansConfig {
-            k,
-            seed: self.seed,
-            n_init: 4,
-            max_iter: 100,
-            ..KMeansConfig::default()
-        });
-        km.fit(&xs)?;
-        self.kmeans = Some(km);
-        Ok(())
-    }
-
-    fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
-        let km = self.kmeans.as_ref().ok_or(MlError::NotFitted("PlanKMeansTemplates"))?;
-        with_scaled_row(&self.scaler, &record.features, |row| km.predict_row(row))
-    }
-
-    fn n_templates(&self) -> usize {
-        self.kmeans.as_ref().map_or(self.k, KMeans::k)
-    }
-
-    fn name(&self) -> &'static str {
-        "query_plan"
-    }
-
-    fn save_params(&self, w: &mut dyn std::io::Write) -> MlResult<()> {
-        use wmp_mlkit::codec as c;
+    pub(crate) fn write_params(&self, w: &mut dyn Write) -> MlResult<()> {
         c::write_usize(w, self.k)?;
         c::write_u64(w, self.seed)?;
         self.scaler.write_params(w)?;
-        c::write_bool(w, self.kmeans.is_some())?;
-        if let Some(km) = &self.kmeans {
-            km.write_params(w)?;
-        }
-        Ok(())
+        c::write_bool(w, true)?;
+        self.kmeans.write_params(w)
     }
 }
 
@@ -221,16 +307,18 @@ impl TemplateLearner for PlanKMeansTemplates {
 /// attributes a DBA would write rules over (table count, aggregation shape,
 /// sort/distinct flags, driving table). Unseen combinations at inference time
 /// fall back to template 0, mirroring a rule set's catch-all bucket.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RuleBasedTemplates {
     map: HashMap<(usize, bool, bool, bool, Name), usize>,
-    fitted: bool,
 }
 
 impl RuleBasedTemplates {
-    /// Creates an unfitted rule set.
-    pub fn new() -> Self {
-        Self::default()
+    fn fit(records: &[&QueryRecord]) -> Self {
+        // Sort keys for a deterministic template numbering.
+        let mut keys: Vec<_> = records.iter().map(|r| Self::key_of(r)).collect();
+        keys.sort();
+        keys.dedup();
+        RuleBasedTemplates { map: keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect() }
     }
 
     fn key_of(record: &QueryRecord) -> (usize, bool, bool, bool, Name) {
@@ -244,13 +332,8 @@ impl RuleBasedTemplates {
         )
     }
 
-    /// Deserializes a learner written by [`TemplateLearner::save_params`].
-    ///
-    /// # Errors
-    /// Returns [`MlError::Codec`] on I/O failure or truncation.
-    pub fn read_params(r: &mut dyn std::io::Read) -> MlResult<Self> {
-        use wmp_mlkit::codec as c;
-        let fitted = c::read_bool(r)?;
+    pub(crate) fn read_params(r: &mut dyn Read) -> MlResult<Self> {
+        read_fitted_flag(r, "rule-based templates")?;
         let n = c::read_len(r, "rule-based templates")?;
         let mut map = HashMap::with_capacity(n);
         for _ in 0..n {
@@ -271,45 +354,11 @@ impl RuleBasedTemplates {
             }
             map.insert(key, template);
         }
-        Ok(RuleBasedTemplates { map, fitted })
-    }
-}
-
-impl TemplateLearner for RuleBasedTemplates {
-    fn fit(&mut self, records: &[&QueryRecord], _catalog: &Catalog) -> MlResult<()> {
-        if records.is_empty() {
-            return Err(MlError::EmptyInput("RuleBasedTemplates::fit"));
-        }
-        self.map.clear();
-        // Sort keys for a deterministic template numbering.
-        let mut keys: Vec<_> = records.iter().map(|r| Self::key_of(r)).collect();
-        keys.sort();
-        keys.dedup();
-        for (i, k) in keys.into_iter().enumerate() {
-            self.map.insert(k, i);
-        }
-        self.fitted = true;
-        Ok(())
+        Ok(RuleBasedTemplates { map })
     }
 
-    fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
-        if !self.fitted {
-            return Err(MlError::NotFitted("RuleBasedTemplates"));
-        }
-        Ok(self.map.get(&Self::key_of(record)).copied().unwrap_or(0))
-    }
-
-    fn n_templates(&self) -> usize {
-        self.map.len().max(1)
-    }
-
-    fn name(&self) -> &'static str {
-        "rule_based"
-    }
-
-    fn save_params(&self, w: &mut dyn std::io::Write) -> MlResult<()> {
-        use wmp_mlkit::codec as c;
-        c::write_bool(w, self.fitted)?;
+    pub(crate) fn write_params(&self, w: &mut dyn Write) -> MlResult<()> {
+        c::write_bool(w, true)?;
         // Sort entries for a deterministic byte stream.
         let mut entries: Vec<_> = self.map.iter().collect();
         entries.sort();
@@ -338,14 +387,6 @@ pub enum TextMode {
 }
 
 impl TextMode {
-    fn learner_name(self) -> &'static str {
-        match self {
-            TextMode::BagOfWords => "bag_of_words",
-            TextMode::TextMining => "text_mining",
-            TextMode::Embedding => "word_embeddings",
-        }
-    }
-
     fn code(self) -> u8 {
         match self {
             TextMode::BagOfWords => 0,
@@ -359,7 +400,7 @@ impl TextMode {
             0 => Ok(TextMode::BagOfWords),
             1 => Ok(TextMode::TextMining),
             2 => Ok(TextMode::Embedding),
-            other => Err(wmp_mlkit::codec::codec_err(format!("invalid text-mode tag {other}"))),
+            other => Err(c::codec_err(format!("invalid text-mode tag {other}"))),
         }
     }
 }
@@ -369,46 +410,75 @@ enum TextFeaturizer {
     Embedding(WordEmbedder),
 }
 
+impl TextFeaturizer {
+    fn featurize(&self, sql: &str) -> Vec<f64> {
+        match self {
+            TextFeaturizer::Counts(v) => v.vectorize(sql),
+            TextFeaturizer::Embedding(e) => e.embed(sql),
+        }
+    }
+}
+
 /// Text-based templates: featurize SQL text, then k-means.
 pub struct TextTemplates {
     k: usize,
     seed: u64,
     mode: TextMode,
-    featurizer: Option<TextFeaturizer>,
-    kmeans: Option<KMeans>,
+    featurizer: TextFeaturizer,
+    kmeans: KMeans,
 }
 
 impl TextTemplates {
-    /// Creates an unfitted learner.
-    pub fn new(mode: TextMode, k: usize, seed: u64) -> Self {
-        TextTemplates { k, seed, mode, featurizer: None, kmeans: None }
+    fn fit(
+        mode: TextMode,
+        k: usize,
+        seed: u64,
+        records: &[&QueryRecord],
+        catalog: &Catalog,
+    ) -> MlResult<Self> {
+        let stride = records.len().div_ceil(MAX_FIT_SAMPLES).max(1);
+        let corpus: Vec<String> = records.iter().step_by(stride).map(|r| r.sql()).collect();
+        let featurizer = match mode {
+            TextMode::BagOfWords => TextFeaturizer::Counts(Vectorizer::bag_of_words(&corpus, 300)),
+            TextMode::TextMining => {
+                TextFeaturizer::Counts(Vectorizer::text_mining(&catalog.identifier_vocabulary()))
+            }
+            TextMode::Embedding => TextFeaturizer::Embedding(WordEmbedder::train(
+                &corpus,
+                &EmbedConfig { seed, ..EmbedConfig::default() },
+            )),
+        };
+        let rows: Vec<Vec<f64>> = corpus.iter().map(|s| featurizer.featurize(s)).collect();
+        let x = Matrix::from_rows(&rows)?;
+        let mut kmeans = KMeans::new(KMeansConfig {
+            k: k.min(x.rows()),
+            seed,
+            n_init: 2,
+            max_iter: 50,
+            ..KMeansConfig::default()
+        });
+        kmeans.fit(&x)?;
+        Ok(TextTemplates { k, seed, mode, featurizer, kmeans })
     }
 
-    fn featurize(&self, sql: &str) -> MlResult<Vec<f64>> {
-        match self.featurizer.as_ref().ok_or(MlError::NotFitted("TextTemplates"))? {
-            TextFeaturizer::Counts(v) => Ok(v.vectorize(sql)),
-            TextFeaturizer::Embedding(e) => Ok(e.embed(sql)),
-        }
+    /// The text featurization this learner uses.
+    pub(crate) fn mode(&self) -> TextMode {
+        self.mode
     }
 
-    /// Deserializes a learner written by [`TemplateLearner::save_params`].
-    ///
-    /// # Errors
-    /// Returns [`MlError::Codec`] on I/O failure or truncation.
-    pub fn read_params(r: &mut dyn std::io::Read) -> MlResult<Self> {
-        use wmp_mlkit::codec as c;
+    pub(crate) fn read_params(r: &mut dyn Read) -> MlResult<Self> {
         let mode = TextMode::from_code(c::read_u8(r)?)?;
         let k = c::read_usize(r)?;
         let seed = c::read_u64(r)?;
         let featurizer = match c::read_u8(r)? {
-            0 => None,
+            0 => return Err(unfitted("text templates")),
             1 => {
                 let n = c::read_len(r, "vectorizer vocabulary")?;
                 let mut names = Vec::with_capacity(n);
                 for _ in 0..n {
                     names.push(c::read_string(r)?);
                 }
-                Some(TextFeaturizer::Counts(Vectorizer::from_vocabulary(names)))
+                TextFeaturizer::Counts(Vectorizer::from_vocabulary(names))
             }
             2 => {
                 let n = c::read_len(r, "embedder vocabulary")?;
@@ -424,82 +494,28 @@ impl TextTemplates {
                         vectors.rows()
                     )));
                 }
-                Some(TextFeaturizer::Embedding(WordEmbedder::from_parts(names, vectors)))
+                TextFeaturizer::Embedding(WordEmbedder::from_parts(names, vectors))
             }
             other => return Err(c::codec_err(format!("invalid text featurizer tag {other}"))),
         };
-        let kmeans = if c::read_bool(r)? { Some(KMeans::read_params(r)?) } else { None };
+        read_fitted_flag(r, "text templates")?;
+        let kmeans = KMeans::read_params(r)?;
         Ok(TextTemplates { k, seed, mode, featurizer, kmeans })
     }
-}
 
-impl TemplateLearner for TextTemplates {
-    fn fit(&mut self, records: &[&QueryRecord], catalog: &Catalog) -> MlResult<()> {
-        if records.is_empty() {
-            return Err(MlError::EmptyInput("TextTemplates::fit"));
-        }
-        let sample: Vec<&QueryRecord> = if records.len() > MAX_FIT_SAMPLES {
-            let stride = records.len().div_ceil(MAX_FIT_SAMPLES);
-            records.iter().step_by(stride).copied().collect()
-        } else {
-            records.to_vec()
-        };
-        let corpus: Vec<String> = sample.iter().map(|r| r.sql()).collect();
-        let featurizer = match self.mode {
-            TextMode::BagOfWords => TextFeaturizer::Counts(Vectorizer::bag_of_words(&corpus, 300)),
-            TextMode::TextMining => {
-                TextFeaturizer::Counts(Vectorizer::text_mining(&catalog.identifier_vocabulary()))
-            }
-            TextMode::Embedding => TextFeaturizer::Embedding(WordEmbedder::train(
-                &corpus,
-                &EmbedConfig { seed: self.seed, ..EmbedConfig::default() },
-            )),
-        };
-        self.featurizer = Some(featurizer);
-        let rows: Vec<Vec<f64>> =
-            corpus.iter().map(|s| self.featurize(s)).collect::<MlResult<_>>()?;
-        let x = Matrix::from_rows(&rows)?;
-        let k = self.k.min(x.rows());
-        let mut km = KMeans::new(KMeansConfig {
-            k,
-            seed: self.seed,
-            n_init: 2,
-            max_iter: 50,
-            ..KMeansConfig::default()
-        });
-        km.fit(&x)?;
-        self.kmeans = Some(km);
-        Ok(())
-    }
-
-    fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
-        let km = self.kmeans.as_ref().ok_or(MlError::NotFitted("TextTemplates"))?;
-        km.predict_row(&self.featurize(&record.sql())?)
-    }
-
-    fn n_templates(&self) -> usize {
-        self.kmeans.as_ref().map_or(self.k, KMeans::k)
-    }
-
-    fn name(&self) -> &'static str {
-        self.mode.learner_name()
-    }
-
-    fn save_params(&self, w: &mut dyn std::io::Write) -> MlResult<()> {
-        use wmp_mlkit::codec as c;
+    pub(crate) fn write_params(&self, w: &mut dyn Write) -> MlResult<()> {
         c::write_u8(w, self.mode.code())?;
         c::write_usize(w, self.k)?;
         c::write_u64(w, self.seed)?;
         match &self.featurizer {
-            None => c::write_u8(w, 0)?,
-            Some(TextFeaturizer::Counts(v)) => {
+            TextFeaturizer::Counts(v) => {
                 c::write_u8(w, 1)?;
                 c::write_usize(w, v.vocabulary().len())?;
                 for name in v.vocabulary() {
                     c::write_string(w, name)?;
                 }
             }
-            Some(TextFeaturizer::Embedding(e)) => {
+            TextFeaturizer::Embedding(e) => {
                 c::write_u8(w, 2)?;
                 let names = e.vocabulary();
                 c::write_usize(w, names.len())?;
@@ -509,11 +525,8 @@ impl TemplateLearner for TextTemplates {
                 c::write_matrix(w, e.vectors())?;
             }
         }
-        c::write_bool(w, self.kmeans.is_some())?;
-        if let Some(km) = &self.kmeans {
-            km.write_params(w)?;
-        }
-        Ok(())
+        c::write_bool(w, true)?;
+        self.kmeans.write_params(w)
     }
 }
 
@@ -526,80 +539,21 @@ pub struct DbscanTemplates {
     points: Matrix,
     labels: Vec<usize>,
     n_templates: usize,
-    fitted: bool,
 }
 
 impl DbscanTemplates {
-    /// Creates an unfitted learner.
-    pub fn new(eps: f64, min_pts: usize) -> Self {
-        DbscanTemplates {
-            config: DbscanConfig { eps, min_pts },
-            scaler: StandardScaler::new(),
-            points: Matrix::zeros(0, 0),
-            labels: Vec::new(),
-            n_templates: 0,
-            fitted: false,
-        }
-    }
-
-    /// Deserializes a learner written by [`TemplateLearner::save_params`].
-    ///
-    /// # Errors
-    /// Returns [`MlError::Codec`] on I/O failure, truncation, or mismatched
-    /// point/label counts.
-    pub fn read_params(r: &mut dyn std::io::Read) -> MlResult<Self> {
-        use wmp_mlkit::codec as c;
-        let config = DbscanConfig { eps: c::read_f64(r)?, min_pts: c::read_usize(r)? };
-        let scaler = StandardScaler::read_params(r)?;
-        let points = c::read_matrix(r)?;
-        let labels = c::read_usize_seq(r)?;
-        let n_templates = c::read_usize(r)?;
-        let fitted = c::read_bool(r)?;
-        if labels.len() != points.rows() {
-            return Err(c::codec_err(format!(
-                "dbscan has {} points but {} labels",
-                points.rows(),
-                labels.len()
-            )));
-        }
-        if let Some(&bad) = labels.iter().find(|&&l| l >= n_templates.max(1)) {
-            return Err(c::codec_err(format!("dbscan label {bad} out of range 0..{n_templates}")));
-        }
-        Ok(DbscanTemplates { config, scaler, points, labels, n_templates, fitted })
-    }
-}
-
-impl TemplateLearner for DbscanTemplates {
-    fn fit(&mut self, records: &[&QueryRecord], _catalog: &Catalog) -> MlResult<()> {
-        if records.is_empty() {
-            return Err(MlError::EmptyInput("DbscanTemplates::fit"));
-        }
-        // DBSCAN is O(n²); cap the fitted sample harder than k-means.
-        let rows = {
-            let mut rows: Vec<Vec<f64>> = records.iter().map(|r| r.features.clone()).collect();
-            if rows.len() > 3_000 {
-                let stride = rows.len().div_ceil(3_000);
-                rows = rows.into_iter().step_by(stride).collect();
-            }
-            rows
-        };
-        let x = Matrix::from_rows(&rows)?;
-        let xs = self.scaler.fit_transform(&x)?;
-        let raw = dbscan(&xs, &self.config)?;
+    fn fit(config: DbscanConfig, records: &[&QueryRecord]) -> MlResult<Self> {
+        let (scaler, points) = scaled_sample(records, MAX_DBSCAN_SAMPLES)?;
+        let raw = dbscan(&points, &config)?;
         let n_clusters = wmp_mlkit::dbscan::n_clusters(&raw);
         // Noise points map to the extra template `n_clusters`.
-        self.labels =
+        let labels =
             raw.iter().map(|&l| if l == NOISE { n_clusters } else { l as usize }).collect();
-        self.n_templates = n_clusters + 1;
-        self.points = xs;
-        self.fitted = true;
-        Ok(())
+        Ok(DbscanTemplates { config, scaler, points, labels, n_templates: n_clusters + 1 })
     }
 
+    /// The label of the fitted point nearest to `record`.
     fn assign(&self, record: &QueryRecord) -> MlResult<usize> {
-        if !self.fitted {
-            return Err(MlError::NotFitted("DbscanTemplates"));
-        }
         with_scaled_row(&self.scaler, &record.features, |row| {
             let mut best = (0usize, f64::INFINITY);
             for (i, p) in self.points.row_iter().enumerate() {
@@ -612,23 +566,37 @@ impl TemplateLearner for DbscanTemplates {
         })
     }
 
-    fn n_templates(&self) -> usize {
-        self.n_templates.max(1)
+    pub(crate) fn read_params(r: &mut dyn Read) -> MlResult<Self> {
+        let config = DbscanConfig { eps: c::read_f64(r)?, min_pts: c::read_usize(r)? };
+        let scaler = StandardScaler::read_params(r)?;
+        let points = c::read_matrix(r)?;
+        let labels = c::read_usize_seq(r)?;
+        let n_templates = c::read_usize(r)?;
+        read_fitted_flag(r, "dbscan templates")?;
+        if points.rows() == 0 {
+            return Err(c::codec_err("dbscan templates have no fitted points"));
+        }
+        if labels.len() != points.rows() {
+            return Err(c::codec_err(format!(
+                "dbscan has {} points but {} labels",
+                points.rows(),
+                labels.len()
+            )));
+        }
+        if let Some(&bad) = labels.iter().find(|&&l| l >= n_templates.max(1)) {
+            return Err(c::codec_err(format!("dbscan label {bad} out of range 0..{n_templates}")));
+        }
+        Ok(DbscanTemplates { config, scaler, points, labels, n_templates })
     }
 
-    fn name(&self) -> &'static str {
-        "dbscan"
-    }
-
-    fn save_params(&self, w: &mut dyn std::io::Write) -> MlResult<()> {
-        use wmp_mlkit::codec as c;
+    pub(crate) fn write_params(&self, w: &mut dyn Write) -> MlResult<()> {
         c::write_f64(w, self.config.eps)?;
         c::write_usize(w, self.config.min_pts)?;
         self.scaler.write_params(w)?;
         c::write_matrix(w, &self.points)?;
         c::write_usize_seq(w, &self.labels)?;
         c::write_usize(w, self.n_templates)?;
-        c::write_bool(w, self.fitted)
+        c::write_bool(w, true)
     }
 }
 
@@ -644,8 +612,7 @@ mod tests {
     fn plan_kmeans_learns_and_assigns_in_range() {
         let log = sample_log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
-        let mut t = PlanKMeansTemplates::new(8, 1);
-        t.fit(&refs, &log.catalog).unwrap();
+        let t = TemplateSpec::PlanKMeans { k: 8, seed: 1 }.fit(&refs, &log.catalog).unwrap();
         assert_eq!(t.n_templates(), 8);
         for r in &refs {
             assert!(t.assign(r).unwrap() < 8);
@@ -656,8 +623,7 @@ mod tests {
     fn plan_kmeans_groups_same_generator_template_together() {
         let log = sample_log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
-        let mut t = PlanKMeansTemplates::new(12, 1);
-        t.fit(&refs, &log.catalog).unwrap();
+        let t = TemplateSpec::PlanKMeans { k: 12, seed: 1 }.fit(&refs, &log.catalog).unwrap();
         // Queries from the same generator template should mostly share a
         // learned template (their plans are near-identical).
         let mut by_hint: HashMap<usize, Vec<usize>> = HashMap::new();
@@ -682,8 +648,7 @@ mod tests {
     fn rule_based_is_consistent_and_covers_unseen() {
         let log = sample_log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
-        let mut t = RuleBasedTemplates::new();
-        t.fit(&refs[..200], &log.catalog).unwrap();
+        let t = TemplateSpec::RuleBased.fit(&refs[..200], &log.catalog).unwrap();
         assert!(t.n_templates() >= 2);
         for r in &refs {
             assert!(t.assign(r).unwrap() < t.n_templates());
@@ -699,8 +664,8 @@ mod tests {
         let log = sample_log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
         for mode in [TextMode::BagOfWords, TextMode::TextMining, TextMode::Embedding] {
-            let mut t = TextTemplates::new(mode, 6, 3);
-            t.fit(&refs[..150], &log.catalog).unwrap();
+            let t =
+                TemplateSpec::Text { mode, k: 6, seed: 3 }.fit(&refs[..150], &log.catalog).unwrap();
             assert_eq!(t.n_templates(), 6);
             for r in refs.iter().take(30) {
                 assert!(t.assign(r).unwrap() < 6, "mode {mode:?}");
@@ -712,8 +677,7 @@ mod tests {
     fn dbscan_templates_fit_and_assign() {
         let log = sample_log();
         let refs: Vec<&QueryRecord> = log.records.iter().collect();
-        let mut t = DbscanTemplates::new(1.0, 4);
-        t.fit(&refs, &log.catalog).unwrap();
+        let t = TemplateSpec::Dbscan { eps: 1.0, min_pts: 4 }.fit(&refs, &log.catalog).unwrap();
         assert!(t.n_templates() >= 2, "found {} templates", t.n_templates());
         for r in refs.iter().take(50) {
             assert!(t.assign(r).unwrap() < t.n_templates());
@@ -721,29 +685,56 @@ mod tests {
     }
 
     #[test]
-    fn learners_error_before_fit_and_on_empty() {
+    fn every_spec_errors_on_empty_input() {
         let log = sample_log();
-        let r = &log.records[0];
-        assert!(PlanKMeansTemplates::new(4, 0).assign(r).is_err());
-        assert!(RuleBasedTemplates::new().assign(r).is_err());
-        assert!(TextTemplates::new(TextMode::BagOfWords, 4, 0).assign(r).is_err());
-        assert!(DbscanTemplates::new(0.5, 3).assign(r).is_err());
         let empty: Vec<&QueryRecord> = Vec::new();
-        assert!(PlanKMeansTemplates::new(4, 0).fit(&empty, &log.catalog).is_err());
-        assert!(RuleBasedTemplates::new().fit(&empty, &log.catalog).is_err());
+        for spec in [
+            TemplateSpec::PlanKMeans { k: 4, seed: 0 },
+            TemplateSpec::RuleBased,
+            TemplateSpec::Text { mode: TextMode::BagOfWords, k: 4, seed: 0 },
+            TemplateSpec::Text { mode: TextMode::TextMining, k: 4, seed: 0 },
+            TemplateSpec::Text { mode: TextMode::Embedding, k: 4, seed: 0 },
+            TemplateSpec::Dbscan { eps: 0.5, min_pts: 3 },
+        ] {
+            assert!(
+                matches!(spec.fit(&empty, &log.catalog), Err(MlError::EmptyInput(_))),
+                "{spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dbscan_payload_without_points_is_rejected() {
+        // Fitted flag set, but no point for `assign` to take a label from.
+        let mut buf = Vec::new();
+        c::write_f64(&mut buf, 1.0).unwrap();
+        c::write_usize(&mut buf, 4).unwrap();
+        StandardScaler::new().write_params(&mut buf).unwrap();
+        c::write_matrix(&mut buf, &Matrix::zeros(0, 0)).unwrap();
+        c::write_usize_seq(&mut buf, &[]).unwrap();
+        c::write_usize(&mut buf, 0).unwrap();
+        c::write_bool(&mut buf, true).unwrap();
+        let err = DbscanTemplates::read_params(&mut buf.as_slice()).err().expect("rejected");
+        assert!(err.to_string().contains("no fitted points"), "{err}");
     }
 
     #[test]
     fn learner_names_are_distinct() {
-        let names = [
-            PlanKMeansTemplates::new(2, 0).name(),
-            RuleBasedTemplates::new().name(),
-            TextTemplates::new(TextMode::BagOfWords, 2, 0).name(),
-            TextTemplates::new(TextMode::TextMining, 2, 0).name(),
-            TextTemplates::new(TextMode::Embedding, 2, 0).name(),
-            DbscanTemplates::new(0.5, 3).name(),
-        ];
-        let set: std::collections::HashSet<&str> = names.into_iter().collect();
-        assert_eq!(set.len(), 6);
+        let log = sample_log();
+        let refs: Vec<&QueryRecord> = log.records.iter().take(60).collect();
+        let names: Vec<&str> = [
+            TemplateSpec::PlanKMeans { k: 2, seed: 0 },
+            TemplateSpec::RuleBased,
+            TemplateSpec::Text { mode: TextMode::BagOfWords, k: 2, seed: 0 },
+            TemplateSpec::Text { mode: TextMode::TextMining, k: 2, seed: 0 },
+            TemplateSpec::Text { mode: TextMode::Embedding, k: 2, seed: 0 },
+            TemplateSpec::Dbscan { eps: 0.5, min_pts: 3 },
+        ]
+        .iter()
+        .map(|spec| spec.fit(&refs, &log.catalog).unwrap().name())
+        .collect();
+        let set: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(set.len(), 6, "{names:?}");
+        assert!(!set.contains("unregistered"), "{names:?}");
     }
 }

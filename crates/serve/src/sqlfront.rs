@@ -57,15 +57,8 @@ impl SqlFrontend {
         // ordering: Relaxed — ids need uniqueness only.
         spec.id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let planner = Planner::new(&self.catalog);
-        build_record(
-            &self.catalog,
-            &planner,
-            &self.simulator,
-            &self.heuristic,
-            spec,
-            NO_TEMPLATE_HINT,
-        )
-        .map_err(plan_to_parse_error)
+        build_record(&planner, &self.simulator, &self.heuristic, spec, NO_TEMPLATE_HINT)
+            .map_err(plan_to_parse_error)
     }
 }
 

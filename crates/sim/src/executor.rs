@@ -18,52 +18,31 @@ use crate::noise::lognormal_factor;
 /// Bytes per mebibyte.
 pub const MB: f64 = 1024.0 * 1024.0;
 
-/// Executor memory-model constants.
-#[derive(Debug, Clone)]
-pub struct MemoryConfig {
-    /// Table-scan I/O buffer (bytes).
-    pub scan_buffer: f64,
-    /// Index-scan buffer (bytes).
-    pub index_buffer: f64,
-    /// Sort heap cap per sort (bytes); larger inputs spill and hold the cap
-    /// plus merge buffers.
-    pub sort_heap_cap: f64,
-    /// Extra merge buffers held by a spilling sort (bytes).
-    pub spill_merge_buffers: f64,
-    /// Per-entry overhead of a hash-join table (pointers, hashes, alignment).
-    pub hash_entry_overhead: f64,
-    /// Per-group overhead of a hash-aggregate state entry.
-    pub agg_entry_overhead: f64,
-    /// Per-entry overhead of hash DISTINCT.
-    pub distinct_entry_overhead: f64,
-    /// Bucket-array bytes per entry (hash tables size their directory
-    /// proportionally to the entry count).
-    pub bucket_bytes_per_entry: f64,
-    /// Streaming-operator scratch (merge join, stream agg, NL join) in bytes.
-    pub stream_scratch: f64,
-    /// Log-normal noise sigma applied to the final peak (0 disables noise).
-    pub noise_sigma: f64,
-    /// Seed for the noise.
-    pub noise_seed: u64,
-}
-
-impl Default for MemoryConfig {
-    fn default() -> Self {
-        MemoryConfig {
-            scan_buffer: 0.25 * MB,
-            index_buffer: 0.0625 * MB,
-            sort_heap_cap: 192.0 * MB,
-            spill_merge_buffers: 4.0 * MB,
-            hash_entry_overhead: 48.0,
-            agg_entry_overhead: 64.0,
-            distinct_entry_overhead: 48.0,
-            bucket_bytes_per_entry: 8.0,
-            stream_scratch: 0.0625 * MB,
-            noise_sigma: 0.05,
-            noise_seed: 0xC0FFEE,
-        }
-    }
-}
+// Executor memory-model constants (bytes unless noted).
+/// Table-scan I/O buffer.
+const SCAN_BUFFER: f64 = 0.25 * MB;
+/// Index-scan buffer.
+const INDEX_BUFFER: f64 = 0.0625 * MB;
+/// Sort heap cap per sort; larger inputs spill and hold the cap plus merge
+/// buffers.
+const SORT_HEAP_CAP: f64 = 192.0 * MB;
+/// Extra merge buffers held by a spilling sort.
+const SPILL_MERGE_BUFFERS: f64 = 4.0 * MB;
+/// Per-entry overhead of a hash-join table (pointers, hashes, alignment).
+const HASH_ENTRY_OVERHEAD: f64 = 48.0;
+/// Per-group overhead of a hash-aggregate state entry.
+const AGG_ENTRY_OVERHEAD: f64 = 64.0;
+/// Per-entry overhead of hash DISTINCT.
+const DISTINCT_ENTRY_OVERHEAD: f64 = 48.0;
+/// Bucket-array bytes per entry (hash tables size their directory
+/// proportionally to the entry count).
+const BUCKET_BYTES_PER_ENTRY: f64 = 8.0;
+/// Streaming-operator scratch (merge join, stream agg, NL join).
+const STREAM_SCRATCH: f64 = 0.0625 * MB;
+/// Log-normal sigma of the run noise applied to every label.
+const NOISE_SIGMA: f64 = 0.05;
+/// Seed of the run noise.
+const NOISE_SEED: u64 = 0xC0FFEE;
 
 /// Memory demand of one plan fragment during pipeline analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,36 +56,19 @@ pub struct MemProfile {
 /// The executor simulator.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorSimulator {
-    config: MemoryConfig,
     cost: CostModel,
 }
 
 impl ExecutorSimulator {
-    /// Simulator with default constants.
+    /// Simulator with the fixed memory-model constants.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Simulator with explicit constants.
-    pub fn with_config(config: MemoryConfig) -> Self {
-        ExecutorSimulator { config, cost: CostModel::default() }
-    }
-
-    /// The configured constants.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.config
     }
 
     /// Peak working memory of a query in megabytes, including per-query noise
     /// (`query_id` seeds the noise deterministically).
     pub fn peak_memory_mb(&self, plan: &PlanNode, query_id: u64) -> f64 {
-        let profile = self.profile(plan);
-        let noise = if self.config.noise_sigma > 0.0 {
-            lognormal_factor(self.config.noise_seed, query_id, self.config.noise_sigma)
-        } else {
-            1.0
-        };
-        profile.peak * noise / MB
+        self.profile(plan).peak * lognormal_factor(NOISE_SEED, query_id, NOISE_SIGMA) / MB
     }
 
     /// Ground-truth resource label of a query: peak working memory from the
@@ -117,13 +79,7 @@ impl ExecutorSimulator {
     /// while still varying independently run-to-run like real measurements.
     pub fn true_resources(&self, plan: &PlanNode, query_id: u64) -> ResourceVector {
         let cost = self.cost.true_cost(plan);
-        let noise = |salt: u64| {
-            if self.config.noise_sigma > 0.0 {
-                lognormal_factor(self.config.noise_seed ^ salt, query_id, self.config.noise_sigma)
-            } else {
-                1.0
-            }
-        };
+        let noise = |salt: u64| lognormal_factor(NOISE_SEED ^ salt, query_id, NOISE_SIGMA);
         ResourceVector {
             memory_mb: self.peak_memory_mb(plan, query_id),
             cpu_ms: cost.cpu_ms * noise(0x5EED_0001),
@@ -133,20 +89,15 @@ impl ExecutorSimulator {
 
     /// Noise-free pipeline analysis of a plan fragment (uses true rows).
     pub fn profile(&self, node: &PlanNode) -> MemProfile {
-        let c = &self.config;
         match &node.op {
-            Operator::TableScan { .. } => {
-                MemProfile { peak: c.scan_buffer, resident: c.scan_buffer }
-            }
-            Operator::IndexScan { .. } => {
-                MemProfile { peak: c.index_buffer, resident: c.index_buffer }
-            }
+            Operator::TableScan { .. } => MemProfile { peak: SCAN_BUFFER, resident: SCAN_BUFFER },
+            Operator::IndexScan { .. } => MemProfile { peak: INDEX_BUFFER, resident: INDEX_BUFFER },
             Operator::HashJoin => {
                 let probe = self.profile(&node.children[0]);
                 let build = self.profile(&node.children[1]);
                 let b = &node.children[1];
                 let table = b.true_rows
-                    * (b.row_width as f64 + c.hash_entry_overhead + c.bucket_bytes_per_entry);
+                    * (b.row_width as f64 + HASH_ENTRY_OVERHEAD + BUCKET_BYTES_PER_ENTRY);
                 // Build phase: table grows while the build child streams;
                 // probe phase: full table coexists with the probe subtree.
                 let peak = (build.peak).max(table + build.resident).max(table + probe.peak);
@@ -157,45 +108,40 @@ impl ExecutorSimulator {
                 let inner = self.profile(&node.children[1]);
                 // The inner side is re-evaluated per outer row; both sides'
                 // working sets coexist.
-                let peak = outer.peak.max(outer.resident + inner.peak) + c.stream_scratch;
-                MemProfile { peak, resident: outer.resident + inner.resident + c.stream_scratch }
+                let peak = outer.peak.max(outer.resident + inner.peak) + STREAM_SCRATCH;
+                MemProfile { peak, resident: outer.resident + inner.resident + STREAM_SCRATCH }
             }
             Operator::MergeJoin => {
                 let l = self.profile(&node.children[0]);
                 let r = self.profile(&node.children[1]);
-                let peak = (l.peak + r.resident).max(r.peak + l.resident) + c.stream_scratch;
-                MemProfile { peak, resident: l.resident + r.resident + c.stream_scratch }
+                let peak = (l.peak + r.resident).max(r.peak + l.resident) + STREAM_SCRATCH;
+                MemProfile { peak, resident: l.resident + r.resident + STREAM_SCRATCH }
             }
             Operator::Sort { .. } => {
                 let child = self.profile(&node.children[0]);
                 let input = &node.children[0];
                 let data = input.true_rows * input.row_width as f64;
-                let heap = if data <= c.sort_heap_cap {
-                    data
-                } else {
-                    c.sort_heap_cap + c.spill_merge_buffers
-                };
+                let heap =
+                    if data <= SORT_HEAP_CAP { data } else { SORT_HEAP_CAP + SPILL_MERGE_BUFFERS };
                 let peak = child.peak.max(heap + child.resident);
                 MemProfile { peak, resident: heap }
             }
             Operator::HashAggregate { .. } => {
                 let child = self.profile(&node.children[0]);
                 let table = node.true_rows
-                    * (node.row_width as f64 + c.agg_entry_overhead + c.bucket_bytes_per_entry);
+                    * (node.row_width as f64 + AGG_ENTRY_OVERHEAD + BUCKET_BYTES_PER_ENTRY);
                 let peak = child.peak.max(table + child.resident);
                 MemProfile { peak, resident: table }
             }
             Operator::StreamAggregate { .. } => {
                 let child = self.profile(&node.children[0]);
-                let peak = child.peak.max(child.resident + c.stream_scratch);
-                MemProfile { peak, resident: c.stream_scratch }
+                let peak = child.peak.max(child.resident + STREAM_SCRATCH);
+                MemProfile { peak, resident: STREAM_SCRATCH }
             }
             Operator::HashDistinct => {
                 let child = self.profile(&node.children[0]);
                 let table = node.true_rows
-                    * (node.row_width as f64
-                        + c.distinct_entry_overhead
-                        + c.bucket_bytes_per_entry);
+                    * (node.row_width as f64 + DISTINCT_ENTRY_OVERHEAD + BUCKET_BYTES_PER_ENTRY);
                 let peak = child.peak.max(table + child.resident);
                 MemProfile { peak, resident: table }
             }
@@ -218,21 +164,17 @@ mod tests {
         )
     }
 
-    fn sim() -> ExecutorSimulator {
-        ExecutorSimulator::with_config(MemoryConfig { noise_sigma: 0.0, ..MemoryConfig::default() })
-    }
-
     #[test]
     fn scan_memory_is_just_the_buffer() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let p = s.profile(&scan(1e6, 100));
-        assert_eq!(p.peak, s.config().scan_buffer);
-        assert_eq!(p.resident, s.config().scan_buffer);
+        assert_eq!(p.peak, SCAN_BUFFER);
+        assert_eq!(p.resident, SCAN_BUFFER);
     }
 
     #[test]
     fn hash_join_memory_tracks_build_side() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let probe = scan(1_000_000.0, 100);
         let build = scan(10_000.0, 80);
         let join = PlanNode {
@@ -245,13 +187,13 @@ mod tests {
         let p = s.profile(&join);
         let table = 10_000.0 * (80.0 + 48.0 + 8.0);
         assert!(p.peak >= table, "peak covers the build table");
-        assert!(p.peak <= table + 3.0 * s.config().scan_buffer, "but not much more");
+        assert!(p.peak <= table + 3.0 * SCAN_BUFFER, "but not much more");
         assert!(p.resident >= table, "table persists through probing");
     }
 
     #[test]
     fn bigger_build_side_means_more_memory() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let mk = |build_rows: f64| {
             let join = PlanNode {
                 op: Operator::HashJoin,
@@ -267,7 +209,7 @@ mod tests {
 
     #[test]
     fn sort_holds_data_until_the_cap_then_spills() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let small_input = scan(1000.0, 100); // 100 KB sorts in memory
         let small_sort = PlanNode::unary(
             Operator::Sort { keys: vec!["t.a".into()] },
@@ -283,13 +225,13 @@ mod tests {
         let huge_sort =
             PlanNode::unary(Operator::Sort { keys: vec!["t.a".into()] }, huge_input, 1e8, 1e8, 100);
         let p = s.profile(&huge_sort);
-        let expected = s.config().sort_heap_cap + s.config().spill_merge_buffers;
+        let expected = SORT_HEAP_CAP + SPILL_MERGE_BUFFERS;
         assert!((p.resident - expected).abs() < 1.0, "spilling sort holds the cap");
     }
 
     #[test]
     fn hash_aggregate_scales_with_group_count() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let mk = |groups: f64| {
             let agg = PlanNode::unary(
                 Operator::HashAggregate { n_group_cols: 1, n_aggs: 2 },
@@ -307,7 +249,7 @@ mod tests {
     fn pipeline_analysis_stacks_blocking_operators() {
         // sort(hash_join(scan, scan)): the sort heap coexists with the join's
         // hash table (the join streams into the sort).
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let join = PlanNode {
             op: Operator::HashJoin,
             children: vec![scan(1e6, 100), scan(100_000.0, 80)],
@@ -329,7 +271,7 @@ mod tests {
 
     #[test]
     fn stream_aggregate_is_cheap() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let agg =
             PlanNode::unary(Operator::StreamAggregate { n_aggs: 1 }, scan(1e6, 100), 1.0, 1.0, 32);
         let p = s.profile(&agg);
@@ -338,7 +280,7 @@ mod tests {
 
     #[test]
     fn limit_is_transparent() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let inner = scan(1e6, 100);
         let expected = s.profile(&inner);
         let limited = PlanNode::unary(Operator::Limit { n: 10 }, inner, 10.0, 10.0, 100);
@@ -347,7 +289,7 @@ mod tests {
 
     #[test]
     fn memory_uses_true_rows_not_estimates() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         // Same estimates, different truths: the truth must win.
         let mk = |true_rows: f64| {
             let mut build = scan(10_000.0, 80);
@@ -377,7 +319,7 @@ mod tests {
         let a = noisy.peak_memory_mb(&plan, 7);
         let b = noisy.peak_memory_mb(&plan, 7);
         assert_eq!(a, b);
-        let base = sim().peak_memory_mb(&plan, 7);
+        let base = noisy.profile(&plan).peak / MB;
         assert!((a / base - 1.0).abs() < 0.3, "noise stays within ~30%");
         // Different query ids draw different noise.
         assert_ne!(noisy.peak_memory_mb(&plan, 7), noisy.peak_memory_mb(&plan, 8));
@@ -413,7 +355,7 @@ mod tests {
 
     #[test]
     fn nested_loop_join_is_cheap() {
-        let s = sim();
+        let s = ExecutorSimulator::new();
         let nl = PlanNode {
             op: Operator::NestedLoopJoin,
             children: vec![scan(100.0, 100), scan(1e6, 100)],

@@ -21,53 +21,30 @@ use wmp_plan::{CostModel, ResourceVector};
 
 use crate::executor::MB;
 
-/// Tunables of the rule-based estimator.
-#[derive(Debug, Clone)]
-pub struct HeuristicConfig {
-    /// Sort-heap cap the rules reserve against (bytes).
-    pub sort_heap_cap: f64,
-    /// Reserve the full cap once the estimated sort input exceeds this
-    /// fraction of it.
-    pub full_reservation_fraction: f64,
-    /// Safety multiplier for in-memory sorts.
-    pub sort_safety_factor: f64,
-    /// Assumed per-entry hash-join overhead (the rules understate the real
-    /// cost — pointer chains, alignment, bucket directories).
-    pub hash_entry_overhead: f64,
-    /// Assumed per-group aggregation overhead (also understated).
-    pub agg_entry_overhead: f64,
-    /// Fixed reservation for scans/streaming operators (bytes).
-    pub base_reservation: f64,
-}
-
-impl Default for HeuristicConfig {
-    fn default() -> Self {
-        HeuristicConfig {
-            sort_heap_cap: 192.0 * MB,
-            full_reservation_fraction: 0.25,
-            sort_safety_factor: 1.5,
-            hash_entry_overhead: 16.0,
-            agg_entry_overhead: 24.0,
-            base_reservation: 0.25 * MB,
-        }
-    }
-}
+// Rules of the estimator (bytes unless noted).
+/// Sort-heap cap the rules reserve against.
+const SORT_HEAP_CAP: f64 = 192.0 * MB;
+/// Reserve the full cap once the estimated sort input exceeds this fraction
+/// of it.
+const FULL_RESERVATION_FRACTION: f64 = 0.25;
+/// Safety multiplier for in-memory sorts.
+const SORT_SAFETY_FACTOR: f64 = 1.5;
+/// Assumed per-entry hash-join overhead (the rules understate the real cost
+/// — pointer chains, alignment, bucket directories).
+const HASH_ENTRY_OVERHEAD: f64 = 16.0;
+/// Assumed per-group aggregation overhead (also understated).
+const AGG_ENTRY_OVERHEAD: f64 = 24.0;
+/// Fixed reservation for scans/streaming operators.
+const BASE_RESERVATION: f64 = 0.25 * MB;
 
 /// Rule-based memory estimator.
-#[derive(Debug, Clone, Default)]
-pub struct DbmsHeuristicEstimator {
-    config: HeuristicConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DbmsHeuristicEstimator;
 
 impl DbmsHeuristicEstimator {
-    /// Estimator with default rules.
+    /// Estimator with the fixed rules.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Estimator with explicit rules.
-    pub fn with_config(config: HeuristicConfig) -> Self {
-        DbmsHeuristicEstimator { config }
+        DbmsHeuristicEstimator
     }
 
     /// Estimated working memory of the whole query in megabytes: the sum of
@@ -86,30 +63,28 @@ impl DbmsHeuristicEstimator {
 
     /// The reservation one operator's rule produces, in bytes.
     pub fn operator_reservation(&self, node: &PlanNode) -> f64 {
-        let c = &self.config;
         match &node.op {
-            Operator::TableScan { .. } | Operator::IndexScan { .. } => c.base_reservation,
+            Operator::TableScan { .. } | Operator::IndexScan { .. } => BASE_RESERVATION,
             Operator::NestedLoopJoin | Operator::MergeJoin | Operator::StreamAggregate { .. } => {
-                c.base_reservation
+                BASE_RESERVATION
             }
             Operator::Limit { .. } => 0.0,
             Operator::HashJoin => {
                 let build = &node.children[1];
-                build.est_rows * (build.row_width as f64 + c.hash_entry_overhead)
-                    + c.base_reservation
+                build.est_rows * (build.row_width as f64 + HASH_ENTRY_OVERHEAD) + BASE_RESERVATION
             }
             Operator::Sort { .. } => {
                 let input = &node.children[0];
                 let data = input.est_rows * input.row_width as f64;
-                if data > c.sort_heap_cap * c.full_reservation_fraction {
+                if data > SORT_HEAP_CAP * FULL_RESERVATION_FRACTION {
                     // "Big sort: grab the whole heap" — expert conservatism.
-                    c.sort_heap_cap
+                    SORT_HEAP_CAP
                 } else {
-                    data * c.sort_safety_factor
+                    data * SORT_SAFETY_FACTOR
                 }
             }
             Operator::HashAggregate { .. } | Operator::HashDistinct => {
-                node.est_rows * (node.row_width as f64 + c.agg_entry_overhead) + c.base_reservation
+                node.est_rows * (node.row_width as f64 + AGG_ENTRY_OVERHEAD) + BASE_RESERVATION
             }
         }
     }
@@ -118,7 +93,7 @@ impl DbmsHeuristicEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{ExecutorSimulator, MemoryConfig};
+    use crate::executor::ExecutorSimulator;
     use wmp_plan::plan::{Operator, PlanNode};
 
     fn scan(est: f64, truth: f64, width: u32) -> PlanNode {
@@ -181,10 +156,7 @@ mod tests {
         // True build side is 20x the estimate (correlated predicates): the
         // heuristic, driven by estimates, lands far below the simulator.
         let h = DbmsHeuristicEstimator::new();
-        let sim = ExecutorSimulator::with_config(MemoryConfig {
-            noise_sigma: 0.0,
-            ..MemoryConfig::default()
-        });
+        let sim = ExecutorSimulator::new();
         let join = PlanNode {
             op: Operator::HashJoin,
             children: vec![scan(1e6, 1e6, 100), scan(10_000.0, 200_000.0, 80)],
@@ -193,7 +165,7 @@ mod tests {
             row_width: 180,
         };
         let est = h.estimate_mb(&join);
-        let truth = sim.peak_memory_mb(&join, 0);
+        let truth = sim.profile(&join).peak / MB;
         assert!(est < truth * 0.2, "est {est} MB vs truth {truth} MB");
     }
 
@@ -202,10 +174,7 @@ mod tests {
         // A 10 MB accurate sort: rule reserves 1.5x, plus understating nothing
         // else — the heuristic overshoots the simulator's tight number.
         let h = DbmsHeuristicEstimator::new();
-        let sim = ExecutorSimulator::with_config(MemoryConfig {
-            noise_sigma: 0.0,
-            ..MemoryConfig::default()
-        });
+        let sim = ExecutorSimulator::new();
         let sort = PlanNode::unary(
             Operator::Sort { keys: vec!["t.a".into()] },
             scan(100_000.0, 100_000.0, 100),
@@ -214,16 +183,33 @@ mod tests {
             100,
         );
         let est = h.estimate_mb(&sort);
-        let truth = sim.peak_memory_mb(&sort, 0);
+        let truth = sim.profile(&sort).peak / MB;
         assert!(est > truth * 1.3, "est {est} MB vs truth {truth} MB");
     }
 
     #[test]
     fn hash_overheads_are_understated_relative_to_executor() {
-        let h = HeuristicConfig::default();
-        let e = MemoryConfig::default();
-        assert!(h.hash_entry_overhead < e.hash_entry_overhead + e.bucket_bytes_per_entry);
-        assert!(h.agg_entry_overhead < e.agg_entry_overhead + e.bucket_bytes_per_entry);
+        // Exact estimates: the rules' table plus their base reservation still
+        // stays below the executor's table, entry overheads and buckets.
+        let (h, sim) = (DbmsHeuristicEstimator::new(), ExecutorSimulator::new());
+        let join = PlanNode {
+            op: Operator::HashJoin,
+            children: vec![scan(1e6, 1e6, 100), scan(10_000.0, 10_000.0, 80)],
+            est_rows: 1e6,
+            true_rows: 1e6,
+            row_width: 180,
+        };
+        let agg = PlanNode::unary(
+            Operator::HashAggregate { n_group_cols: 1, n_aggs: 2 },
+            scan(1e6, 1e6, 100),
+            10_000.0,
+            10_000.0,
+            64,
+        );
+        for plan in [join, agg] {
+            let (rule, table) = (h.operator_reservation(&plan), sim.profile(&plan).resident);
+            assert!(rule < table, "{:?}: rule {rule} vs executor {table}", plan.op);
+        }
     }
 
     #[test]

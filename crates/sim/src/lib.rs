@@ -16,6 +16,10 @@
 //!   budgeted executor admits workloads on *predicted* demand while they
 //!   occupy their *actual* demand, so prediction error surfaces as overflow
 //!   episodes or stranded capacity.
+//!
+//! The simulator's and the estimator's constants (buffer sizes, sort-heap
+//! caps, per-entry overheads, run noise) are private and fixed, so every
+//! label and estimate is a function of the plan and the query id alone.
 
 #![warn(missing_docs)]
 
@@ -25,5 +29,5 @@ pub mod heuristic;
 pub mod noise;
 
 pub use cluster::{ActualOverruns, CapacityExceeded, Cluster, Executor, PlacedWorkload};
-pub use executor::{ExecutorSimulator, MemProfile, MemoryConfig, MB};
-pub use heuristic::{DbmsHeuristicEstimator, HeuristicConfig};
+pub use executor::{ExecutorSimulator, MemProfile, MB};
+pub use heuristic::DbmsHeuristicEstimator;

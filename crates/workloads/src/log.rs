@@ -219,7 +219,6 @@ impl ExactSizeIterator for Replay<'_> {}
 /// # Errors
 /// Propagates planning errors (unknown tables/columns/aliases).
 pub fn build_record(
-    catalog: &Catalog,
     planner: &Planner<'_>,
     simulator: &ExecutorSimulator,
     heuristic: &DbmsHeuristicEstimator,
@@ -230,7 +229,6 @@ pub fn build_record(
     let features = featurize_plan(&plan);
     let resources = simulator.true_resources(&plan, spec.id);
     let dbms_estimate = heuristic.estimate_resources(&plan);
-    let _ = catalog; // catalog is implicit in the planner; kept for signature clarity
     Ok(QueryRecord { id: spec.id, spec, features, resources, dbms_estimate, template_hint })
 }
 
@@ -262,7 +260,7 @@ pub fn build_log_with(
     let heuristic = DbmsHeuristicEstimator::new();
     let mut records = Vec::with_capacity(specs.len());
     for (spec, hint) in specs {
-        records.push(build_record(&catalog, &planner, &simulator, &heuristic, spec, hint)?);
+        records.push(build_record(&planner, &simulator, &heuristic, spec, hint)?);
     }
     Ok(QueryLog { benchmark: benchmark.to_string(), catalog, records })
 }

@@ -7,7 +7,7 @@
 //! cargo run --release --example template_explorer
 //! ```
 
-use learnedwmp::core::{PlanKMeansTemplates, TemplateLearner};
+use learnedwmp::core::TemplateSpec;
 use learnedwmp::mlkit::kmeans::{elbow_curve, pick_elbow};
 use learnedwmp::mlkit::scaler::StandardScaler;
 use learnedwmp::mlkit::Matrix;
@@ -51,8 +51,9 @@ fn main() {
 
     // 3. What the learned templates group: cluster sizes and a sample SQL.
     let refs: Vec<&QueryRecord> = log.records.iter().collect();
-    let mut learner = PlanKMeansTemplates::new(k_star, 42);
-    learner.fit(&refs, &log.catalog).expect("template learning");
+    let learner = TemplateSpec::PlanKMeans { k: k_star, seed: 42 }
+        .fit(&refs, &log.catalog)
+        .expect("template learning");
     let mut members: Vec<Vec<&QueryRecord>> = vec![Vec::new(); learner.n_templates()];
     for r in &refs {
         members[learner.assign(r).expect("assign")].push(r);

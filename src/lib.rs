@@ -10,7 +10,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`core`] ([`learnedwmp_core`]) | LearnedWMP + SingleWMP pipelines, templates, histograms, evaluation |
+//! | [`core`] ([`learnedwmp_core`]) | LearnedWMP + SingleWMP pipelines, template learning (a [`core::TemplateSpec`] fits into [`core::Templates`]), histograms, evaluation |
 //! | [`mlkit`] ([`wmp_mlkit`]) | from-scratch ML: k-means, DBSCAN, Ridge, CART, Random Forest, GBDT, MLP |
 //! | [`plan`] ([`wmp_plan`]) | schema/catalog, cardinality estimation, physical planner, plan features |
 //! | [`serve`] ([`wmp_serve`]) | thread-safe serving engine: streaming windows, shared handles, hot model swap |

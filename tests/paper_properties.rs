@@ -2,8 +2,7 @@
 //! against the real pipeline rather than units in isolation.
 
 use learnedwmp::core::{
-    batch_workloads, EvalConfig, EvalContext, LabelMode, LearnedWmp, ModelKind,
-    PlanKMeansTemplates, TemplateLearner, TemplateSpec,
+    batch_workloads, EvalConfig, EvalContext, LabelMode, LearnedWmp, ModelKind, TemplateSpec,
 };
 use learnedwmp::workloads::QueryRecord;
 
@@ -33,8 +32,8 @@ fn histograms_always_sum_to_batch_size() {
     let log = learnedwmp::workloads::job::generate(600, 2).expect("log");
     let refs: Vec<&QueryRecord> = log.records.iter().collect();
     for k in [5, 20, 50] {
-        let mut learner = PlanKMeansTemplates::new(k, 42);
-        learner.fit(&refs, &log.catalog).expect("fit");
+        let learner =
+            TemplateSpec::PlanKMeans { k, seed: 42 }.fit(&refs, &log.catalog).expect("fit");
         for chunk in refs.chunks(10).take(8) {
             let assigns: Vec<usize> =
                 chunk.iter().map(|r| learner.assign(r).expect("assign")).collect();
@@ -53,8 +52,8 @@ fn histograms_always_sum_to_batch_size() {
 fn templates_group_queries_of_similar_memory() {
     let log = learnedwmp::workloads::tpcds::generate(3_000, 1).expect("log");
     let refs: Vec<&QueryRecord> = log.records.iter().collect();
-    let mut learner = PlanKMeansTemplates::new(60, 42);
-    learner.fit(&refs, &log.catalog).expect("fit");
+    let learner =
+        TemplateSpec::PlanKMeans { k: 60, seed: 42 }.fit(&refs, &log.catalog).expect("fit");
     let global_mean: f64 = refs.iter().map(|r| r.true_memory_mb()).sum::<f64>() / refs.len() as f64;
     let global_var: f64 =
         refs.iter().map(|r| (r.true_memory_mb() - global_mean).powi(2)).sum::<f64>()

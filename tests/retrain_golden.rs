@@ -4,8 +4,7 @@
 //! reproduce these exactly; every `f64` is compared by its bit pattern.
 
 use learnedwmp::core::{
-    LearnedWmp, LearnedWmpConfig, ModelKind, OnlinePolicy, OnlineWmp, PlanKMeansTemplates,
-    TemplateLearner, TemplateSpec,
+    LearnedWmp, LearnedWmpConfig, ModelKind, OnlinePolicy, OnlineWmp, TemplateSpec, Templates,
 };
 use learnedwmp::plan::ResourceVector;
 use learnedwmp::workloads::tpch::{instantiate, roundtrip_through_sql};
@@ -38,9 +37,12 @@ fn plan_kmeans_templates_match_their_golden_fits() {
     let log = learnedwmp::workloads::tpch::generate(3_000, 19).unwrap();
     let refs: Vec<&QueryRecord> = log.records.iter().collect();
     for (k, golden) in [(22, GOLDEN_PLAN_KMEANS_22), (9, GOLDEN_PLAN_KMEANS_9)] {
-        let mut templates = PlanKMeansTemplates::new(k, 42);
-        templates.fit(&refs, &log.catalog).unwrap();
-        let km = templates.kmeans().expect("fitted");
+        let Templates::PlanKMeans(templates) =
+            TemplateSpec::PlanKMeans { k, seed: 42 }.fit(&refs, &log.catalog).unwrap()
+        else {
+            panic!("a plan k-means spec fits plan k-means templates");
+        };
+        let km = templates.kmeans();
         let centroids = km.centroids().expect("fitted");
         assert_eq!(centroids.rows(), k);
         let rows: Vec<String> =
